@@ -135,7 +135,7 @@ def build_system(cfg):
         raise ConfigError("invalid interval system: %s" % exc)
 
 
-def _one_field(entry, a, b):
+def _one_field(entry):
     """Turn one config entry into a callable on one interval (or None)."""
     if entry == "zero":
         return None
@@ -173,9 +173,7 @@ def build_field(cfg, system):
         entries = [entries] * system.p
     if len(entries) != system.p:
         raise ConfigError("'fields' must have one entry per interval")
-    funcs = [
-        _one_field(e, *system.intervals[i]) for i, e in enumerate(entries)
-    ]
+    funcs = [_one_field(e) for e in entries]
     if all(f is None for f in funcs):
         return None
     return ExternalField(tuple(funcs))

@@ -3,8 +3,10 @@
 The joint density of a configuration is proportional to the Boltzmann factor
 of the log interaction weight times the product of base-measure densities.
 Sampling is a systematic-scan Gibbs chain whose one-dimensional conditionals
-are drawn exactly by inverse CDF on a refined grid (default 8x the base
-grid).  Partition integrals use tensor midpoint quadrature on refined grids;
+are drawn exactly by inverse CDF on a refined grid of G nodes (default 8x the
+base grid).  The chain keeps one running repulsion table per interval, so a
+coordinate update costs O(p G) whatever the number of points n.  Partition
+integrals use tensor midpoint quadrature on refined grids;
 the convention is the integral over the full product of blocks, which equals
 the ordered-sector integral times prod(n_i!).
 """
@@ -19,6 +21,7 @@ import numpy as np
 from .core import (
     Configuration,
     DEFAULT_CELLS,
+    _readonly,
     counting_measure,
     weak_star_distance,
 )
@@ -28,12 +31,6 @@ from .errors import DegenerateConditional, DimensionTooLarge
 from .fekete import log_boltzmann
 
 TENSOR_MAX_POINTS = 5
-
-
-def _readonly(a):
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,6 +188,15 @@ def _draw_from_log_density(logp, left_edge, h, rng):
 
 
 class _GibbsChain:
+    """Systematic-scan chain with one running repulsion table per interval.
+
+    On interval i's refined grid t the table holds
+    T_i(t) = sum_j c_ij sum_k log|t - x_k^(j)|, with c_ii = 2 and c_ij = 1,
+    so the repulsion felt by point k of block i is T_i - 2 log|t - x_k|.
+    An update costs p + 1 grid-length logs: one to take the old point out of
+    T_i, one to put the new one in, and one ratio column per other table.
+    """
+
     def __init__(self, spec, index, refine, rng):
         self.spec = spec
         self.index = index
@@ -208,37 +214,62 @@ class _GibbsChain:
                 )
         self.state = [
             np.array(
-                [self._draw(i, np.zeros_like(self.grids[i][3])) for _ in range(n_i)]
+                [
+                    _draw_from_log_density(g[3], g[2], g[1], self.rng)
+                    for _ in range(n_i)
+                ]
             )
-            for i, n_i in enumerate(index.counts)
+            for g, n_i in zip(self.grids, index.counts)
         ]
+        self.tables = [self._table(i) for i in range(sys_.p)]
 
-    def _draw(self, i, log_rep):
-        t, h, a, static = self.grids[i]
-        return _draw_from_log_density(static + log_rep, a, h, self.rng)
-
-    def _log_repulsion(self, i, k):
+    def _table(self, i, skip=-1):
+        """T_i from scratch, leaving out point ``skip`` of block i."""
         t = self.grids[i][0]
-        own = np.delete(self.state[i], k)
-        parts = np.zeros_like(t)
+        table = np.zeros_like(t)
         with np.errstate(divide="ignore"):
-            if own.size:
-                parts += 2.0 * np.sum(
-                    np.log(np.abs(t[:, None] - own[None, :])), axis=1
-                )
-            for j in range(len(self.state)):
-                if j == i:
-                    continue
-                other = self.state[j]
-                parts += np.sum(
-                    np.log(np.abs(t[:, None] - other[None, :])), axis=1
-                )
-        return parts
+            for j, block in enumerate(self.state):
+                c = 2.0 if j == i else 1.0
+                for k, x in enumerate(block):
+                    if j != i or k != skip:
+                        table += c * np.log(np.abs(t - x))
+        return table
+
+    def _update(self, i, k):
+        """Redraw point k of block i; run under ``divide="ignore"``."""
+        t, h, a, static = self.grids[i]
+        block = self.state[i]
+        x_old = block[k]
+        rest = self.tables[i]
+        col = np.subtract(t, x_old)  # 2 log|t - x| = log (t - x)^2
+        np.square(col, out=col)
+        np.log(col, out=col)
+        # Only the node of the cell holding x_old can coincide with it; there
+        # -inf - (-inf) would poison the table, so rebuild it instead.
+        if col[min(int((x_old - a) / h), col.size - 1)] == -np.inf:
+            rest = self._table(i, skip=k)
+        else:
+            rest -= col
+        x_new = _draw_from_log_density(static + rest, a, h, self.rng)
+        block[k] = x_new
+        np.subtract(t, x_new, out=col)
+        np.square(col, out=col)
+        np.log(col, out=col)
+        rest += col
+        self.tables[i] = rest
+        # The intervals are disjoint, so these ratios are positive and finite.
+        for j, table in enumerate(self.tables):
+            if j != i:
+                tj = self.grids[j][0]
+                ratio = tj - x_new
+                ratio /= tj - x_old
+                table += np.log(ratio, out=ratio)
 
     def sweep(self):
-        for i in range(len(self.state)):
-            for k in range(self.state[i].size):
-                self.state[i][k] = self._draw(i, self._log_repulsion(i, k))
+        with np.errstate(divide="ignore"):
+            for i, block in enumerate(self.state):
+                for k in range(block.size):
+                    self._update(i, k)
 
     def snapshot(self):
         return Configuration(

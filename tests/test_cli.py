@@ -166,6 +166,15 @@ class TestCommands:
             assert float(row[2]) >= 1.0 - 1e-9
 
 
+def test_power_base_off_positive_axis_exits_1(tmp_path, capsys):
+    # power(k) is x**k, which is negative on [-2, -1] for odd k.
+    cfg = write_config(
+        tmp_path, intervals=[[-2.0, -1.0]], masses=[1.0], base_measures="power(1)"
+    )
+    assert run(["bm", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "nonnegative" in capsys.readouterr().err
+
+
 def test_solver_failure_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, eqm={"max_iter": 2, "tol": 1e-14})
     assert run(["eqm", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2

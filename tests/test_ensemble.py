@@ -8,6 +8,7 @@ from angelesco import (
     EnsembleSpec,
     ExternalField,
     GridMeasure,
+    IntervalSystem,
     MultiIndex,
     MultiIndexSequence,
     VectorMeasure,
@@ -23,7 +24,8 @@ from angelesco import (
     sort_into_blocks,
     weak_star_distance,
 )
-from angelesco.ensemble import export_samples_csv, sector_factor
+from angelesco import ensemble
+from angelesco.ensemble import _GibbsChain, export_samples_csv, sector_factor
 from angelesco.errors import DegenerateConditional, DimensionTooLarge
 
 
@@ -73,6 +75,13 @@ class TestBaseMeasure:
         tau = BaseMeasure.power(unit, 0, 2, cells=200)
         assert tau.total_mass == pytest.approx(1.0 / 3.0, abs=1e-4)
         assert tau.density_at(0.5) == pytest.approx(0.25, abs=1e-4)
+
+    def test_power_is_x_to_the_k_not_distance_to_left_end(self, two):
+        # On [1, 2] the density is x**2, not (x - 1)**2.
+        tau = BaseMeasure.power(two, 1, 2, cells=200)
+        assert np.array_equal(tau.values, tau.nodes**2)
+        assert tau.density_at(1.5) == pytest.approx(2.25, abs=1e-4)
+        assert tau.total_mass == pytest.approx(7.0 / 3.0, abs=1e-4)
 
     def test_validation(self, unit):
         nodes = unit.grid_nodes(0, 10)
@@ -212,6 +221,107 @@ class TestGibbsSampling:
         logp = np.array([0.0, np.nan, -1.0])
         with pytest.raises(DegenerateConditional):
             _draw_from_log_density(logp, 0.0, 0.25, rng)
+
+
+def _scratch_repulsion(chain, i, k):
+    """Repulsion felt by point k of block i, summed over every other point."""
+    t = chain.grids[i][0]
+    out = np.zeros_like(t)
+    with np.errstate(divide="ignore"):
+        for j, block in enumerate(chain.state):
+            pts = np.delete(block, k) if j == i else block
+            if pts.size:
+                c = 2.0 if j == i else 1.0
+                out += c * np.sum(np.log(np.abs(t[:, None] - pts[None, :])), axis=1)
+    return out
+
+
+def _chain(system, counts, cells=50, seed=0):
+    base = tuple(BaseMeasure.lebesgue(system, i, cells) for i in range(system.p))
+    seq = MultiIndexSequence.proportional(system.r, start=system.p, step=system.p)
+    spec = EnsembleSpec(system, None, base, seq)
+    return _GibbsChain(spec, MultiIndex(counts), 8, np.random.default_rng(seed))
+
+
+def _record_draws(monkeypatch):
+    """Spy on the inverse-CDF draw; returns the list of log densities."""
+    seen = []
+    real = ensemble._draw_from_log_density
+
+    def spy(logp, left_edge, h, rng):
+        seen.append(logp.copy())
+        return real(logp, left_edge, h, rng)
+
+    monkeypatch.setattr(ensemble, "_draw_from_log_density", spy)
+    return seen
+
+
+class TestRepulsionTables:
+    @pytest.mark.parametrize(
+        "intervals, masses, counts",
+        [
+            (((0.0, 1.0),), (1.0,), (5,)),
+            (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5), (2, 5)),
+            (((-3.0, -2.0), (-1.0, 0.5), (1.0, 2.0)), (0.2, 0.5, 0.3), (1, 4, 2)),
+        ],
+    )
+    def test_conditional_matches_scratch_sum(
+        self, intervals, masses, counts, monkeypatch
+    ):
+        system = IntervalSystem(intervals, masses)
+        chain = _chain(system, counts)
+        # a fixed state strictly between grid nodes
+        for i, block in enumerate(chain.state):
+            a, b = system.intervals[i]
+            block[:] = a + (b - a) * (np.arange(block.size) + 0.3137) / block.size
+        chain.tables = [chain._table(i) for i in range(system.p)]
+        seen = _record_draws(monkeypatch)
+        for _ in range(3):
+            for i, block in enumerate(chain.state):
+                for k in range(block.size):
+                    want = chain.grids[i][3] + _scratch_repulsion(chain, i, k)
+                    with np.errstate(divide="ignore"):
+                        chain._update(i, k)
+                    np.testing.assert_allclose(seen[-1], want, rtol=1e-12, atol=1e-12)
+
+    def test_point_on_node_falls_back_to_rebuild(self, two, monkeypatch):
+        chain = _chain(two, (3, 2))
+        t0 = chain.grids[0][0]
+        chain.state[0][:] = [t0[10], t0[40], -1.3]
+        chain.tables = [chain._table(i) for i in range(2)]
+        assert np.isneginf(chain.tables[0][[10, 40]]).all()
+        rebuilds = []
+        real_table = chain._table
+
+        def counting_table(i, skip=-1):
+            rebuilds.append((i, skip))
+            return real_table(i, skip)
+
+        monkeypatch.setattr(chain, "_table", counting_table)
+        seen = _record_draws(monkeypatch)
+        for i, k in [(0, 2), (1, 0), (0, 0)]:
+            on_node = chain.state[i][k] in chain.grids[i][0]
+            want = chain.grids[i][3] + _scratch_repulsion(chain, i, k)
+            with np.errstate(divide="ignore"):
+                chain._update(i, k)
+            assert not np.isnan(seen[-1]).any()
+            np.testing.assert_allclose(seen[-1], want, rtol=1e-12, atol=1e-12)
+            assert rebuilds == ([(i, k)] if on_node else [])
+            rebuilds.clear()
+        # the point left on node 40 still excludes it for its neighbours
+        assert np.isneginf(seen[-1][40])
+        for i in range(2):
+            assert not np.isnan(chain.tables[i]).any()
+            np.testing.assert_allclose(chain.tables[i], real_table(i), rtol=1e-12)
+
+    def test_tables_do_not_drift(self, two):
+        chain = _chain(two, (32, 32), cells=200, seed=3)
+        for _ in range(1000):
+            chain.sweep()
+        for i in range(2):
+            fresh = chain._table(i)
+            assert np.abs(fresh).max() > 10.0
+            np.testing.assert_allclose(chain.tables[i], fresh, rtol=0, atol=1e-9)
 
 
 class TestPartitionFunction:
