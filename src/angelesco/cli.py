@@ -27,6 +27,7 @@ from .ensemble import (
     partition_function_bounds,
     partition_function_quadrature,
     sector_factor,
+    TENSOR_MAX_POINTS,
 )
 from .equilibrium import solve_equilibrium
 from .equilibrium import export_csv as export_equilibrium_csv
@@ -309,7 +310,7 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------- commands
 
 
-def cmd_eqm(cfg, seed, cells, out_dir, threads):
+def cmd_eqm(cfg, seed, cells, out_dir):
     system = build_system(cfg)
     field = build_field(cfg, system)
     sec = cfg.get("eqm", {})
@@ -337,7 +338,7 @@ def cmd_eqm(cfg, seed, cells, out_dir, threads):
     return [csv_path, report]
 
 
-def cmd_fekete(cfg, seed, cells, out_dir, threads):
+def cmd_fekete(cfg, seed, cells, out_dir):
     system = build_system(cfg)
     field = build_field(cfg, system)
     seq = build_sequence(cfg, system)
@@ -354,7 +355,6 @@ def cmd_fekete(cfg, seed, cells, out_dir, threads):
         n_starts=n_starts,
         tol=tol,
         seed=seed,
-        threads=threads,
     )
     trend_path = _write_csv(
         Path(out_dir) / "fekete.csv",
@@ -380,7 +380,7 @@ def cmd_fekete(cfg, seed, cells, out_dir, threads):
     return [trend_path, config_path, report]
 
 
-def cmd_sample(cfg, seed, cells, out_dir, threads):
+def cmd_sample(cfg, seed, cells, out_dir):
     spec = build_spec(cfg, cells)
     sec = cfg.get("sample", {})
     d = int(sec.get("d", 1))
@@ -407,7 +407,7 @@ def cmd_sample(cfg, seed, cells, out_dir, threads):
     return [csv_path, report]
 
 
-def cmd_mop(cfg, seed, cells, out_dir, threads):
+def cmd_mop(cfg, seed, cells, out_dir):
     spec = build_spec(cfg, cells)
     sec = cfg.get("mop", {})
     d = int(sec.get("d", 1))
@@ -437,7 +437,7 @@ def cmd_mop(cfg, seed, cells, out_dir, threads):
     return [csv_path, report]
 
 
-def cmd_zconst(cfg, seed, cells, out_dir, threads):
+def cmd_zconst(cfg, seed, cells, out_dir):
     spec = build_spec(cfg, cells)
     sec = cfg.get("zconst", {})
     d_list = [int(d) for d in sec.get("d_list", [1])]
@@ -446,7 +446,7 @@ def cmd_zconst(cfg, seed, cells, out_dir, threads):
     rows = []
     for d in d_list:
         m = spec.index(d)
-        if m.total <= 5:
+        if m.total <= TENSOR_MAX_POINTS:
             log_z = partition_function_quadrature(spec, d)
         else:
             log_z = float("nan")
@@ -456,7 +456,6 @@ def cmd_zconst(cfg, seed, cells, out_dir, threads):
             field=spec.field,
             n_starts=n_starts,
             seed=seed,
-            threads=threads,
         )
         lo, up = partition_function_bounds(spec, d, fek, epsilon=epsilon)
         rows.append(
@@ -474,7 +473,7 @@ def cmd_zconst(cfg, seed, cells, out_dir, threads):
     return [csv_path, report]
 
 
-def cmd_ldp(cfg, seed, cells, out_dir, threads):
+def cmd_ldp(cfg, seed, cells, out_dir):
     system = build_system(cfg)
     field = build_field(cfg, system)
     sec = cfg.get("ldp", {})
@@ -518,7 +517,7 @@ def cmd_ldp(cfg, seed, cells, out_dir, threads):
     return [csv_path, report]
 
 
-def cmd_bm(cfg, seed, cells, out_dir, threads):
+def cmd_bm(cfg, seed, cells, out_dir):
     system = build_system(cfg)
     base = build_base(cfg, system, cells)
     sec = cfg.get("bm", {})
@@ -536,7 +535,7 @@ def cmd_bm(cfg, seed, cells, out_dir, threads):
     return [csv_path]
 
 
-def cmd_verify(cfg, seed, cells, out_dir, threads):
+def cmd_verify(cfg, seed, cells, out_dir):
     from .acceptance import run_all
 
     results = run_all(report_path=Path(out_dir) / "report.json")
@@ -566,7 +565,7 @@ def _parser():
     ap.add_argument("--config", help="JSON experiment description")
     ap.add_argument("--seed", type=int, default=None, help="RNG seed override")
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     ap.add_argument("--grid", type=int, default=None, help="cells per interval")
     return ap
 
@@ -581,7 +580,7 @@ def run(argv=None):
 
     if args.command == "verify":
         try:
-            _, ok = cmd_verify(None, None, None, out_dir, args.threads)
+            _, ok = cmd_verify(None, None, None, out_dir)
         except AngelescoError as exc:
             print(
                 "error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr
@@ -605,9 +604,7 @@ def run(argv=None):
         return 1
     resolved = _resolved(cfg, seed, cells)
     try:
-        files = _COMMANDS[args.command](
-            resolved, seed, cells, out_dir, args.threads
-        )
+        files = _COMMANDS[args.command](resolved, seed, cells, out_dir)
     except AngelescoError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2

@@ -187,12 +187,7 @@ def _field_integrals(mu, field):
 
 def total_energy(mu):
     """Unweighted energy report of a vector measure."""
-    p = mu.system.p
-    selfs = [mutual_energy(mu[i], mu[i]) for i in range(p)]
-    crosses = [
-        mutual_energy(mu[i], mu[j]) for i in range(p) for j in range(i + 1, p)
-    ]
-    return EnergyReport.build(selfs, crosses, (0.0,) * p)
+    return weighted_energy(mu, None)
 
 
 def weighted_energy(mu, field=None):

@@ -29,6 +29,7 @@ from .energy import ExternalField, as_field
 from .equilibrium import solve_equilibrium
 from .errors import DegenerateConditional, DimensionTooLarge
 from .fekete import log_boltzmann
+from .ldp import growth_constant
 
 TENSOR_MAX_POINTS = 5
 
@@ -408,8 +409,6 @@ def partition_function_bounds(spec, d, fekete_result, epsilon=0.05):
     weight - n log(growth constant) - 2 n^2 log(1 + epsilon), with the
     growth constant estimated from Christoffel kernels up to degree 2n.
     """
-    from .ldp import growth_constant  # deferred: ldp depends on this module
-
     m = spec.index(d)
     n = m.total
     if tuple(m.counts) != tuple(fekete_result.configuration.index.counts):

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_CELLS, GridMeasure, VectorMeasure
-from .energy import EnergyReport, as_field, system_kernel, weighted_energy
+from .energy import (
+    EnergyReport,
+    as_field,
+    partial_potentials,
+    system_kernel,
+    weighted_energy,
+)
 from .errors import InfeasibleMasses, MaxIterationsExceeded
 
 SUPPORT_THRESHOLD = 1e-14  # of the max weight, per component
@@ -69,8 +75,6 @@ def kkt_residual(mu, field=None):
     2(U_i + Q_i) from its support mean, plus any off-support shortfall.
     """
     field = as_field(field, mu.system.p)
-    from .energy import partial_potentials
-
     w_blocks, g_blocks = [], []
     for i, g in enumerate(mu):
         u = partial_potentials(mu, i, g.nodes)

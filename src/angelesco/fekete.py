@@ -8,23 +8,32 @@ The log interaction weight of a configuration X with blocks X^(i) is
 
 i.e. squared repulsion within a block, plain repulsion across blocks, and an
 external-field term scaled by the total point count n.  Fekete configurations
-maximize it.  The maximizer is found by cyclic coordinate ascent: moving one
-coordinate with all others fixed gives a one-dimensional objective that is
-strictly concave between consecutive occupied positions (for convex fields),
-so each gap is searched by golden section and the best gap wins.
+maximize it.
+
+On the ordered sector the weight is a sum of logs of positive affine forms
+minus the field term: concave for convex fields, with the boxes [a_i, b_i] as
+the only constraints.  Each start runs a projected Newton ascent on it, holds
+points pushed outward at a box end and backtracks every step on the exact
+weight.  For a non-convex field that finds only a local maximum, so a scan of
+every point's slice over a grid of its whole interval follows; a point that
+can gain more than ``tol`` jumps to the best node and Newton runs again.
+``coordinatewise_optimal`` says that the last scan found no such move.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Configuration, DEFAULT_CELLS, counting_measure, weak_star_distance
 from .energy import as_field
+from .equilibrium import solve_equilibrium
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+SCAN_NODES = 2049  # grid nodes per interval for the single-coordinate scan
+MAX_ROUNDS = 8  # Newton ascents and scans per start
+MAX_NEWTON = 200
+ARMIJO = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,147 +84,140 @@ def log_boltzmann(X, field=None, index=None):
     return interaction - 2.0 * n * fld
 
 
-def _slice_value(x, own, others, nq_fn):
-    """Objective for one moving coordinate, vectorized over candidates x.
+class _Ascent:
+    """The weight as a function of the flat vector of all coordinates.
 
-    Candidates sitting exactly on another occupied position get -inf, which
-    simply loses the comparison; silence the log(0) warning for them.
+    Blocks are contiguous in the vector; ``c`` holds the pair coefficients
+    (2 within a block, 1 across blocks, 0 on the diagonal).
     """
-    x = np.atleast_1d(x)
-    val = np.zeros_like(x)
-    with np.errstate(divide="ignore"):
-        if own.size:
-            val += 2.0 * np.sum(
-                np.log(np.abs(x[:, None] - own[None, :])), axis=1
-            )
-        if others.size:
-            val += np.sum(
-                np.log(np.abs(x[:, None] - others[None, :])), axis=1
-            )
-    return val + nq_fn(x)
+
+    def __init__(self, system, field, index):
+        self.system, self.field = system, field
+        self.n = index.total
+        ends = np.cumsum((0,) + tuple(index.counts))
+        self.blocks = [slice(s, e) for s, e in zip(ends[:-1], ends[1:])]
+        self.block_of = block = np.repeat(np.arange(system.p), index.counts)
+        self.c = np.where(block[:, None] == block[None, :], 2.0, 1.0)
+        np.fill_diagonal(self.c, 0.0)
+        self.lo, self.hi = np.array([system.intervals[i] for i in block]).T
+        self.grids = [np.linspace(a, b, SCAN_NODES) for a, b in system.intervals]
+
+    def configuration(self, x):
+        return Configuration(self.system, tuple(np.sort(x[s]) for s in self.blocks))
+
+    def value(self, x):
+        return log_boltzmann(self.configuration(x), self.field)
+
+    def field_slopes(self, x):
+        """Q_i' and max(Q_i'', 0) at every point, by central differences.
+
+        The stencil is moved inside the interval near its ends and Q_i' is
+        taken from the quadratic through the three values, so it is exact
+        for quadratic fields and never samples outside [a_i, b_i].
+        """
+        slope = np.zeros_like(x)
+        curvature = np.zeros_like(x)
+        for i, s in enumerate(self.blocks):
+            a, b = self.system.intervals[i]
+            h = 1e-5 * (b - a)
+            t = np.clip(x[s], a + h, b - h)
+            qm, q0, qp = (self.field(i, t + e) for e in (-h, 0.0, h))
+            second = (qp - 2.0 * q0 + qm) / h**2
+            slope[s] = (qp - qm) / (2.0 * h) + second * (x[s] - t)
+            curvature[s] = np.maximum(second, 0.0)
+        return slope, curvature
+
+    def newton(self, x, tol):
+        """Projected Newton ascent from x; returns the final point."""
+        value = self.value(x)
+        for _ in range(MAX_NEWTON):
+            diff = x[:, None] - x[None, :]
+            np.fill_diagonal(diff, 1.0)
+            pull = self.c / diff
+            stiff = pull / diff
+            slope, curvature = self.field_slopes(x)
+            g = pull.sum(axis=1) - 2.0 * self.n * slope
+            a = -stiff  # minus the Hessian, positive semidefinite
+            np.fill_diagonal(a, stiff.sum(axis=1) + 2.0 * self.n * curvature)
+            free = ~(((x <= self.lo) & (g < 0)) | ((x >= self.hi) & (g > 0)))
+            g_f, a_f = g[free], a[np.ix_(free, free)]
+            d_f = np.diag(a_f)
+            # A zero diagonal means one point under a linear field: any
+            # nonzero slope then drives it to the box end.
+            gains = 0.5 * g_f**2 / np.maximum(d_f, np.finfo(float).tiny)
+            if np.max(gains, initial=0.0) <= tol:
+                break
+            # The shift only settles the common translation of all points,
+            # along which a zero field leaves the weight flat.
+            a_f[np.diag_indices_from(a_f)] += 1e-10 * d_f + 1e-300
+            step = np.linalg.solve(a_f, g_f)
+            t = 1.0
+            while t > 1e-15:
+                y = x.copy()
+                y[free] = np.clip(x[free] + t * step, self.lo[free], self.hi[free])
+                trial = self.value(y)  # -inf on a collision
+                if trial >= value + ARMIJO * float(g @ (y - x)):
+                    break
+                t *= 0.5
+            else:
+                break
+            x, value, gained = y, trial, trial - value
+            if gained <= tol:
+                break
+        return x
+
+    def scan(self, x):
+        """Best grid position and exact gain of every single-coordinate move.
+
+        The slice of point k in block i is T_i(t) - 2 log|t - x_k| with the
+        table T_i(t) = sum_l c_il log|t - x_l| - 2 n Q_i(t) over all points.
+        """
+        diff = np.abs(x[:, None] - x[None, :])
+        np.fill_diagonal(diff, 1.0)
+        current = (self.c * np.log(diff)).sum(axis=1)
+        current -= 2.0 * self.n * np.concatenate(
+            [self.field(i, x[s]) for i, s in enumerate(self.blocks)]
+        )
+        gains, targets = np.empty_like(x), np.empty_like(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i, (s, t) in enumerate(zip(self.blocks, self.grids)):
+                logs = np.log(np.abs(t[None, :] - x[:, None]))
+                table = np.where(self.block_of == i, 2.0, 1.0) @ logs
+                slices = table - 2.0 * self.n * self.field(i, t) - 2.0 * logs[s]
+                slices[np.isnan(slices)] = -np.inf  # the point's own node
+                best = np.argmax(slices, axis=1)
+                gains[s] = slices[np.arange(best.size), best] - current[s]
+                targets[s] = t[best]
+        return gains, targets
+
+    def run(self, rng, tol):
+        x = rng.uniform(self.lo, self.hi)
+        for _ in range(MAX_ROUNDS):
+            x = self.newton(x, tol)
+            gains, targets = self.scan(x)
+            k = int(np.argmax(gains))
+            certified = bool(gains[k] <= tol)
+            if certified:
+                break
+            x[k] = targets[k]
+        X = self.configuration(x)
+        return X, log_boltzmann(X, self.field), certified
 
 
-def _golden_max(f, lo, hi, xtol):
-    """Vectorized golden-section maximization on [lo, hi] per gap.
-
-    Both probes are re-evaluated each round in a single batched call; the
-    bracket still shrinks by the golden ratio per round.
-    """
-    lo = lo.copy()
-    hi = hi.copy()
-    g = lo.size
-
-    def probes():
-        x1 = hi - GOLDEN * (hi - lo)
-        x2 = lo + GOLDEN * (hi - lo)
-        both = f(np.concatenate((x1, x2)))
-        return x1, x2, both[:g], both[g:]
-
-    x1, x2, f1, f2 = probes()
-    while float(np.max(hi - lo, initial=0.0)) > xtol:
-        left = f1 >= f2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        x1, x2, f1, f2 = probes()
-    mid = 0.5 * (lo + hi)
-    return mid, f(mid)
-
-
-def _best_coordinate(sys_, field, n, blocks, i, k):
-    """Best position and gain for coordinate k of block i, others fixed."""
-    a, b = sys_.intervals[i]
-    own = np.delete(blocks[i], k)
-    others = (
-        np.concatenate([blocks[j] for j in range(len(blocks)) if j != i])
-        if len(blocks) > 1
-        else np.empty(0)
-    )
-
-    def nq_fn(x):
-        return -2.0 * n * field(i, x)
-
-    f = lambda x: _slice_value(x, own, others, nq_fn)
-    cuts = np.concatenate(([a], np.sort(own), [b]))
-    lo, hi = cuts[:-1], cuts[1:]
-    keep = hi - lo > 0
-    lo, hi = lo[keep], hi[keep]
-    xtol = 1e-12 * (b - a)
-    xs, vals = _golden_max(f, lo, hi, xtol)
-    # Interval endpoints are admissible maximizers; golden section only
-    # approaches them, so test them outright.
-    cand_x = np.concatenate((xs, [a, b]))
-    cand_v = np.concatenate((vals, f(np.array([a, b]))))
-    cand_v = np.where(np.isfinite(cand_v), cand_v, -np.inf)
-    best = int(np.argmax(cand_v))
-    current = float(f(np.array([blocks[i][k]]))[0])
-    return float(cand_x[best]), float(cand_v[best]) - current
-
-
-def _ascend(sys_, field, index, rng, tol, max_sweeps=400):
-    n = index.total
-    blocks = [
-        np.sort(rng.uniform(*sys_.intervals[i], size=n_i))
-        for i, n_i in enumerate(index.counts)
-    ]
-    for _ in range(max_sweeps):
-        gain = 0.0
-        for i in range(sys_.p):
-            for k in range(index.counts[i]):
-                x_new, dv = _best_coordinate(sys_, field, n, blocks, i, k)
-                if dv > 0:
-                    blocks[i][k] = x_new
-                    gain += dv
-        for i in range(sys_.p):
-            blocks[i] = np.sort(blocks[i])
-        if gain <= tol:
-            break
-    # Certification sweep: no single-coordinate move may improve beyond tol.
-    certified = True
-    for i in range(sys_.p):
-        for k in range(index.counts[i]):
-            _, dv = _best_coordinate(sys_, field, n, blocks, i, k)
-            if dv > tol:
-                certified = False
-    X = Configuration(sys_, tuple(np.sort(b) for b in blocks))
-    return X, log_boltzmann(X, field, index), certified
-
-
-def fekete_points(
-    system,
-    index,
-    field=None,
-    n_starts=4,
-    tol=1e-10,
-    seed=0,
-    threads=1,
-):
-    """Best-of-``n_starts`` cyclic coordinate ascent for the maximizer.
+def fekete_points(system, index, field=None, n_starts=4, tol=1e-10, seed=0):
+    """Best of ``n_starts`` projected Newton ascents for the maximizer.
 
     Each start draws its initial configuration from an independently seeded
-    stream, so the result does not depend on thread scheduling.
+    stream.
     """
-    field = as_field(field, system.p)
-    seqs = np.random.SeedSequence(seed).spawn(n_starts)
-
-    def one(s):
-        return _ascend(system, field, index, np.random.default_rng(s), tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, seqs))
-    else:
-        results = [one(s) for s in seqs]
-
-    best = max(range(n_starts), key=lambda j: (results[j][1], -j))
-    X, value, certified = results[best]
-    n = index.total
-    return FeketeResult(
-        configuration=X,
-        log_boltzmann=value,
-        normalized=value / n**2,
-        starts_used=n_starts,
-        coordinatewise_optimal=certified,
+    ascent = _Ascent(system, as_field(field, system.p), index)
+    starts = np.random.SeedSequence(seed).spawn(n_starts)
+    # max keeps the first start among equal weights
+    X, value, certified = max(
+        (ascent.run(np.random.default_rng(s), tol) for s in starts),
+        key=lambda r: r[1],
     )
+    return FeketeResult(X, value, value / index.total**2, n_starts, certified)
 
 
 def fekete_asymptotics(
@@ -228,7 +230,6 @@ def fekete_asymptotics(
     n_starts=2,
     tol=1e-10,
     seed=0,
-    threads=1,
 ):
     """Normalized log weight and distance to equilibrium for d = 1..d_max.
 
@@ -237,18 +238,14 @@ def fekete_asymptotics(
     solved here when not supplied.
     """
     if equilibrium_measure is None:
-        from .equilibrium import solve_equilibrium
-
-        equilibrium_measure = solve_equilibrium(
-            system, field=field, cells=cells
-        ).measure
+        eq = solve_equilibrium(system, field=field, cells=cells)
+        equilibrium_measure = eq.measure
     rows = []
     results = []
     for d in range(1, d_max + 1):
         m = seq(d)
         res = fekete_points(
-            system, m, field, n_starts=n_starts, tol=tol,
-            seed=seed + d, threads=threads,
+            system, m, field, n_starts=n_starts, tol=tol, seed=seed + d
         )
         dist = weak_star_distance(
             counting_measure(res.configuration, cells),

@@ -95,6 +95,18 @@ class TestCommands:
         report = json.loads((out / "fekete.report.json").read_text())
         assert report["d_max"] == 2
 
+    def test_threads_flag_is_accepted_and_ignored(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, fekete={"d_max": 2, "n_starts": 2})
+        plain, threaded = tmp_path / "plain", tmp_path / "threaded"
+        assert run(["fekete", "--config", str(cfg), "--out", str(plain)]) == 0
+        assert run(
+            ["fekete", "--config", str(cfg), "--out", str(threaded), "--threads", "2"]
+        ) == 0
+        names = sorted(p.name for p in plain.iterdir())
+        assert names == sorted(p.name for p in threaded.iterdir())
+        for name in names:
+            assert (plain / name).read_bytes() == (threaded / name).read_bytes()
+
     def test_sample_and_determinism(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -5,6 +5,7 @@ import pytest
 
 from angelesco import (
     Configuration,
+    ExternalField,
     MultiIndex,
     MultiIndexSequence,
     fekete_asymptotics,
@@ -64,6 +65,66 @@ def test_forty_points_reproduce_frozen_weight(sym):
     # frozen reference from a certified coordinatewise-optimal run
     assert res.normalized == pytest.approx(-0.5656983052911128, abs=1e-6)
     assert res.coordinatewise_optimal
+
+
+def test_forty_points_match_lobatto_nodes(sym):
+    # On [-1, 1] with zero field the maximizer is the endpoints plus the
+    # zeros of P'_39 (Stieltjes).
+    res = fekete_points(sym, MultiIndex((40,)), n_starts=2, seed=0)
+    lobatto = np.polynomial.legendre.Legendre.basis(39).deriv().roots()
+    ref = np.concatenate(([-1.0], np.sort(lobatto), [1.0]))
+    assert np.max(np.abs(res.configuration.blocks[0] - ref)) <= 1e-6
+    ref_weight = log_boltzmann(Configuration(sym, (ref,)))
+    assert res.log_boltzmann == pytest.approx(ref_weight, rel=1e-12)
+
+
+def _best_single_move_gain(X, field):
+    """Largest gain of moving one point, others fixed, over a dense grid of
+    its interval and a fine grid around its current position."""
+    n = X.total
+    best = -np.inf
+    for i, (a, b) in enumerate(X.system.intervals):
+        others = np.concatenate([X.blocks[j] for j in range(X.system.p) if j != i])
+        for k, x in enumerate(X.blocks[i]):
+            own = np.delete(X.blocks[i], k)
+            near = x + np.linspace(-1e-4, 1e-4, 2001)
+            t = np.concatenate(([x], np.linspace(a, b, 100001), near))
+            t = t[(t >= a) & (t <= b)]
+            with np.errstate(divide="ignore"):
+                val = (
+                    2.0 * np.log(np.abs(t[:, None] - own[None, :])).sum(axis=1)
+                    + np.log(np.abs(t[:, None] - others[None, :])).sum(axis=1)
+                    - 2.0 * n * field(i, t)
+                )
+            best = max(best, float(np.max(val) - val[0]))
+    return best
+
+
+@pytest.mark.parametrize("counts", [(3, 2), (7, 7)])
+def test_certificate_survives_a_dense_scan(two, counts):
+    field = ExternalField.quadratic(2, scale=0.5)
+    res = fekete_points(two, MultiIndex(counts), field, n_starts=2, seed=0)
+    assert res.coordinatewise_optimal
+    assert _best_single_move_gain(res.configuration, field) <= 1e-9
+
+
+# Two bumps per interval: the sampled field is piecewise linear and not
+# convex, so the ascent has local maxima.  The reference values are the best
+# of four starts (seed 0) of an exhaustive cyclic coordinate ascent that
+# searched every gap of every coordinate by golden section.
+BUMPS = ExternalField.from_samples(
+    [[-2.0, -1.5, -1.0], [1.0, 1.3, 1.6, 2.0]],
+    [[0.0, 0.8, 0.0], [0.5, 0.0, 0.9, 0.2]],
+)
+
+
+@pytest.mark.parametrize(
+    "counts, reference",
+    [((3, 3), -6.764405440893563), ((6, 6), -69.39467031964313)],
+)
+def test_nonconvex_field_reaches_coordinate_ascent_value(two, counts, reference):
+    res = fekete_points(two, MultiIndex(counts), BUMPS, n_starts=4, seed=0)
+    assert res.log_boltzmann >= reference - 1e-3 * abs(reference)
 
 
 def test_two_interval_trend(two, two_equilibrium):
