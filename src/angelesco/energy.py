@@ -13,6 +13,13 @@ positive.  The total energy of a vector measure is
 with I the mutual energy; the partial potential of component s is
 (1/2) sum_j p_{mu_j} + (1/2) p_{mu_s}, so the gradient of the energy in the
 component-s weights is exactly 2 (partial potential + field) at the nodes.
+
+The functions on general grids (``kernel_matrix``, ``weighted_energy``,
+``difference_energy``) assemble dense blocks.  On the standard midpoint
+grids of a system, ``system_kernel`` gives the same kernel as a structured
+operator: each self block is Toeplitz and is applied by FFT, and each cross
+block, smooth because the intervals are disjoint, is stored as low-rank
+factors whose every entry is certified against the exact block.
 """
 
 from __future__ import annotations
@@ -23,10 +30,18 @@ from functools import lru_cache
 import numpy as np
 
 from .core import DEFAULT_CELLS, GridMeasure, VectorMeasure
-from .errors import CoincidentNodesAcrossIntervals
+from .errors import AngelescoError, CoincidentNodesAcrossIntervals
 
 # (1/h^2) * int int over one cell squared of -log|x-y| minus the -log h part.
 CELL_SELF_ENERGY = 1.5
+
+# Low-rank cross blocks: the entry certificate (relative to max(1, max|C|)),
+# the singular-value cut-off (relative to the largest), the sketch columns
+# required beyond the rank, and the first sketch size.
+LOW_RANK_TOL = 1e-13
+SINGULAR_CUTOFF = 1e-15
+SPARE_COLUMNS = 8
+FIRST_SKETCH = 64
 
 
 class ExternalField:
@@ -225,24 +240,107 @@ def difference_energy(nu, mu):
     return float(total)
 
 
+def _low_rank(c, k):
+    """Certified factors U, V of a cross block: every entry of U V' lies
+    within LOW_RANK_TOL * max(1, max|c|) of c.
+
+    Randomized range finder with a fixed seed (Halko, Martinsson & Tropp,
+    SIAM Review 53, 2011): sketch c with k Gaussian columns, orthonormalize,
+    take the SVD of Q'c and keep singular values above SINGULAR_CUTOFF times
+    the largest.  The sketch doubles until the certificate holds with at
+    least SPARE_COLUMNS columns beyond the rank; at k = M it is exact to
+    round-off.  Returns U, V, the largest entry error and the final k.
+    """
+    m = c.shape[1]
+    bound = LOW_RANK_TOL * max(1.0, float(np.abs(c).max()))
+    rng = np.random.default_rng(0)
+    while True:
+        q, _ = np.linalg.qr(c @ rng.standard_normal((m, k)))
+        ub, s, vt = np.linalg.svd(q.T @ c, full_matrices=False)
+        r = int(np.count_nonzero(s > SINGULAR_CUTOFF * s[0]))
+        u = q @ (ub[:, :r] * s[:r])
+        v = vt[:r].T.copy()
+        diff = u @ v.T
+        diff -= c
+        err = float(np.abs(diff, out=diff).max())
+        if err <= bound and (k - r >= SPARE_COLUMNS or k == m):
+            return u, v, err, k
+        if k == m:
+            raise AngelescoError(
+                f"cross block not certified at full sketch: error {err:.3e} "
+                f"above {bound:.3e}"
+            )
+        k = min(2 * k, m)
+
+
+class KernelOperator:
+    """The kernel of the standard grids of one system, applied without the
+    dense (p*cells)^2 matrix.  Read-only.
+
+    Self block i is the symmetric Toeplitz matrix with first column
+    CELL_SELF_ENERGY - log h_i, -log(h_i), -log(2 h_i), ...; it is applied
+    through the FFT of its 2M circulant embedding.  Cross block i<j,
+    -log|x - y| between two disjoint intervals, is smooth and kept as
+    certified low-rank factors U V' (``_low_rank``).
+
+    ``apply(w)`` gives the partial potentials at all nodes,
+    u_i = T_i w_i + (1/2) sum_{j != i} C_ij w_j, for weights stacked by
+    interval; ``energy_terms(w)`` gives w_i' T_i w_i and w_i' C_ij w_j.
+    ``certificates`` maps (i, j) to (rank, entry error, sketch size).
+    """
+
+    def __init__(self, system, cells):
+        self.p = system.p
+        self.cells = cells
+        cols = np.empty((self.p, 2 * cells))
+        for i in range(self.p):
+            h = system.cell_width(i, cells)
+            col = cols[i, :cells]
+            col[0] = CELL_SELF_ENERGY - np.log(h)
+            col[1:] = -np.log(h * np.arange(1, cells))
+            cols[i, cells] = 0.0
+            cols[i, cells + 1 :] = col[:0:-1]
+        self._symbols = np.fft.rfft(cols)
+        self._symbols.setflags(write=False)
+        uniform = VectorMeasure.uniform(system, cells)
+        self._factors = {}
+        self.certificates = {}
+        for i in range(self.p):
+            for j in range(i + 1, self.p):
+                u, v, err, k = _low_rank(
+                    kernel_matrix(uniform[i], uniform[j]), min(cells, FIRST_SKETCH)
+                )
+                u.setflags(write=False)
+                v.setflags(write=False)
+                self._factors[i, j] = (u, v)
+                self.certificates[i, j] = (u.shape[1], err, k)
+
+    def _toeplitz(self, wb):
+        m = self.cells
+        return np.fft.irfft(self._symbols * np.fft.rfft(wb, 2 * m), 2 * m)[:, :m]
+
+    def apply(self, w):
+        wb = w.reshape(self.p, self.cells)
+        ub = self._toeplitz(wb)
+        for (i, j), (u, v) in self._factors.items():
+            ub[i] += 0.5 * (u @ (v.T @ wb[j]))
+            ub[j] += 0.5 * (v @ (u.T @ wb[i]))
+        return ub.ravel()
+
+    def energy_terms(self, w):
+        """(self terms, cross terms in i<j lexicographic order)."""
+        wb = w.reshape(self.p, self.cells)
+        selfs = [float(wi @ ti) for wi, ti in zip(wb, self._toeplitz(wb))]
+        crosses = [
+            float((wb[i] @ u) @ (v.T @ wb[j]))
+            for (i, j), (u, v) in self._factors.items()
+        ]
+        return selfs, crosses
+
+
 @lru_cache(maxsize=16)
 def system_kernel(system, cells=DEFAULT_CELLS):
-    """Assembled (p*cells)^2 kernel for the standard grids, cached per system.
-
-    Diagonal blocks carry the cell-averaged diagonal.  Read-only.
+    """The kernel of the standard grids as a ``KernelOperator``, cached per
+    (system, cells).  Self blocks carry the cell-averaged diagonal.
     """
-    p = system.p
-    uniform = VectorMeasure.uniform(system, cells)
-    k = np.empty((p * cells, p * cells))
-    for i in range(p):
-        si = slice(i * cells, (i + 1) * cells)
-        for j in range(p):
-            sj = slice(j * cells, (j + 1) * cells)
-            if j < i:
-                continue
-            block = kernel_matrix(uniform[i], uniform[j])
-            k[si, sj] = block
-            if j > i:
-                k[sj, si] = block.T
-    k.setflags(write=False)
-    return k
+    return KernelOperator(system, cells)

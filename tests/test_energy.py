@@ -15,9 +15,41 @@ from angelesco import (
     total_energy,
     weighted_energy,
 )
-from angelesco.energy import CELL_SELF_ENERGY, as_field, kernel_matrix, system_kernel
+from angelesco.energy import (
+    CELL_SELF_ENERGY,
+    LOW_RANK_TOL,
+    SPARE_COLUMNS,
+    _low_rank,
+    as_field,
+    kernel_matrix,
+    system_kernel,
+)
 from angelesco.errors import CoincidentNodesAcrossIntervals
 from conftest import arcsine_cdf
+
+
+def dense_apply(system, cells, w):
+    """u_i = K_ii w_i + (1/2) sum_{j != i} K_ij w_j from dense kernel blocks."""
+    grids = VectorMeasure.uniform(system, cells)
+    wb = np.split(w, system.p)
+    out = []
+    for i in range(system.p):
+        u = kernel_matrix(grids[i], grids[i]) @ wb[i]
+        for j in range(system.p):
+            if j != i:
+                u = u + 0.5 * (kernel_matrix(grids[i], grids[j]) @ wb[j])
+        out.append(u)
+    return np.concatenate(out)
+
+
+# p = 1, 2, 3; equal and unequal lengths; gaps from 1e-3 to 2.
+OPERATOR_SYSTEMS = [
+    IntervalSystem(((-1.0, 1.0),), (1.0,)),
+    IntervalSystem(((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5)),
+    IntervalSystem(((0.0, 1.0), (1.001, 3.0)), (0.3, 0.7)),
+    IntervalSystem(((0.0, 0.1), (2.1, 5.0)), (0.6, 0.4)),
+    IntervalSystem(((-3.0, -1.0), (-0.995, 0.5), (0.501, 0.7)), (0.2, 0.3, 0.5)),
+]
 
 
 class TestKernel:
@@ -40,8 +72,38 @@ class TestKernel:
             kernel_matrix(g3, g1)
 
     def test_system_kernel_is_cached(self, two):
-        assert system_kernel(two, 100) is system_kernel(two, 100)
-        assert system_kernel(two, 100).shape == (200, 200)
+        kernel = system_kernel(two, 100)
+        assert system_kernel(two, 100) is kernel
+        w = np.random.default_rng(0).random(200)
+        dense = dense_apply(two, 100, w)
+        assert np.abs(kernel.apply(w) - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+class TestKernelOperator:
+    @pytest.mark.parametrize("cells", [2, 3, 64, 400, 1600])
+    @pytest.mark.parametrize("system", OPERATOR_SYSTEMS)
+    def test_apply_matches_dense_assembly(self, system, cells):
+        kernel = system_kernel(system, cells)
+        rng = np.random.default_rng(cells)
+        for _ in range(2):
+            w = rng.random(system.p * cells)
+            dense = dense_apply(system, cells, w)
+            assert np.abs(kernel.apply(w) - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert len(kernel.certificates) == system.p * (system.p - 1) // 2
+        for rank, _, sketch in kernel.certificates.values():
+            assert sketch == cells or sketch - rank >= SPARE_COLUMNS
+
+    def test_small_sketch_doubles_until_certified(self):
+        system = OPERATOR_SYSTEMS[2]
+        grids = VectorMeasure.uniform(system, 400)
+        c = kernel_matrix(grids[0], grids[1])
+        u, v, err, sketch = _low_rank(c, 2)
+        rank = u.shape[1]
+        assert sketch > 2 and sketch & (sketch - 1) == 0  # 2, doubled
+        assert sketch - rank >= SPARE_COLUMNS
+        assert rank > 2
+        assert err == np.abs(c - u @ v.T).max()
+        assert err <= LOW_RANK_TOL * max(1.0, np.abs(c).max())
 
 
 class TestEnergies:

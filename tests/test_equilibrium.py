@@ -9,6 +9,7 @@ from angelesco import (
     VectorMeasure,
     solve_equilibrium,
     weak_star_distance,
+    weighted_energy,
 )
 from angelesco.equilibrium import (
     SUPPORT_THRESHOLD,
@@ -16,7 +17,7 @@ from angelesco.equilibrium import (
     kkt_residual,
     project_simplex,
 )
-from angelesco.errors import MaxIterationsExceeded
+from angelesco.errors import GridMismatch, MaxIterationsExceeded
 
 
 def test_project_simplex_properties():
@@ -90,6 +91,40 @@ class TestSingleIntervalProblems:
         res, _ = kkt_residual(VectorMeasure.uniform(wide), field)
         assert res > 0.5
         assert res > 100 * sol.kkt_residual
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_energy_report_matches_dense_energies(p, two_equilibrium):
+    if p == 2:
+        sol, field = two_equilibrium, None
+    else:
+        system = IntervalSystem(
+            ((-3.0, -1.0), (-0.9, 0.5), (0.6, 1.0)), (0.2, 0.3, 0.5)
+        )
+        field = ExternalField.quadratic(3, center=0.5, scale=0.3)
+        sol = solve_equilibrium(system, field, cells=300)
+    dense = weighted_energy(sol.measure, field)
+    for name in ("self_terms", "cross_terms", "field_terms"):
+        assert getattr(sol.energy, name) == pytest.approx(
+            getattr(dense, name), rel=1e-13
+        )
+    assert sol.energy.total == pytest.approx(dense.total, rel=1e-13)
+
+
+class TestBadInput:
+    def test_initial_on_another_cell_count(self, two):
+        with pytest.raises(GridMismatch):
+            solve_equilibrium(two, cells=400, initial=VectorMeasure.uniform(two, 200))
+
+    def test_initial_from_another_system(self, two):
+        other = IntervalSystem(((-2.0, -1.0), (1.0, 2.5)), (0.5, 0.5))
+        with pytest.raises(GridMismatch):
+            solve_equilibrium(two, cells=100, initial=VectorMeasure.uniform(other, 100))
+
+    @pytest.mark.parametrize("cells", [0, -3])
+    def test_no_cells(self, two, cells):
+        with pytest.raises(ValueError, match="cells"):
+            solve_equilibrium(two, cells=cells)
 
 
 def test_iteration_cap_carries_best_iterate(two):
