@@ -22,12 +22,11 @@ from .energy import ExternalField
 from .ensemble import (
     BaseMeasure,
     EnsembleSpec,
+    _log_partition,
     export_samples_csv,
     gibbs_sample,
     partition_function_bounds,
-    partition_function_quadrature,
     sector_factor,
-    TENSOR_MAX_POINTS,
 )
 from .equilibrium import solve_equilibrium
 from .equilibrium import export_csv as export_equilibrium_csv
@@ -446,10 +445,7 @@ def cmd_zconst(cfg, seed, cells, out_dir):
     rows = []
     for d in d_list:
         m = spec.index(d)
-        if m.total <= TENSOR_MAX_POINTS:
-            log_z = partition_function_quadrature(spec, d)
-        else:
-            log_z = float("nan")
+        log_z = _log_partition(spec, d)
         fek = fekete_points(
             spec.system,
             m,

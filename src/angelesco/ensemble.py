@@ -6,9 +6,8 @@ Sampling is a systematic-scan Gibbs chain whose one-dimensional conditionals
 are drawn exactly by inverse CDF on a refined grid of G nodes (default 8x the
 base grid).  The chain keeps one running repulsion table per interval, so a
 coordinate update costs O(p G) whatever the number of points n.  Partition
-integrals use tensor midpoint quadrature on refined grids;
-the convention is the integral over the full product of blocks, which equals
-the ordered-sector integral times prod(n_i!).
+integrals over the full product of blocks (prod(n_i!) times the ordered
+sector's) are one determinant, or tensor quadrature at small n.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from .core import (
 )
 from .energy import ExternalField, as_field
 from .equilibrium import solve_equilibrium
-from .errors import DegenerateConditional, DimensionTooLarge
+from .errors import DegenerateConditional, DimensionTooLarge, IllConditionedSystem
 from .fekete import log_boltzmann
-from .ldp import growth_constant
+from .ldp import _orthonormal, growth_constant
 
 TENSOR_MAX_POINTS = 5
 
@@ -400,6 +399,56 @@ def partition_function_quadrature(spec, d, budget=2 ** 25, refine=8):
     """
     z_full, _, _ = _tensor_reduce(spec, d, budget, refine)
     return float(np.log(z_full))
+
+
+def _projection_matrix(spec, index, n_field=0):
+    """M[(j, k), l] = sum over interval j of q_k^(j) p_l w_j, refined grids.
+
+    w_j is the base measure times exp(-2 n_field Q_j - shift_j), shift_j the
+    exponent's maximum; p_0..p_n are orthonormal for sum_j w_j, q^(j) for
+    w_j.  Returns M, p's coefficients in s = (x - center)/scale, the log
+    determinant of the monomial moment matrix [sum t^(k + l) w_j e^shift_j],
+    center and scale.  det M is positive for positive weights.
+    """
+    (lo, _), (_, hi) = spec.system.intervals[0], spec.system.intervals[-1]
+    center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    grids, log_det = [], 0.0
+    for j, n_j in enumerate(index.counts):
+        t, h, w = spec.base[j].refined(8)
+        expo = -2.0 * n_field * spec.field(j, t)
+        w = w * h * np.exp(expo - expo.max())
+        grids.append((t[w > 0], w[w > 0]))
+        log_det += n_j * float(expo.max())
+    t_all, w_all = (np.concatenate(z) for z in zip(*grids))
+    vals, log_lead, coef = _orthonormal(t_all, w_all, index.total, center, scale)
+    rows, start = [], 0
+    for (t, w), n_j in zip(grids, index.counts):
+        q, q_lead, _ = _orthonormal(t, w, n_j - 1, center, scale)
+        rows.append((q * w) @ vals[:, start : start + t.size].T)
+        log_det -= float(q_lead.sum())
+        start += t.size
+    mat = np.vstack(rows)
+    sign, log_det_m = np.linalg.slogdet(mat[:, :-1])
+    cond = float(np.linalg.cond(mat[:, :-1]))
+    # Unbalanced indices can make M singular to working precision.
+    if sign != 1.0 or not cond * np.finfo(float).eps < 1.0:
+        raise IllConditionedSystem(
+            f"pairing matrix: determinant sign {sign:g}, condition {cond:.3e}",
+            condition=cond,
+        )
+    log_det += log_det_m - float(log_lead[:-1].sum())
+    return mat, coef, log_det, center, scale
+
+
+def _log_partition(spec, d):
+    """log of the partition integral over the full product of blocks, any n.
+
+    The weight is |V(x)| prod_j |V(x^(j))| (V Vandermonde), so by Andreief's
+    identity Z = prod(n_j!) det[sum over interval j of t^(k + l) w_j].
+    """
+    m = spec.index(d)
+    _, _, log_det, _, _ = _projection_matrix(spec, m, m.total)
+    return float(sum(math.lgamma(n_i + 1) for n_i in m.counts) + log_det)
 
 
 def partition_function_bounds(spec, d, fekete_result, epsilon=0.05):

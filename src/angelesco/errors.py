@@ -43,7 +43,7 @@ class DimensionTooLarge(AngelescoError):
 
 
 class IllConditionedSystem(AngelescoError):
-    """Moment system condition estimate exceeds the guard."""
+    """A MOP or log Z pairing matrix failed its checks; carries cond M."""
 
     def __init__(self, message, condition=None):
         super().__init__(message)
@@ -51,7 +51,7 @@ class IllConditionedSystem(AngelescoError):
 
 
 class IllConditionedGram(AngelescoError):
-    """Gram matrix for the Christoffel kernel is numerically singular."""
+    """An orthonormal polynomial's norm vanishes: too few support nodes."""
 
     def __init__(self, message, degree=None):
         super().__init__(message)

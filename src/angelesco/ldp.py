@@ -7,10 +7,10 @@ energy value in the desk-scale regime, so they are probed through a single
 deterministic device: quantile configurations of a target measure, whose
 normalized log interaction weight approaches minus the weighted energy.
 
-Bernstein-Markov growth is estimated through the Christoffel kernel
-diagonal: beta_n is the sup over the system of the degree-n kernel of the
-(probability-normalized) measure, and beta_n^(1/2n) -> 1 exactly when sup
-norms of polynomials grow subexponentially against their L2 norms.
+Bernstein-Markov growth is estimated through the Christoffel kernel of the
+orthonormal polynomials that also build the MOPs and log Z: beta_n is the
+sup of the degree-n kernel of the (probability-normalized) measure, and
+beta_n^(1/2n) -> 1 exactly when sup norms grow subexponentially.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from .energy import as_field, weighted_energy
 from .equilibrium import solve_equilibrium
 from .errors import IllConditionedGram
 from .fekete import log_boltzmann
-
-DEGREE_CAP = 24
-GRAM_CONDITION_GUARD = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,66 +89,49 @@ def field_shift_identity(X, field, index=None):
     return float(lhs), float(rhs)
 
 
-def _legendre_values(x, a, b, k_max):
-    """Orthonormal Legendre values on [a, b] w.r.t. uniform probability.
+def _orthonormal(t, w, degree, center, scale):
+    """Orthonormal polynomials p_0..p_degree of the measure sum w delta_t.
 
-    Columns k = 0..k_max of sqrt(2k+1) P_k(t), t the affine image in [-1, 1];
-    stable three-term recurrence, valid for |t| > 1 as well.
+    Discretized Stieltjes in s = (x - center)/scale: s p_{k-1} minus its
+    projections on p_0..p_{k-1}, taken twice, then normalized.  Returns the
+    p_k at every node (zero weights included), their log leading coefficients
+    in x and their coefficients in s.  A vanishing norm (too few support
+    nodes) raises IllConditionedGram.
     """
-    t = (2.0 * np.asarray(x, dtype=float) - (a + b)) / (b - a)
-    out = np.empty((t.size, k_max + 1))
-    out[:, 0] = 1.0
-    if k_max >= 1:
-        out[:, 1] = t
-    for k in range(1, k_max):
-        out[:, k + 1] = ((2 * k + 1) * t * out[:, k] - k * out[:, k - 1]) / (k + 1)
-    return out * np.sqrt(2.0 * np.arange(k_max + 1) + 1.0)
-
-
-def _support_bounds(t, h, w):
-    pos = np.nonzero(w > 1e-13 * w.max())[0]
-    return t[pos[0]] - h / 2, t[pos[-1]] + h / 2
+    s = (t - center) / scale
+    vals = np.empty((degree + 1, s.size))
+    coef = np.zeros((degree + 1, degree + 1))
+    log_norm = np.empty(degree + 1)
+    v, c = np.ones_like(s), np.eye(1, degree + 1)[0]
+    for k in range(degree + 1):
+        size = np.sqrt(w @ (v * v))
+        for _ in range(2):
+            proj = vals[:k] @ (w * v)
+            v, c = v - proj @ vals[:k], c - proj @ coef[:k]
+        norm = np.sqrt(w @ (v * v))
+        if not norm > 1e-12 * size:
+            raise IllConditionedGram(f"no norm left at degree {k}", degree=k)
+        vals[k], coef[k], log_norm[k] = v / norm, c / norm, np.log(norm)
+        v, c = s * vals[k], np.roll(coef[k], 1)
+    log_lead = -np.cumsum(log_norm) - np.arange(degree + 1) * np.log(scale)
+    return vals, log_lead, coef
 
 
 def _kernel_profile(tau, degree, field=None, weight_scale=0, refine=8):
     """Cumulative Christoffel kernel sups for degrees 0..degree.
 
-    Orthonormalizes in the Legendre basis of the numerical support (which
-    keeps the Gram well conditioned even when the measure ignores part of
-    its interval, the case the estimate is meant to expose) and takes sups
-    over the full interval.  The input is normalized to a probability
-    measure; weighting multiplies the measure by exp(-2 scale Q) and the
-    kernel diagonal by exp(-2 scale Q) as well.
+    Running sums of squared orthonormal polynomials of the refined,
+    probability-normalized measure, maximized over the whole interval, so a
+    measure that ignores part of it shows a large sup.  Weighting multiplies
+    the measure and the kernel diagonal by exp(-2 scale Q).
     """
-    if degree > DEGREE_CAP:
-        raise ValueError(f"degree capped at {DEGREE_CAP}")
     i = tau.interval_index
     t, h, w = tau.refined(refine)
-    w = w * h
-    if field is not None and weight_scale:
-        field = as_field(field, tau.system.p)
-        w = w * np.exp(-2.0 * weight_scale * field(i, t))
-    w = w / w.sum()
-    a, b = _support_bounds(t, h, w)
-    phi = _legendre_values(t, a, b, degree)
-    gram = (phi * w[:, None]).T @ phi
-    cond = float(np.linalg.cond(gram))
-    if not np.isfinite(cond) or cond > GRAM_CONDITION_GUARD:
-        raise IllConditionedGram(
-            f"gram condition {cond:.3e} at degree {degree}", degree=degree
-        )
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise IllConditionedGram(
-            f"gram not numerically positive at degree {degree}", degree=degree
-        )
-    # Rows of q are orthonormal-polynomial values at the grid nodes.
-    q = np.linalg.solve(chol, phi.T)
-    kern = np.cumsum(q * q, axis=0)
-    if field is not None and weight_scale:
-        kern = kern * np.exp(-2.0 * weight_scale * field(i, t))[None, :]
-    return np.max(kern, axis=1)
+    factor = np.exp(-2.0 * weight_scale * as_field(field, tau.system.p)(i, t))
+    w = w * h * factor
+    a, b = tau.system.intervals[i]
+    vals, _, _ = _orthonormal(t, w / w.sum(), degree, 0.5 * (a + b), 0.5 * (b - a))
+    return np.max(np.cumsum(vals * vals, axis=0) * factor, axis=1)
 
 
 def bm_constant(tau, degree, field=None, weight_scale=0, refine=8):
@@ -173,7 +153,7 @@ def growth_constant(base_measures, max_degree, epsilon, field=None, weight_scale
 
     Derived from the L2 kernel sups (beta of the normalized measure bounds
     sup|p| by beta * int |p| d tau-hat), maximized over intervals and
-    degrees up to ``max_degree``, which must respect the degree cap.
+    degrees up to ``max_degree``.
     """
     c = 0.0
     for tau in base_measures:

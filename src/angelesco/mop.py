@@ -5,10 +5,10 @@ and every k < n_j,
 
     int P(x) x^k w_j(x) dx = 0
 
-is found from the n x n moment system assembled in a globally rescaled
-variable (span mapped to [-1, 1]) for conditioning.  Its expected value
-identity: the mean of prod_k (z - x_k) over the unweighted ensemble equals
-P(z).
+is expanded in orthonormal polynomials of the union of the refined base
+measures and tested against each interval's own; no moment matrix is formed.
+Its expected value identity: the mean of prod_k (z - x_k) over the
+unweighted ensemble equals P(z).
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import _tensor_reduce, gibbs_sample
+from .ensemble import TENSOR_MAX_POINTS, _projection_matrix, _tensor_reduce
+from .ensemble import gibbs_sample
 from .errors import IllConditionedSystem
-
-CONDITION_GUARD = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,35 +74,18 @@ def moments(tau, k_max, refine=8, center=0.0, scale=1.0):
 def solve_mop(spec, index):
     """Solve the type II orthogonality system for the monic polynomial.
 
-    Raises IllConditionedSystem when the rescaled moment matrix has
-    condition estimate above 1e12; checks the orthogonality residuals
-    against 1e-8 relative to the largest moment magnitude.
+    P = sum_l c_l p_l with c_n = 1 / lead(p_n) and M[:, :n] c = -c_n M[:, n]
+    (``_projection_matrix``).  Raises IllConditionedSystem, carrying cond M,
+    when a residual exceeds 1e-8 relative to the largest moment magnitude.
     """
-    sys_ = spec.system
     n = index.total
-    lo = min(a for a, _ in sys_.intervals)
-    hi = max(b for _, b in sys_.intervals)
-    center = 0.5 * (lo + hi)
-    scale = 0.5 * (hi - lo)
-
-    rows = []
-    rhs = []
-    for j, n_j in enumerate(index.counts):
-        mom = moments(spec.base[j], 2 * n, center=center, scale=scale)
-        for k in range(n_j):
-            rows.append(mom[k : k + n])
-            rhs.append(-mom[k + n])
-    mat = np.asarray(rows)
-    rhs = np.asarray(rhs)
-    cond = float(np.linalg.cond(mat))
-    if not np.isfinite(cond) or cond > CONDITION_GUARD:
-        raise IllConditionedSystem(
-            f"moment system condition {cond:.3e} exceeds guard", condition=cond
-        )
-    b = np.linalg.solve(mat, rhs)
+    mat, p_coef, _, center, scale = _projection_matrix(spec, index)
+    c_n = 1.0 / p_coef[n, n]
+    c = np.linalg.solve(mat[:, :n], -c_n * mat[:, n])
+    b = np.concatenate((c, [c_n])) @ p_coef
 
     # Map t^n + sum b_l t^l back through t = (x - center)/scale, monic in x.
-    tpoly = np.polynomial.Polynomial(np.concatenate((b, [1.0])))
+    tpoly = np.polynomial.Polynomial(np.concatenate((b[:n], [1.0])))
     xpoly = tpoly(np.polynomial.Polynomial([-center / scale, 1.0 / scale]))
     coef = xpoly.coef * scale ** n
     coef = coef / coef[-1]
@@ -120,7 +102,8 @@ def solve_mop(spec, index):
             worst = max(worst, res)
     if worst > 1e-8 * scale_ref:
         raise IllConditionedSystem(
-            f"orthogonality residual {worst:.3e} too large", condition=cond
+            f"orthogonality residual {worst:.3e} too large",
+            condition=float(np.linalg.cond(mat[:, :n])),
         )
     return poly
 
@@ -141,7 +124,7 @@ def expectation_identity_check(
     zs = tuple(float(z) for z in z_points)
     rows = []
     if mode == "auto":
-        mode = "quadrature" if m.total <= 4 else "mc"
+        mode = "quadrature" if m.total <= TENSOR_MAX_POINTS - 1 else "mc"
     if mode == "quadrature":
         z_full, prods, _ = _tensor_reduce(plain, d, budget, refine, z_points=zs)
         for z, pz in zip(zs, prods):

@@ -155,6 +155,20 @@ class TestCommands:
         assert float(log_sector) == 0.0
         assert float(lower) <= float(log_z) <= float(upper)
 
+    def test_zconst_beyond_the_tensor(self, tmp_path):
+        # 14 points: no tensor quadrature and no degree cap stand in the way.
+        cfg = write_config(
+            tmp_path,
+            sequence={"rule": "explicit", "indices": [[7, 7]]},
+            zconst={"d_list": [1], "n_starts": 2},
+        )
+        out = tmp_path / "out"
+        assert run(["zconst", "--config", str(cfg), "--out", str(out)]) == 0
+        d, total, log_z, log_sector, lower, upper = read_csv(out / "zconst.csv")[1]
+        assert int(total) == 14
+        assert np.isfinite(float(log_z))
+        assert float(lower) <= float(log_z) <= float(upper)
+
     def test_ldp(self, tmp_path):
         cfg = write_config(tmp_path, ldp={"n_list": [40, 80], "n_configs": 10})
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -21,12 +22,17 @@ from angelesco import (
     partition_function_bounds,
     partition_function_quadrature,
     solve_equilibrium,
+    solve_mop,
     sort_into_blocks,
     weak_star_distance,
 )
 from angelesco import ensemble
 from angelesco.ensemble import _GibbsChain, export_samples_csv, sector_factor
-from angelesco.errors import DegenerateConditional, DimensionTooLarge
+from angelesco.errors import (
+    DegenerateConditional,
+    DimensionTooLarge,
+    IllConditionedSystem,
+)
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +345,110 @@ class TestPartitionFunction:
     def test_size_cap(self, growing_spec):
         with pytest.raises(DimensionTooLarge):
             partition_function_quadrature(growing_spec, 5)
+
+    @pytest.mark.parametrize(
+        "intervals, counts, power, quadratic, cells",
+        [
+            (((-2.0, -1.0), (1.0, 2.0)), (1, 1), 0, False, 100),
+            (((-2.0, -1.0), (1.0, 2.0)), (2, 1), 0, True, 20),
+            (((-1.0, -0.2), (0.1, 1.5)), (1, 2), 0, True, 20),
+            (((0.0, 1.0),), (2,), 2, False, 100),
+            (((0.5, 1.5),), (2,), 1, True, 100),
+            (((0.0, 1.0),), (3,), 0, True, 20),
+        ],
+    )
+    def test_determinant_matches_full_tensor(
+        self, intervals, counts, power, quadratic, cells
+    ):
+        n = sum(counts)
+        system = IntervalSystem(intervals, tuple(c / n for c in counts))
+        base = tuple(
+            BaseMeasure.power(system, i, power, cells)
+            if power
+            else BaseMeasure.lebesgue(system, i, cells)
+            for i in range(system.p)
+        )
+        field = (
+            ExternalField.quadratic(system.p, center=0.3, scale=0.7)
+            if quadratic
+            else None
+        )
+        spec = EnsembleSpec(
+            system, field, base, MultiIndexSequence.explicit([counts])
+        )
+        # The tensor then runs on every node of the refined grid.
+        assert 8 * cells <= int((2 ** 25) ** (1.0 / n))
+        tensor = partition_function_quadrature(spec, 1)
+        assert abs(ensemble._log_partition(spec, 1) - tensor) <= 1e-12 * max(
+            1.0, abs(tensor)
+        )
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_determinant_matches_selberg(self, unit, n):
+        spec = EnsembleSpec(
+            unit,
+            None,
+            (BaseMeasure.lebesgue(unit, 0, cells=200),),
+            MultiIndexSequence.explicit([(n,)]),
+        )
+        # Selberg: prod_j Gamma(1 + j)^2 Gamma(2 + j) / Gamma(1 + n + j).
+        exact = sum(
+            2 * math.lgamma(1 + j) + math.lgamma(2 + j) - math.lgamma(1 + n + j)
+            for j in range(n)
+        )
+        assert ensemble._log_partition(spec, 1) == pytest.approx(exact, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "intervals, counts, quadratic, cells",
+        [
+            (((-2.0, -1.0), (1.0, 2.0)), (20, 20), True, 50),
+            (((-2.0, -1.0), (1.0, 2.0)), (40, 40), False, 25),
+            (((-1.0, -0.05), (0.05, 1.0)), (17, 23), False, 50),
+        ],
+    )
+    def test_determinant_matches_high_precision_moments(
+        self, moment_system, intervals, counts, quadratic, cells
+    ):
+        n = sum(counts)
+        system = IntervalSystem(intervals, tuple(c / n for c in counts))
+        base = tuple(BaseMeasure.lebesgue(system, i, cells) for i in range(2))
+        field = ExternalField.quadratic(2, scale=0.5) if quadratic else None
+        spec = EnsembleSpec(
+            system, field, base, MultiIndexSequence.explicit([counts])
+        )
+        log_det, _ = moment_system(spec, counts, n_field=n)
+        exact = sum(math.lgamma(c + 1) for c in counts) + log_det
+        assert abs(ensemble._log_partition(spec, 1) - exact) <= 1e-10 * abs(exact)
+
+    def test_numerically_singular_pairing_raises(self, two):
+        # 4 + 36 points: M's condition is about 1e17, and log Z came out
+        # 169 too high with a positive sign before this was checked.
+        base = tuple(BaseMeasure.lebesgue(two, i, cells=50) for i in range(2))
+        spec = EnsembleSpec(
+            two, None, base, MultiIndexSequence.explicit([(4, 36)], slack=100.0)
+        )
+        with pytest.raises(IllConditionedSystem) as exc:
+            ensemble._log_partition(spec, 1)
+        assert exc.value.condition * np.finfo(float).eps >= 1.0
+        with pytest.raises(IllConditionedSystem):
+            solve_mop(spec, MultiIndex((4, 36)))
+
+    def test_determinant_survives_a_huge_field_constant(self, two):
+        # Q + c scales Z by exp(-2 n^2 c); unshifted, every weight underflows.
+        counts, c = (10, 10), 400.0
+        n = sum(counts)
+        base = tuple(BaseMeasure.lebesgue(two, i, cells=100) for i in range(2))
+        seq = MultiIndexSequence.explicit([counts])
+        field = ExternalField.quadratic(2, scale=0.5)
+        lifted = ExternalField(
+            tuple(lambda x, i=i: field(i, x) + c for i in range(2))
+        )
+        log_z = ensemble._log_partition(EnsembleSpec(two, field, base, seq), 1)
+        log_z_lifted = ensemble._log_partition(
+            EnsembleSpec(two, lifted, base, seq), 1
+        )
+        assert np.isfinite(log_z)
+        assert abs(log_z_lifted + 2.0 * n * n * c - log_z) <= 1e-8
 
     def test_sector_factor(self):
         assert sector_factor(MultiIndex((1, 1))) == 1.0

@@ -15,7 +15,7 @@ from angelesco import (
     solve_equilibrium,
     weighted_energy,
 )
-from angelesco.ldp import DEGREE_CAP, random_configuration
+from angelesco.ldp import random_configuration
 from angelesco.errors import IllConditionedGram
 
 
@@ -118,10 +118,24 @@ class TestNormRatios:
         loose = growth_constant((tau,), 8, 0.5)
         assert tight > loose > 0.0
 
-    def test_degree_cap_and_degenerate_gram(self, sym):
+    @pytest.mark.parametrize("degree", [8, 24, 48])
+    def test_beta_matches_legendre_christoffel_sum(self, sym, degree):
+        # Orthonormal Legendre polynomials of the uniform probability on the
+        # N refined midpoints: t p_k = b_{k+1} p_{k+1} + b_k p_{k-1} with
+        # b_k^2 = k^2 (1 - k^2/N^2) / (4 k^2 - 1) (Gram polynomials).
         tau = BaseMeasure.lebesgue(sym, 0)
-        with pytest.raises(ValueError):
-            bm_constant(tau, DEGREE_CAP + 1)
+        t, _, _ = tau.refined(8)
+        prev, cur, b = np.zeros_like(t), np.ones_like(t), 0.0
+        kernel = cur * cur
+        for k in range(1, degree + 1):
+            b_next = np.sqrt(k * k * (1.0 - k * k / t.size ** 2) / (4.0 * k * k - 1.0))
+            prev, cur, b = cur, (t * cur - b * prev) / b_next, b_next
+            kernel += cur * cur
+        assert bm_constant(tau, degree).beta == pytest.approx(
+            float(kernel.max()), rel=1e-12
+        )
+
+    def test_degenerate_gram(self, sym):
         vals = np.zeros(400)
         vals[200] = 1.0
         vals[201] = 1.0

@@ -13,8 +13,7 @@ from angelesco import (
     moments,
     solve_mop,
 )
-from angelesco.mop import CONDITION_GUARD, export_csv
-from angelesco.errors import IllConditionedSystem
+from angelesco.mop import export_csv
 
 
 @pytest.fixture(scope="module")
@@ -75,17 +74,33 @@ class TestSolve:
             p11.real_roots(pair_spec.system), [-root, root], atol=1e-6
         )
 
-    def test_matches_monic_legendre_recurrence(self, sym_spec):
+    @staticmethod
+    def _monic_legendre(n_max, nodes=None):
+        """Monic Legendre polynomials; with ``nodes``, those of the uniform
+        measure on that many midpoints of [-1, 1] (beta_k * (1 - k^2/N^2))."""
         polys = [np.array([1.0]), np.array([0.0, 1.0])]
-        for k in range(1, 6):
+        for k in range(1, n_max):
+            beta = k * k / (4.0 * k * k - 1.0)
+            if nodes is not None:
+                beta *= 1.0 - k * k / nodes ** 2
             lifted = np.concatenate(([0.0], polys[k]))
             prev = np.zeros(k + 2)
-            prev[:k] = polys[k - 1] * (k * k / (4.0 * k * k - 1.0))
+            prev[:k] = polys[k - 1] * beta
             polys.append(lifted - prev)
-        for n in range(1, 7):
+        return polys
+
+    def test_matches_monic_legendre_recurrence(self, sym_spec):
+        polys = self._monic_legendre(6)
+        # The solve sees the refined grid: 8 midpoints per cell.
+        grid = self._monic_legendre(24, nodes=8 * sym_spec.base[0].cells)
+        for n in range(1, 25):
             pn = solve_mop(sym_spec, MultiIndex((n,)))
             full = np.concatenate((pn.coefficients, [1.0]))
-            assert np.allclose(full, polys[n], atol=1e-4)
+            if n <= 6:
+                assert np.allclose(full, polys[n], atol=1e-4)
+            np.testing.assert_allclose(
+                full, grid[n], rtol=0, atol=1e-12 * np.abs(grid[n]).max()
+            )
 
     def test_orthogonality_conditions(self, pair_spec):
         poly = solve_mop(pair_spec, MultiIndex((1, 1)))
@@ -94,11 +109,31 @@ class TestSolve:
             resid = float(np.sum(poly(nodes) * values) * h)
             assert abs(resid) < 1e-6
 
-    def test_ill_conditioned_moment_matrix(self, unit_spec):
-        solve_mop(unit_spec, MultiIndex((16,)))
-        with pytest.raises(IllConditionedSystem) as exc:
-            solve_mop(unit_spec, MultiIndex((18,)))
-        assert exc.value.condition > CONDITION_GUARD
+    def test_degree_18_matches_monic_legendre(self, sym_spec):
+        # The moment system gave up here (condition above 1e12).
+        p18 = solve_mop(sym_spec, MultiIndex((18,)))
+        full = np.concatenate((p18.coefficients, [1.0]))
+        grid = self._monic_legendre(18, nodes=8 * sym_spec.base[0].cells)[18]
+        np.testing.assert_allclose(
+            full, grid, rtol=0, atol=1e-12 * np.abs(grid).max()
+        )
+
+
+    @pytest.mark.parametrize("counts", [(3, 5), (8, 8), (16, 16), (14, 18)])
+    def test_matches_high_precision_moment_solve(self, two, moment_system, counts):
+        # Beyond (8, 8) the moment system overflowed its condition guard.
+        base = tuple(BaseMeasure.lebesgue(two, i, cells=50) for i in range(2))
+        seq = MultiIndexSequence.explicit([counts], slack=10.0)
+        spec = EnsembleSpec(two, None, base, seq)
+        _, exact = moment_system(spec, counts)
+        poly = solve_mop(spec, MultiIndex(counts))
+        np.testing.assert_allclose(
+            poly.coefficients, exact, rtol=0, atol=1e-9 * np.abs(exact).max()
+        )
+
+    def test_residual_check_passes_at_32_32(self, pair_spec):
+        poly = solve_mop(pair_spec, MultiIndex((32, 32)))
+        assert poly.degree == 64 and np.all(np.isfinite(poly.coefficients))
 
 
 class TestExpectationIdentity:
