@@ -23,10 +23,10 @@ from .ensemble import (
     BaseMeasure,
     EnsembleSpec,
     _log_partition,
+    _log_sector_factor,
     export_samples_csv,
     gibbs_sample,
     partition_function_bounds,
-    sector_factor,
 )
 from .equilibrium import solve_equilibrium
 from .equilibrium import export_csv as export_equilibrium_csv
@@ -455,7 +455,7 @@ def cmd_zconst(cfg, seed, cells, out_dir):
         )
         lo, up = partition_function_bounds(spec, d, fek, epsilon=epsilon)
         rows.append(
-            (d, m.total, log_z, float(np.log(sector_factor(m))), lo, up)
+            (d, m.total, log_z, _log_sector_factor(m), lo, up)
         )
     csv_path = _write_csv(
         Path(out_dir) / "zconst.csv",

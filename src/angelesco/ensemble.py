@@ -7,7 +7,9 @@ are drawn exactly by inverse CDF on a refined grid of G nodes (default 8x the
 base grid).  The chain keeps one running repulsion table per interval, so a
 coordinate update costs O(p G) whatever the number of points n.  Partition
 integrals over the full product of blocks (prod(n_i!) times the ordered
-sector's) are one determinant, or tensor quadrature at small n.
+sector's) are one determinant at any n.  Tensor quadrature at small n stays
+as the determinant's oracle and for the deviation probability, an integral
+restricted to {interaction weight <= threshold} with no determinant form.
 """
 
 from __future__ import annotations
@@ -332,12 +334,11 @@ def _tensor_axes(spec, m, budget, refine):
     return axes
 
 
-def _tensor_reduce(spec, d, budget=2 ** 25, refine=8, z_points=(), threshold=None):
+def _tensor_reduce(spec, d, budget=2 ** 25, refine=8, threshold=None):
     """Accumulate tensor-quadrature integrals of the joint density.
 
-    Returns (z_full, prod_integrals, below) where ``prod_integrals[j]`` is
-    the integral of prod_k (z_j - x_k) against the unnormalized density and
-    ``below`` the integral restricted to {interaction weight <= threshold}.
+    Returns (z_full, below): the integral of the unnormalized density and
+    its integral restricted to {interaction weight <= threshold}.
     """
     m = spec.index(d)
     axes = _tensor_axes(spec, m, budget, refine)
@@ -352,7 +353,6 @@ def _tensor_reduce(spec, d, budget=2 ** 25, refine=8, z_points=(), threshold=Non
         return arr  # axis 0 is the python loop
 
     z_full = 0.0
-    prod_acc = [0.0] * len(z_points)
     below = 0.0
     t0, w0, ff0 = axes[0][1], axes[0][2], axes[0][3]
     inner = axes[1:]
@@ -373,14 +373,9 @@ def _tensor_reduce(spec, d, budget=2 ** 25, refine=8, z_points=(), threshold=Non
                     amp = amp * diff
         core = amp * wgt
         z_full += float(np.sum(core))
-        for j, z in enumerate(z_points):
-            fac = 1.0
-            for a_idx in range(n):
-                fac = fac * (z - x[a_idx])
-            prod_acc[j] += float(np.sum(fac * core))
         if threshold is not None:
             below += float(np.sum(np.where(amp <= threshold, core, 0.0)))
-    return z_full, tuple(prod_acc), below
+    return z_full, below
 
 
 def sector_factor(index):
@@ -391,13 +386,18 @@ def sector_factor(index):
     return out
 
 
+def _log_sector_factor(index):
+    """log prod(n_i!) without forming the product, which overflows at 171!."""
+    return float(sum(math.lgamma(n_i + 1) for n_i in index.counts))
+
+
 def partition_function_quadrature(spec, d, budget=2 ** 25, refine=8):
     """log of the partition integral over the full product of blocks.
 
     Nodes per dimension shrink with the point count to keep the tensor under
     ``budget`` points; more than 5 points raises DimensionTooLarge.
     """
-    z_full, _, _ = _tensor_reduce(spec, d, budget, refine)
+    z_full, _ = _tensor_reduce(spec, d, budget, refine)
     return float(np.log(z_full))
 
 
@@ -448,7 +448,7 @@ def _log_partition(spec, d):
     """
     m = spec.index(d)
     _, _, log_det, _, _ = _projection_matrix(spec, m, m.total)
-    return float(sum(math.lgamma(n_i + 1) for n_i in m.counts) + log_det)
+    return _log_sector_factor(m) + log_det
 
 
 def partition_function_bounds(spec, d, fekete_result, epsilon=0.05):
@@ -524,7 +524,7 @@ def johansson_probability(
         mode = "quadrature" if n <= TENSOR_MAX_POINTS - 1 else "mc"
     if mode == "quadrature":
         thr_lin = thr ** (n * n) if thr > 0 else -1.0
-        z_full, _, below = _tensor_reduce(
+        z_full, below = _tensor_reduce(
             spec, d, budget, refine, threshold=thr_lin
         )
         z_sector = z_full / sector_factor(m)

@@ -454,6 +454,12 @@ class TestPartitionFunction:
         assert sector_factor(MultiIndex((1, 1))) == 1.0
         assert sector_factor(MultiIndex((3, 2))) == 12.0
 
+    def test_log_sector_factor_beyond_float_factorials(self):
+        # 171! overflows a float; zconst's log_sector_factor column must not.
+        log_sector = ensemble._log_sector_factor
+        assert log_sector(MultiIndex((171,))) == math.lgamma(172)
+        assert log_sector(MultiIndex((3, 2))) == pytest.approx(math.log(12.0))
+
     def test_bounds_bracket_and_tighten(self, two, pair_spec):
         gaps = []
         for d in (1, 2, 3, 4):

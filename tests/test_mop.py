@@ -6,6 +6,7 @@ import pytest
 from angelesco import (
     BaseMeasure,
     EnsembleSpec,
+    IntervalSystem,
     MonicPolynomial,
     MultiIndex,
     MultiIndexSequence,
@@ -13,6 +14,7 @@ from angelesco import (
     moments,
     solve_mop,
 )
+from angelesco.ensemble import _tensor_axes
 from angelesco.mop import export_csv
 
 
@@ -159,6 +161,90 @@ class TestExpectationIdentity:
         )
         assert small[0][3] == 0.0
         assert big[0][3] > 0.0
+
+
+# (intervals, counts, base power or None for Lebesgue, z points): each case
+# has z to the left of, inside and to the right of the intervals.
+PAIR = ((-2.0, -1.0), (1.0, 2.0))
+HEINE_CASES = {
+    "(1,1)": (PAIR, (1, 1), None, (-3.0, -1.7, 0.0, 1.4, 100.0)),
+    "(3,) power(2)": (((0.0, 1.0),), (3,), 2, (-0.5, 0.3, 0.6, 2.5)),
+    "(2,1)": (PAIR, (2, 1), None, (-2.5, -1.3, 0.0, 1.6, 3.0)),
+    "(2,2)": (PAIR, (2, 2), None, (-3.0, -1.6, 0.5, 1.2, 2.5)),
+    "(3,1) gap 0.05": (
+        ((-1.0, 0.0), (0.05, 1.0)), (3, 1), None, (-1.5, -0.7, 0.025, 0.5, 2.0)
+    ),
+}
+
+
+def _heine_spec(intervals, counts, power):
+    n = sum(counts)
+    system = IntervalSystem(intervals, tuple(c / n for c in counts))
+    if power is None:
+        base = tuple(BaseMeasure.lebesgue(system, i) for i in range(system.p))
+    else:
+        base = tuple(BaseMeasure.power(system, i, power) for i in range(system.p))
+    return EnsembleSpec(system, None, base, MultiIndexSequence.explicit([counts]))
+
+
+def _tensor_heine(spec, zs, budget):
+    """E prod_k (z - x_k) by summing the joint density node by node.
+
+    The density is prod_a w ff (x_a) prod_{a<b} |x_b - x_a|, squared within
+    a block, on the axes of ``_tensor_axes`` (n >= 2); the first axis is a
+    loop.
+    """
+    m = spec.index(1)
+    axes = _tensor_axes(spec, m, budget, 8)
+    n = len(axes)
+    zs = np.asarray(zs, dtype=float)
+    total, moments = 0.0, np.zeros(zs.size)
+    grids = list(np.meshgrid(*[a[1] for a in axes[1:]], indexing="ij"))
+    weights = np.prod(
+        np.meshgrid(*[a[2] * a[3] for a in axes[1:]], indexing="ij"), axis=0
+    )
+    for t0, w0 in zip(axes[0][1], axes[0][2] * axes[0][3]):
+        x = [np.full(weights.shape, t0)] + grids
+        dens = w0 * weights
+        for i in range(n):
+            for j in range(i + 1, n):
+                power = 2 if axes[i][0] == axes[j][0] else 1
+                dens = dens * np.abs(x[j] - x[i]) ** power
+        total += dens.sum()
+        for k, z in enumerate(zs):
+            fac = np.ones(dens.shape)
+            for xa in x:
+                fac = fac * (z - xa)
+            moments[k] += (fac * dens).sum()
+    return moments / total
+
+
+class TestHeineDeterminant:
+    """Quadrature mode is the tensor sum, computed as a determinant ratio."""
+
+    def test_matches_the_tensor_sum(self):
+        for name, (intervals, counts, power, zs) in HEINE_CASES.items():
+            spec = _heine_spec(intervals, counts, power)
+            rows = expectation_identity_check(
+                spec, 1, zs, mode="quadrature", budget=2 ** 12
+            )
+            exact = _tensor_heine(spec, zs, 2 ** 12)
+            got = np.array([r[2] for r in rows])
+            np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0, err_msg=name)
+
+    def test_budget_shapes_the_answer(self):
+        intervals, counts, power, zs = HEINE_CASES["(2,1)"]
+        spec = _heine_spec(intervals, counts, power)
+        results = {}
+        for budget in (2 ** 12, 2 ** 25):
+            rows = expectation_identity_check(
+                spec, 1, zs, mode="quadrature", budget=budget
+            )
+            results[budget] = got = np.array([r[2] for r in rows])
+            exact = _tensor_heine(spec, zs, budget)
+            np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
+        moved = np.abs(results[2 ** 12] - results[2 ** 25])
+        assert np.all(moved > 1e-8 * np.abs(results[2 ** 25]))
 
 
 class TestMonicPolynomial:
