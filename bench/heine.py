@@ -1,26 +1,30 @@
-"""Heine's identity check in quadrature mode: cost and accuracy, before and after a change.
+"""Heine's identity check: cost and accuracy, before and after a change.
 
-    python3 bench/heine.py --before OLD/src --after src --out BENCH_10.json
+    python3 bench/heine.py --before OLD/src --after src --out BENCH_11.json
 
 Each source tree is measured in fresh interpreters, alternating the two trees
 so that both see the same machine drift.  One measurement records:
 
-- ``cases``: ``expectation_identity_check(..., mode="quadrature")`` at its
-  default budget (2^25 tensor nodes) for six multi-indices: (1, 1), (2, 1)
+- ``cases``: ``expectation_identity_check(..., mode="quadrature")`` with
+  its default settings for six multi-indices: (1, 1), (2, 1)
   and (2, 2) on [-2, -1] u [1, 2]; (3,) with base measure x^2 and (4,) with
   x^3 on [0, 1]; (3, 1) on [-1, 0] u [0.05, 1].  Four z points each, one of
   them inside the first interval.  The time, P(z) and the estimate;
+- ``auto``: ``expectation_identity_check(..., mode="auto")`` at its default
+  Gibbs settings for (3, 3), (4, 4), (8, 8) and (6, 10) on [-2, -1] u [1, 2],
+  at z = -3, 0, 0.5 and 2.5 (outside the intervals, where P's monomial sum
+  keeps its digits).  The time, P(z), the estimate and its stderr;
 - ``mop``: the wall time of ``angelesco mop`` on configs/two_interval.json,
   cold (a fresh interpreter, imports included) and warm (a second call
-  in-process);
+  in-process), and warm at (3, 3) (the median of five calls after one);
 - ``criterion_7``: the acceptance check's own elapsed time and identity
   error (absolute, at z = 0, 0.5 and 100 on the symmetric pair).
 
 The parent process computes, per case and z, each tree's relative error
-against P(z) (mostly the tensor grid's discretization, the same for both
-trees) and the relative difference between the two trees' estimates (the
-round-off of the new arithmetic).  The file keeps every repeat and the
-median time per tree.
+against P(z) (the discretization of the grid the check sums over, where it
+is not P's own, or the Gibbs sampling error) and the relative difference
+between the two trees' quadrature estimates.  The file keeps every repeat
+and the median time per tree.
 """
 
 import argparse
@@ -46,6 +50,8 @@ CASES = {
     "(3,1) gap 0.05": (((-1.0, 0.0), (0.05, 1.0)), (3, 1), None, (-1.5, -0.7, 0.025, 100.0)),
     "(4,) power(3)": (UNIT, (4,), 3, (-0.5, 0.3, 2.5, 100.0)),
 }
+AUTO_CASES = ((3, 3), (4, 4), (8, 8), (6, 10))
+AUTO_Z = (-3.0, 0.0, 0.5, 2.5)
 
 
 def measure(src):
@@ -69,7 +75,7 @@ def measure(src):
             base = tuple(BaseMeasure.power(system, i, power) for i in range(system.p))
         return EnsembleSpec(system, None, base, MultiIndexSequence.explicit([counts]))
 
-    out = {"cases": {}}
+    out = {"cases": {}, "auto": {}}
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["mop", "--config", CONFIG, "--out", tmp]
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -87,9 +93,32 @@ def measure(src):
                 "polynomial": [r[1] for r in rows],
                 "estimate": [r[2] for r in rows],
             }
+        for counts in AUTO_CASES:
+            s = spec(PAIR, counts, None)
+            t0 = time.perf_counter()
+            rows = expectation_identity_check(s, 1, AUTO_Z, mode="auto")
+            out["auto"][str(counts)] = {
+                "s": time.perf_counter() - t0,
+                "polynomial": [r[1] for r in rows],
+                "estimate": [r[2] for r in rows],
+                "stderr": [r[3] for r in rows],
+            }
         t0 = time.perf_counter()
         assert cli.run(argv) == 0
         out["mop"] = {"cold_s": cold, "warm_s": time.perf_counter() - t0}
+        with open(CONFIG) as fh:
+            cfg = json.load(fh)
+        cfg["sequence"] = {"rule": "explicit", "indices": [[3, 3]]}
+        cfg_33 = os.path.join(tmp, "mop33.json")
+        with open(cfg_33, "w") as fh:
+            json.dump(cfg, fh)
+        argv_33 = ["mop", "--config", cfg_33, "--out", os.path.join(tmp, "mop33")]
+        times = []
+        for _ in range(6):
+            t0 = time.perf_counter()
+            assert cli.run(argv_33) == 0
+            times.append(time.perf_counter() - t0)
+        out["mop"]["warm_33_s"] = statistics.median(times[1:])
     c7 = acceptance.criterion_7()
     out["criterion_7"] = {"s": c7.seconds, "passed": c7.passed,
                           "identity_err": c7.metrics["identity_err"]}
@@ -113,6 +142,12 @@ def summary(runs):
         "case_s": {k: statistics.median(r["cases"][k]["s"] for r in runs) for k in CASES},
         "mop_cold_s": statistics.median(r["mop"]["cold_s"] for r in runs),
         "mop_warm_s": statistics.median(r["mop"]["warm_s"] for r in runs),
+        "mop_warm_33_s": statistics.median(r["mop"]["warm_33_s"] for r in runs),
+        "auto_s": {k: statistics.median(r["auto"][k]["s"] for r in runs)
+                   for k in first["auto"]},
+        "auto_rel_err_vs_P": {k: rel(c["estimate"], c["polynomial"])
+                              for k, c in first["auto"].items()},
+        "auto_max_stderr": {k: max(c["stderr"]) for k, c in first["auto"].items()},
         "criterion_7_s": statistics.median(r["criterion_7"]["s"] for r in runs),
         "criterion_7_identity_err": first["criterion_7"]["identity_err"],
         "criterion_7_passed": first["criterion_7"]["passed"],
@@ -149,9 +184,10 @@ def main():
             print(label, rep, flush=True)
     before, after = (summary(runs[label]) for label in trees)
     report = {
-        "what": "Heine's identity check in quadrature mode (default budget 2^25): time "
-                "and error against P per case, the before/after difference of the "
-                "estimates, mop on configs/two_interval.json, criterion_7",
+        "what": "Heine's identity check: quadrature mode (n <= 4) and auto mode "
+                "(n = 6..16) time and error against P per case, the before/after "
+                "difference of the quadrature estimates, mop on "
+                "configs/two_interval.json and at (3, 3), criterion_7",
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
         "repeats": args.repeats,
@@ -161,6 +197,10 @@ def main():
                      for k in CASES},
             "mop_cold": {"before": before["mop_cold_s"], "after": after["mop_cold_s"]},
             "mop_warm": {"before": before["mop_warm_s"], "after": after["mop_warm_s"]},
+            "mop_warm_33": {"before": before["mop_warm_33_s"],
+                            "after": after["mop_warm_33_s"]},
+            "auto": {k: {"before": before["auto_s"][k], "after": after["auto_s"][k]}
+                     for k in before["auto_s"]},
             "criterion_7": {"before": before["criterion_7_s"],
                             "after": after["criterion_7_s"]},
         },
@@ -169,6 +209,10 @@ def main():
         "criterion_7_passed": {"before": before["criterion_7_passed"],
                                "after": after["criterion_7_passed"]},
         "rel_err_vs_P": {"before": before["rel_err_vs_P"], "after": after["rel_err_vs_P"]},
+        "auto_rel_err_vs_P": {"before": before["auto_rel_err_vs_P"],
+                              "after": after["auto_rel_err_vs_P"]},
+        "auto_max_stderr": {"before": before["auto_max_stderr"],
+                            "after": after["auto_max_stderr"]},
         "after_vs_before_rel": {
             k: rel(runs["after"][0]["cases"][k]["estimate"],
                    runs["before"][0]["cases"][k]["estimate"])

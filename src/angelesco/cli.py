@@ -40,7 +40,7 @@ from .ldp import (
     random_configuration,
     rate_function,
 )
-from .mop import expectation_identity_check, solve_mop
+from .mop import _identity_rows, solve_mop
 
 SCHEMA_VERSION = 1
 
@@ -412,12 +412,8 @@ def cmd_mop(cfg, seed, cells, out_dir):
     d = int(sec.get("d", 1))
     z_points = [float(z) for z in sec.get("z_points", [0.0])]
     poly = solve_mop(spec, spec.index(d))
-    rows = expectation_identity_check(
-        spec,
-        d,
-        z_points,
-        mode=str(sec.get("mode", "auto")),
-        seed=seed,
+    rows = _identity_rows(
+        spec, d, poly, z_points, mode=str(sec.get("mode", "auto")), seed=seed
     )
     csv_path = _write_csv(
         Path(out_dir) / "mop.csv",

@@ -8,9 +8,10 @@ and every k < n_j,
 is expanded in orthonormal polynomials of the union of the refined base
 measures and tested against each interval's own; no moment matrix is formed.
 Heine's identity: the mean of prod_k (z - x_k) over the unweighted ensemble
-equals P(z).  Its check takes the mean exactly on the tensor-quadrature grids
-(two Andreief determinants in a Legendre basis, not the one that built P) up
-to four points, and over Gibbs samples beyond.
+equals P(z).  Its check takes the mean exactly over the refined grids P is
+solved on, as a ratio of two Andreief determinants in Legendre bases (not the
+basis that built P), at any n where the pairing matrix is well conditioned;
+beyond that, by default, over Gibbs samples.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .ensemble import TENSOR_MAX_POINTS, _projection_matrix, _tensor_axes
-from .ensemble import gibbs_sample
+from .ensemble import _projection_matrix, gibbs_sample
 from .errors import IllConditionedSystem
 
 
@@ -112,54 +112,83 @@ def solve_mop(spec, index):
 
 
 def _pairing_slogdet(system, axes, z=None):
-    """slogdet of A[(j, k), l] = sum over axis j of L_k L_l w_j ff_j (z - t).
+    """Sign, log |det| and condition number of the pairing matrix
 
-    L is the Legendre basis in (t - center)/scale of the whole system, k < n_j,
-    l < n; without z the factor (z - t) is left out.  By Andreief's identity
-    det A is, up to a constant of the basis, the tensor sum over ``axes``
-    (from _tensor_axes) of the joint density, times prod_k (z - x_k) with z.
+        A[(j, k), l] = sum over axis j of R_k(t) L_l(t) w_j ff_j (z - t).
+
+    Row k < n_j of block j is Legendre in interval j's own affine variable,
+    column l < n is Legendre in that of the whole system; without z the
+    factor (z - t) is left out.  By Andreief's identity det A is, up to a
+    constant of the two bases, the sum over the product of ``axes`` (laid out
+    as by _tensor_axes) of the joint density, times prod_k (z - x_k) with z.
+    Any row basis of degree < n_j per block changes det A by one block
+    triangular factor that cancels in det B(z) / det A; interval j's own
+    Legendre keeps A well conditioned where the system's would not.
     """
     (lo, _), (_, hi) = system.intervals[0], system.intervals[-1]
     center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
     n = len(axes)
     rows = []
-    for _, block in groupby(axes, key=lambda a: a[0]):
+    for j, block in groupby(axes, key=lambda a: a[0]):
         block = list(block)
         _, t, w, ff = block[0]
-        v = np.polynomial.legendre.legvander((t - center) / scale, n - 1)
+        n_j = len(block)
+        a, b = system.intervals[j]
+        own = np.polynomial.legendre.legvander((2.0 * t - a - b) / (b - a), n_j - 1)
+        hull = np.polynomial.legendre.legvander((t - center) / scale, n - 1)
         wt = w * ff if z is None else w * ff * (z - t)
-        rows.append((v[:, : len(block)] * wt[:, None]).T @ v)
-    return np.linalg.slogdet(np.vstack(rows))
+        rows.append((own * wt[:, None]).T @ hull)
+    mat = np.vstack(rows)
+    sign, log_det = np.linalg.slogdet(mat)
+    return sign, log_det, float(np.linalg.cond(mat))
 
 
 def expectation_identity_check(
-    spec, d, z_points, mode="auto", budget=2 ** 25, refine=8,
-    samples=400, burn_in=50, thin=5, seed=0,
+    spec, d, z_points, mode="auto", samples=400, burn_in=50, thin=5, seed=0,
 ):
     """Compare E prod_k (z - x_k) under the unweighted ensemble against P(z).
 
-    Returns rows (z, P(z), estimate, stderr).  In quadrature mode the
-    estimate is exact on the tensor-quadrature grids, det B(z) / det A
-    (``_pairing_slogdet``), and stderr is 0; in Monte Carlo mode it is a
-    mean over Gibbs samples.  The identity concerns the unweighted
+    Returns rows (z, P(z), estimate, stderr).  In quadrature mode the mean
+    is taken exactly over the refined grids that P is solved on, as
+    det B(z) / det A (``_pairing_slogdet``), and stderr is 0; it raises
+    IllConditionedSystem when cond(A) * eps reaches 1e-6.  In Monte Carlo
+    mode ("mc") it is a mean over Gibbs samples.  "auto" takes the
+    determinant while it is well conditioned and Gibbs samples otherwise;
+    any other mode raises ValueError.  The identity concerns the unweighted
     ensemble, so any external field on the spec is ignored.
     """
-    plain = spec.unweighted()
-    m = plain.index(d)
-    poly = solve_mop(plain, m)
+    return _identity_rows(
+        spec, d, solve_mop(spec, spec.index(d)), z_points, mode,
+        samples, burn_in, thin, seed,
+    )
+
+
+def _identity_rows(spec, d, poly, z_points, mode="auto", samples=400,
+                   burn_in=50, thin=5, seed=0):
+    """``expectation_identity_check`` for an already solved P (``solve_mop``
+    ignores the field, so P of the spec is P of the unweighted ensemble)."""
+    if mode not in ("auto", "quadrature", "mc"):
+        raise ValueError(f"mop mode must be auto, quadrature or mc, got {mode!r}")
     zs = tuple(float(z) for z in z_points)
     rows = []
-    if mode == "auto":
-        mode = "quadrature" if m.total <= TENSOR_MAX_POINTS - 1 else "mc"
-    if mode == "quadrature":
-        axes = _tensor_axes(plain, m, budget, refine)
-        sign, log_a = _pairing_slogdet(plain.system, axes)
-        for z in zs:
-            sign_z, log_b = _pairing_slogdet(plain.system, axes, z)
-            ratio = sign * sign_z * np.exp(log_b - log_a)
-            rows.append((z, float(poly(z)), float(ratio), 0.0))
-        return rows
-    batch = gibbs_sample(plain, d, samples, burn_in, thin, seed)
+    if mode != "mc":
+        # _tensor_axes's layout on P's own grids; the field factor is 1.
+        axes = []
+        for i, n_i in enumerate(spec.index(d).counts):
+            t, h, w = spec.base[i].refined(8)
+            axes += [(i, t, w * h, 1.0)] * n_i
+        sign, log_a, cond = _pairing_slogdet(spec.system, axes)
+        if cond * np.finfo(float).eps < 1e-6:
+            for z in zs:
+                sign_z, log_b, _ = _pairing_slogdet(spec.system, axes, z)
+                ratio = sign * sign_z * np.exp(log_b - log_a)
+                rows.append((z, float(poly(z)), float(ratio), 0.0))
+            return rows
+        if mode == "quadrature":
+            raise IllConditionedSystem(
+                f"Heine pairing matrix: condition {cond:.3e}", condition=cond
+            )
+    batch = gibbs_sample(spec.unweighted(), d, samples, burn_in, thin, seed)
     for z in zs:
         vals = np.array(
             [float(np.prod(z - X.flatten())) for X in batch]

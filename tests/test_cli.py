@@ -207,6 +207,23 @@ def test_solver_failure_exits_2(tmp_path, capsys):
     assert "MaxIterationsExceeded" in capsys.readouterr().err
 
 
+def test_mop_unknown_mode_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, mop={"d": 1, "mode": "quadratur"})
+    assert run(["mop", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "quadratur" in capsys.readouterr().err
+
+
+def test_mop_ill_conditioned_quadrature_exits_2(tmp_path, capsys):
+    # cond A of Heine's determinant is about 1e12 at (24, 24).
+    cfg = write_config(
+        tmp_path,
+        sequence={"rule": "explicit", "indices": [[24, 24]]},
+        mop={"d": 1, "mode": "quadrature"},
+    )
+    assert run(["mop", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "IllConditionedSystem" in capsys.readouterr().err
+
+
 def test_verify_exit_codes(tmp_path, monkeypatch):
     import angelesco.acceptance as acceptance
     from angelesco.acceptance import CriterionResult

@@ -15,7 +15,8 @@ from angelesco import (
     solve_mop,
 )
 from angelesco.ensemble import _tensor_axes
-from angelesco.mop import export_csv
+from angelesco.errors import IllConditionedSystem
+from angelesco.mop import _pairing_slogdet, export_csv
 
 
 @pytest.fixture(scope="module")
@@ -147,19 +148,22 @@ class TestExpectationIdentity:
             assert stderr == 0.0
 
     def test_by_sampling(self, unit_spec):
-        rows = expectation_identity_check(unit_spec, 5, (2.0,), samples=150, seed=3)
+        rows = expectation_identity_check(
+            unit_spec, 5, (2.0,), mode="mc", samples=150, seed=3
+        )
         z, p_z, estimate, stderr = rows[0]
         assert stderr > 0.0
         assert abs(estimate - p_z) < 3.0 * stderr
 
     def test_auto_mode_switches_with_size(self, unit_spec):
-        small = expectation_identity_check(
-            unit_spec, 4, (2.0,), mode="auto", samples=50, seed=0
-        )
-        big = expectation_identity_check(
-            unit_spec, 5, (2.0,), mode="auto", samples=50, seed=0
-        )
+        # The determinant serves any size while A is well conditioned; at
+        # (24, 24) on [-2, -1] u [1, 2] cond A is about 1.4e12.
+        small = expectation_identity_check(unit_spec, 5, (2.0,), mode="auto")
         assert small[0][3] == 0.0
+        big = expectation_identity_check(
+            _heine_spec(PAIR, (24, 24), None), 1, (0.0,), mode="auto",
+            samples=3, burn_in=1, thin=1,
+        )
         assert big[0][3] > 0.0
 
 
@@ -220,31 +224,44 @@ def _tensor_heine(spec, zs, budget):
 
 
 class TestHeineDeterminant:
-    """Quadrature mode is the tensor sum, computed as a determinant ratio."""
+    """Quadrature mode is a mean over P's own grid, as a determinant ratio."""
 
     def test_matches_the_tensor_sum(self):
         for name, (intervals, counts, power, zs) in HEINE_CASES.items():
             spec = _heine_spec(intervals, counts, power)
-            rows = expectation_identity_check(
-                spec, 1, zs, mode="quadrature", budget=2 ** 12
-            )
+            axes = _tensor_axes(spec, spec.index(1), 2 ** 12, 8)
+            sign, log_a, _ = _pairing_slogdet(spec.system, axes)
+            got = []
+            for z in zs:
+                sign_z, log_b, _ = _pairing_slogdet(spec.system, axes, z)
+                got.append(sign * sign_z * np.exp(log_b - log_a))
             exact = _tensor_heine(spec, zs, 2 ** 12)
-            got = np.array([r[2] for r in rows])
             np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0, err_msg=name)
 
-    def test_budget_shapes_the_answer(self):
-        intervals, counts, power, zs = HEINE_CASES["(2,1)"]
+    def test_quadrature_raises_when_ill_conditioned(self):
+        spec = _heine_spec(PAIR, (24, 24), None)
+        with pytest.raises(IllConditionedSystem) as err:
+            expectation_identity_check(spec, 1, (0.0,), mode="quadrature")
+        assert err.value.condition * np.finfo(float).eps >= 1e-6
+
+    @pytest.mark.parametrize(
+        "intervals, counts, power, zs, rtol",
+        [case + (1e-12,) for case in HEINE_CASES.values()]
+        + [
+            (PAIR, (3, 3), None, (-3.0, -1.6, 0.0, 1.3, 2.5), 1e-12),
+            # Inside the intervals P's monomial sum loses digits from here on.
+            (PAIR, (8, 8), None, (-3.0, -0.5, 0.0, 0.5, 2.5), 1e-10),
+            (PAIR, (6, 10), None, (-3.0, -0.5, 0.0, 0.5, 2.5), 1e-10),
+        ],
+        ids=list(HEINE_CASES) + ["(3,3)", "(8,8)", "(6,10)"],
+    )
+    def test_matches_the_polynomial(self, intervals, counts, power, zs, rtol):
         spec = _heine_spec(intervals, counts, power)
-        results = {}
-        for budget in (2 ** 12, 2 ** 25):
-            rows = expectation_identity_check(
-                spec, 1, zs, mode="quadrature", budget=budget
-            )
-            results[budget] = got = np.array([r[2] for r in rows])
-            exact = _tensor_heine(spec, zs, budget)
-            np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
-        moved = np.abs(results[2 ** 12] - results[2 ** 25])
-        assert np.all(moved > 1e-8 * np.abs(results[2 ** 25]))
+        rows = expectation_identity_check(spec, 1, zs, mode="quadrature")
+        np.testing.assert_allclose(
+            [r[2] for r in rows], [r[1] for r in rows], rtol=rtol, atol=0
+        )
+        assert all(r[3] == 0.0 for r in rows)
 
 
 class TestMonicPolynomial:
