@@ -1,6 +1,6 @@
-"""Equilibrium kernel cost, before and after a change, written as BENCH_<pr>.json.
+"""Equilibrium kernel and solver cost, before and after a change, as a BENCH_*.json file.
 
-    python3 bench/eqm_operator.py --before OLD/src --after src --out BENCH_6.json
+    python3 bench/eqm_operator.py --before OLD/src --after src --out BENCH_12.json
 
 Each source tree is measured in fresh interpreters, alternating the two trees
 so that both see the same machine drift.  One measurement records, for the
@@ -12,12 +12,19 @@ gaps 0.01, at M = 400, 800, 1600, 3200 cells per interval:
   median of 21 after a warm-up; for a tree whose ``system_kernel`` returns
   the dense (pM)^2 matrix this is (1/2)(K w + blockdiag(K) w);
 - ``solve_s``: ``solve_equilibrium`` on an empty cache, assembly included,
-  with its iteration count and energy;
+  with its iteration count, energy, kernel applies (``KernelOperator.apply``
+  counted; null for a tree without that class) and line-search trials per
+  iteration, (applies - 1) / iterations;
 - ``certificates``: rank, largest entry error and sketch size of each
   low-rank cross block, where the tree has them.
 
 Three-interval sizes above ``--before-max-cells`` are skipped for the
 ``before`` tree, whose dense kernel there needs 8 (3M)^2 bytes.
+
+At M = 400 it also solves to ``tol`` 1e-6 and 1e-8 with ``max_iter`` 2000
+on [-2, -1] u [1, 2] and on [-1, -0.01] u [0.01, 3] with masses (0.3, 0.7)
+(``tol<tol>_<layout>`` rows, with the same fields).  A solve that hits the
+cap is kept with ``capped`` true, its best residual and its cost.
 
 It also times three grid-400 solves on three two-interval systems, first on
 a quiet machine and then beside one busy process (a pure-Python loop) that
@@ -40,6 +47,13 @@ LAYOUTS = {
     "two": (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5)),
     "three_gap0.01": (((-2.0, -1.0), (-0.99, 0.0), (0.01, 1.0)), (0.3, 0.3, 0.4)),
 }
+TIGHT = {
+    "two": LAYOUTS["two"],
+    "uneven": (((-1.0, -0.01), (0.01, 3.0)), (0.3, 0.7)),
+}
+TIGHT_TOLS = (1e-6, 1e-8)
+TIGHT_CELLS = 400
+TIGHT_MAX_ITER = 2000
 CONTENTION = (
     (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5)),
     (((-1.0, 0.0), (0.3, 2.0)), (0.3, 0.7)),
@@ -52,7 +66,42 @@ def measure(src, max_p3):
     import numpy as np
 
     from angelesco import IntervalSystem, solve_equilibrium
+    from angelesco import energy
     from angelesco.energy import system_kernel
+    from angelesco.errors import MaxIterationsExceeded
+
+    applies = [0]
+    operator = getattr(energy, "KernelOperator", None)
+    if operator is not None:
+        plain_apply = operator.apply
+
+        def counted_apply(self, w):
+            applies[0] += 1
+            return plain_apply(self, w)
+
+    def solve(system, cells, **kwargs):
+        """A solve on an empty cache: its row, with the applies it made."""
+        system_kernel.cache_clear()
+        applies[0] = 0
+        if operator is not None:
+            operator.apply = counted_apply
+        t0 = time.perf_counter()
+        try:
+            sol, capped = solve_equilibrium(system, cells=cells, **kwargs), False
+        except MaxIterationsExceeded as exc:
+            sol, capped = exc.solution, True
+        finally:
+            seconds = time.perf_counter() - t0
+            if operator is not None:
+                operator.apply = plain_apply
+        system_kernel.cache_clear()
+        n = applies[0] if operator is not None else None
+        return {
+            "solve_s": seconds, "iterations": sol.iterations, "capped": capped,
+            "kkt_residual": sol.kkt_residual, "energy": sol.energy.total,
+            "applies": n,
+            "trials_per_iteration": (n - 1) / sol.iterations if n and sol.iterations else None,
+        }
 
     def applier(kernel, p, m):
         if hasattr(kernel, "apply"):
@@ -91,16 +140,16 @@ def measure(src, max_p3):
                 for key, (rank, err, sketch) in getattr(kernel, "certificates", {}).items()
             }
             del kernel, apply
-            system_kernel.cache_clear()
-            t0 = time.perf_counter()
-            sol = solve_equilibrium(system, cells=m)
-            solve = time.perf_counter() - t0
-            system_kernel.cache_clear()
             out["%s_M%d" % (name, m)] = {
                 "assembly_s": assembly, "apply_s": statistics.median(ticks),
-                "solve_s": solve, "iterations": sol.iterations,
-                "energy": sol.energy.total, "certificates": certificates,
+                **solve(system, m), "certificates": certificates,
             }
+    for tol in TIGHT_TOLS:
+        for name, (intervals, masses) in TIGHT.items():
+            out["tol%g_%s" % (tol, name)] = solve(
+                IntervalSystem(intervals, masses), TIGHT_CELLS,
+                tol=tol, max_iter=TIGHT_MAX_ITER,
+            )
 
     def three_solves():
         system_kernel.cache_clear()
@@ -163,8 +212,9 @@ def main():
             runs[label].append(child(*trees[label]))
             print(label, rep, json.dumps(runs[label][-1]), flush=True)
     report = {
-        "what": "equilibrium kernel assembly, one apply, solve time and iterations; "
-                "cross-block certificates; three grid-400 solves quiet and beside a busy process",
+        "what": "equilibrium kernel assembly, one apply, solve time, iterations, applies and "
+                "trials per iteration; tight-tolerance solves; cross-block certificates; "
+                "three grid-400 solves quiet and beside a busy process",
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
         "repeats": args.repeats,

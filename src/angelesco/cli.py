@@ -30,7 +30,6 @@ from .ensemble import (
 )
 from .equilibrium import solve_equilibrium
 from .equilibrium import export_csv as export_equilibrium_csv
-from .errors import AngelescoError
 from .fekete import fekete_asymptotics, fekete_points
 from .fekete import export_csv as export_fekete_csv
 from .ldp import (
@@ -573,10 +572,8 @@ def run(argv=None):
     if args.command == "verify":
         try:
             _, ok = cmd_verify(None, None, None, out_dir)
-        except AngelescoError as exc:
-            print(
-                "error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr
-            )
+        except Exception as exc:
+            print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
             return 2
         return 0 if ok else 3
 
@@ -597,13 +594,14 @@ def run(argv=None):
     resolved = _resolved(cfg, seed, cells)
     try:
         files = _COMMANDS[args.command](resolved, seed, cells, out_dir)
-    except AngelescoError as exc:
-        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 2
     except (ConfigError, ValueError) as exc:
         # bad d, inconsistent masses, malformed entries: all config-class
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except Exception as exc:
+        # AngelescoError and anything else raised inside the library
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
     files.append(write_manifest(out_dir, args.command, resolved, seed, files))
     for f in files:
         print(f)

@@ -37,11 +37,16 @@ CELL_SELF_ENERGY = 1.5
 
 # Low-rank cross blocks: the entry certificate (relative to max(1, max|C|)),
 # the singular-value cut-off (relative to the largest), the sketch columns
-# required beyond the rank, and the first sketch size.
+# required beyond the rank, the first sketch size, and the rows of U V' - C
+# that the certificate forms at a time (so no second M x M array is held).
+# Cross blocks of intervals a few gaps apart certify at ranks 6-22, so 32
+# columns cover them with the spare columns in one sketch; closer intervals
+# double it.
 LOW_RANK_TOL = 1e-13
 SINGULAR_CUTOFF = 1e-15
 SPARE_COLUMNS = 8
-FIRST_SKETCH = 64
+FIRST_SKETCH = 32
+CERTIFY_ROWS = 256
 
 
 class ExternalField:
@@ -150,19 +155,20 @@ def kernel_matrix(g1, g2):
     """
     if g1.system != g2.system:
         raise ValueError("grids belong to different interval systems")
+    # One len(g1) x len(g2) array, transformed in place: no second one.
+    k = g1.nodes[:, None] - g2.nodes[None, :]
+    np.abs(k, out=k)
     if _same_grid(g1, g2):
-        d = np.abs(g1.nodes[:, None] - g2.nodes[None, :])
-        np.fill_diagonal(d, 1.0)
-        k = -np.log(d)
+        np.fill_diagonal(k, 1.0)
+        np.negative(np.log(k, out=k), out=k)
         np.fill_diagonal(k, CELL_SELF_ENERGY - np.log(g1.cell_width))
         return k
-    d = np.abs(g1.nodes[:, None] - g2.nodes[None, :])
-    if d.min() == 0.0:
+    if k.min() == 0.0:
         raise CoincidentNodesAcrossIntervals(
             f"grids on intervals {g1.interval_index} and {g2.interval_index} "
             "share a node"
         )
-    return -np.log(d)
+    return np.negative(np.log(k, out=k), out=k)
 
 
 def mutual_energy(alpha, beta):
@@ -252,7 +258,7 @@ def _low_rank(c, k):
     round-off.  Returns U, V, the largest entry error and the final k.
     """
     m = c.shape[1]
-    bound = LOW_RANK_TOL * max(1.0, float(np.abs(c).max()))
+    bound = LOW_RANK_TOL * max(1.0, float(c.max()), -float(c.min()))
     rng = np.random.default_rng(0)
     while True:
         q, _ = np.linalg.qr(c @ rng.standard_normal((m, k)))
@@ -260,9 +266,11 @@ def _low_rank(c, k):
         r = int(np.count_nonzero(s > SINGULAR_CUTOFF * s[0]))
         u = q @ (ub[:, :r] * s[:r])
         v = vt[:r].T.copy()
-        diff = u @ v.T
-        diff -= c
-        err = float(np.abs(diff, out=diff).max())
+        err = 0.0
+        for i in range(0, c.shape[0], CERTIFY_ROWS):
+            diff = u[i : i + CERTIFY_ROWS] @ v.T
+            diff -= c[i : i + CERTIFY_ROWS]
+            err = max(err, float(np.abs(diff, out=diff).max()))
         if err <= bound and (k - r >= SPARE_COLUMNS or k == m):
             return u, v, err, k
         if k == m:

@@ -7,9 +7,24 @@ The discrete problem: minimize
 over weight vectors with w_i >= 0 and sum(w_i) = r_i.  The gradient is
 2 * (partial potential + field) at the nodes, so the first-order conditions
 are the equilibrium conditions: the quantity 2(U_i + Q_i) equals a constant
-F_i on the support of component i and is >= F_i off it.  Projected gradient
-descent with Barzilai-Borwein steps and an Armijo backtracking line search;
-the projection is the Euclidean projection onto each scaled simplex.
+F_i on the support of component i and is >= F_i off it.
+
+The solver is spectral projected gradient (Birgin, Martinez & Raydan, SIAM
+J. Optim. 10, 2000): Barzilai-Borwein steps, backtracked along the
+projection arc until the nonmonotone Armijo rule of Grippo, Lampariello &
+Lucidi (SIAM J. Numer. Anal. 23, 1986) holds,
+
+    E(w_new) <= max(last NONMONOTONE_MEMORY = 10 energies) + 1e-4 g'(w_new - w).
+
+A rejected step length t is multiplied by the minimizer of the energy's
+exact quadratic on the segment from w to the rejected point, kept in
+[0.1, 0.5] (safeguarded quadratic interpolation, as in SPG).
+
+Comparing with the recent maximum instead of the current energy lets a
+Barzilai-Borwein step raise the energy for a while, so fewer trials are
+rejected, and near the optimum, where energy differences are round-off, the
+search still moves.  The projection onto the product of scaled simplices
+and the KKT residual are each computed for all components at once.
 
 Every kernel product goes through the cached ``energy.system_kernel``
 operator: FFT-applied Toeplitz self blocks and certified low-rank cross
@@ -33,6 +48,7 @@ from .energy import (
 from .errors import GridMismatch, InfeasibleMasses, MaxIterationsExceeded
 
 SUPPORT_THRESHOLD = 1e-14  # of the max weight, per component
+NONMONOTONE_MEMORY = 10  # energies the line search's reference looks back on
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,31 +61,43 @@ class EquilibriumSolution:
     energy_history: tuple = ()
 
 
+def _project_rows(v, totals):
+    """Euclidean projection of each row of v onto {w >= 0, sum w = totals[row]}.
+
+    One sort, one cumulative sum and one argmax for all rows: the threshold
+    of row i is lam_i[rho] with lam_i[k] = (sum of the k+1 largest - total_i)
+    / (k+1) and rho the last k at which the (k+1)-th largest exceeds lam_i[k].
+    """
+    u = np.sort(v, axis=1)[:, ::-1]
+    lam = (np.cumsum(u, axis=1) - totals[:, None]) / np.arange(1, v.shape[1] + 1)
+    rho = v.shape[1] - 1 - np.argmax((u > lam)[:, ::-1], axis=1)
+    return np.maximum(v - lam[np.arange(v.shape[0]), rho][:, None], 0.0)
+
+
 def project_simplex(v, total):
     """Euclidean projection of v onto {w >= 0, sum w = total}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, v.size + 1)
-    lam = (css - total) / k
-    rho = np.nonzero(u > lam)[0][-1]
-    return np.maximum(v - lam[rho], 0.0)
+    return _project_rows(np.asarray(v)[None, :], np.array([float(total)]))[0]
 
 
-def _support_residual(w_blocks, g_blocks):
-    """KKT residual and per-component constants from weights and gradient."""
-    consts = []
-    worst = 0.0
-    for w, g in zip(w_blocks, g_blocks):
-        if w.max(initial=0.0) <= 0.0:
-            consts.append(float("nan"))
-            continue
-        on = w > SUPPORT_THRESHOLD * w.max()
-        f_i = float(w[on] @ g[on] / w[on].sum())
-        consts.append(f_i)
-        res_on = np.max(np.abs(g[on] - f_i))
-        res_off = np.max(f_i - g[~on], initial=0.0)
-        worst = max(worst, float(res_on), float(max(res_off, 0.0)))
-    return worst, tuple(consts)
+def _support_residual(w, g, starts):
+    """KKT residual and per-component constants from weights and gradient.
+
+    Components are the segments of the stacked ``w`` and ``g`` that begin
+    at ``starts``.  A component with no positive weight has constant nan
+    and adds nothing to the residual.
+    """
+    sizes = np.diff(starts, append=w.size)
+    top = np.maximum.reduceat(w, starts)
+    on = w > np.repeat(SUPPORT_THRESHOLD * top, sizes)
+    w_on = np.where(on, w, 0.0)
+    live = top > 0.0
+    mass = np.add.reduceat(w_on, starts)
+    consts = np.full(starts.size, np.nan)
+    consts[live] = np.add.reduceat(w_on * g, starts)[live] / mass[live]
+    f = np.repeat(consts, sizes)
+    dev = np.where(on, np.abs(g - f), np.maximum(f - g, 0.0))
+    worst = np.maximum.reduceat(dev, starts)[live]
+    return float(worst.max(initial=0.0)), tuple(float(c) for c in consts)
 
 
 def kkt_residual(mu, field=None):
@@ -79,12 +107,13 @@ def kkt_residual(mu, field=None):
     2(U_i + Q_i) from its support mean, plus any off-support shortfall.
     """
     field = as_field(field, mu.system.p)
-    w_blocks, g_blocks = [], []
-    for i, g in enumerate(mu):
-        u = partial_potentials(mu, i, g.nodes)
-        w_blocks.append(g.weights)
-        g_blocks.append(2.0 * (u + field(i, g.nodes)))
-    return _support_residual(w_blocks, g_blocks)
+    w = np.concatenate([g.weights for g in mu])
+    grad = np.concatenate(
+        [2.0 * (partial_potentials(mu, i, g.nodes) + field(i, g.nodes))
+         for i, g in enumerate(mu)]
+    )
+    starts = np.cumsum([0] + [g.weights.size for g in mu][:-1])
+    return _support_residual(w, grad, starts)
 
 
 def solve_equilibrium(
@@ -99,9 +128,12 @@ def solve_equilibrium(
 
     Starts from the uniform vector measure (or ``initial``, which must live
     on ``system``'s ``cells``-cell grids, else GridMismatch), takes
-    Barzilai-Borwein trial steps safeguarded by Armijo backtracking along
-    the projection arc, and stops when the KKT residual drops below ``tol``.
-    Raises MaxIterationsExceeded (carrying the best iterate) otherwise.
+    Barzilai-Borwein trial steps, shortens each along the projection arc
+    until its energy is at most the largest of the last NONMONOTONE_MEMORY
+    (10) energies plus the Armijo term 1e-4 g'(w_new - w), and stops when
+    the KKT residual drops below ``tol``.  ``energy_history`` can therefore
+    rise between iterations; its running 10-term maximum does not.  Raises
+    MaxIterationsExceeded (carrying the best iterate) otherwise.
     """
     field = as_field(field, system.p)
     p = system.p
@@ -129,10 +161,10 @@ def solve_equilibrium(
         fields = [2.0 * float(w[b] @ q[b]) for b in blocks]
         return EnergyReport.build(selfs, crosses, fields)
 
+    starts = np.arange(0, p * n, n)
+
     def project(v):
-        return np.concatenate(
-            [project_simplex(v[blocks[i]], r[i]) for i in range(p)]
-        )
+        return _project_rows(v.reshape(p, n), r).ravel()
 
     if initial is None:
         w = np.concatenate([np.full(n, r[i] / n) for i in range(p)])
@@ -148,9 +180,7 @@ def solve_equilibrium(
     best = (np.inf, None)
 
     for it in range(1, max_iter + 1):
-        res, consts = _support_residual(
-            [w[b] for b in blocks], [g[b] for b in blocks]
-        )
+        res, consts = _support_residual(w, g, starts)
         if res < best[0]:
             best = (res, (w.copy(), e, consts, it))
         if res <= tol:
@@ -173,14 +203,19 @@ def solve_equilibrium(
         step = float(np.clip(step, 1e-14, 1e14))
 
         w_prev, g_prev = w, g
+        reference = max(history[-NONMONOTONE_MEMORY:])
         t = step
         for _ in range(60):
             w_new = project(w - t * g)
             u_new = kernel.apply(w_new)
             e_new = energy_of(w_new, u_new)
-            if e_new <= e + 1e-4 * float(g @ (w_new - w)) or t < 1e-18:
+            gd = float(g @ (w_new - w))
+            if e_new <= reference + 1e-4 * gd or t < 1e-18:
                 break
-            t *= 0.5
+            # The energy is quadratic on the segment w -> w_new; shrink t by
+            # that quadratic's minimizer, safeguarded to [0.1, 0.5].
+            curv = e_new - e - gd
+            t *= min(max(-0.5 * gd / curv, 0.1), 0.5) if curv > 0 else 0.5
         w, u = w_new, u_new
         e = e_new
         g = 2.0 * (u + q)

@@ -207,6 +207,28 @@ def test_solver_failure_exits_2(tmp_path, capsys):
     assert "MaxIterationsExceeded" in capsys.readouterr().err
 
 
+def test_unexpected_library_error_exits_2(tmp_path, monkeypatch, capsys):
+    import angelesco.cli as cli
+
+    def broken(cfg, seed, cells, out_dir):
+        return 1 / 0
+
+    monkeypatch.setitem(cli._COMMANDS, "eqm", broken)
+    cfg = write_config(tmp_path)
+    assert run(["eqm", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "ZeroDivisionError" in capsys.readouterr().err
+
+
+def test_d_beyond_explicit_sequence_exits_1(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        sequence={"rule": "explicit", "indices": [[2, 2], [3, 3]]},
+        sample={"d": 3},
+    )
+    assert run(["sample", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "d <= 2" in capsys.readouterr().err
+
+
 def test_mop_unknown_mode_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, mop={"d": 1, "mode": "quadratur"})
     assert run(["mop", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
