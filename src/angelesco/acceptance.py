@@ -8,7 +8,6 @@ trends, and the algebraic property suite.  ``run_all`` prints one PASS/FAIL
 line per check and writes a JSON report.
 """
 
-import json
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -21,6 +20,7 @@ from .core import (
     MultiIndexSequence,
     VectorMeasure,
     weak_star_distance,
+    write_json,
 )
 from .energy import ExternalField, difference_energy, partial_potentials, weighted_energy
 from .equilibrium import solve_equilibrium
@@ -485,7 +485,5 @@ def run_all(report_path=None, echo=print):
             }
             for r in results
         }
-        with open(report_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(report_path, payload)
     return results

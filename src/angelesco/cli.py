@@ -18,20 +18,19 @@ import numpy as np
 
 from . import __version__
 from .core import IntervalSystem, MultiIndexSequence
-from .energy import ExternalField
+# perfbench/tracing.py times every write under these two names.
+from .core import write_csv as _write_csv, write_json as _write_json
+from .energy import ExternalField, interpolant
 from .ensemble import (
     BaseMeasure,
     EnsembleSpec,
     _log_partition,
     _log_sector_factor,
-    export_samples_csv,
     gibbs_sample,
     partition_function_bounds,
 )
 from .equilibrium import solve_equilibrium
-from .equilibrium import export_csv as export_equilibrium_csv
 from .fekete import fekete_asymptotics, fekete_points
-from .fekete import export_csv as export_fekete_csv
 from .ldp import (
     bm_constant,
     field_shift_identity,
@@ -42,8 +41,6 @@ from .ldp import (
 from .mop import _identity_rows, solve_mop
 
 SCHEMA_VERSION = 1
-
-FMT = "%.17g"
 
 
 class ConfigError(ValueError):
@@ -115,6 +112,14 @@ def load_config(path):
     return cfg
 
 
+def _integer(cfg, key, default):
+    """``int(cfg[key])``, or ConfigError naming the key."""
+    try:
+        return int(cfg.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("%r must be an integer, got %r" % (key, cfg[key]))
+
+
 def build_system(cfg):
     intervals = cfg["intervals"]
     if not isinstance(intervals, list) or not intervals:
@@ -134,45 +139,54 @@ def build_system(cfg):
         raise ConfigError("invalid interval system: %s" % exc)
 
 
+def _per_interval(cfg, key, default, p):
+    """The p entries of ``key``: a list of p, or one entry for every interval."""
+    entries = cfg.get(key, default)
+    if not isinstance(entries, list):
+        return [entries] * p
+    if len(entries) != p:
+        raise ConfigError("%r must have one entry per interval" % key)
+    return entries
+
+
+def _call_args(entry, name):
+    """The arguments of a ``name(a,b,...)`` entry as strings; None otherwise."""
+    if not (isinstance(entry, str) and entry.startswith(name + "(")):
+        return None
+    if not entry.endswith(")"):
+        raise ConfigError("malformed entry %r" % entry)
+    return entry[len(name) + 1 : -1].split(",")
+
+
+def _samples(entry, what):
+    """The interpolant of a ``{"type": "samples", "x": [...], "y": [...]}``."""
+    _check_keys(entry, {"type", "x", "y"}, what + " entry")
+    if entry.get("type") != "samples":
+        raise ConfigError("%s object must have type 'samples'" % what)
+    try:
+        return interpolant(entry.get("x", ()), entry.get("y", ()))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("invalid %s samples: %s" % (what, exc))
+
+
 def _one_field(entry):
     """Turn one config entry into a callable on one interval (or None)."""
     if entry == "zero":
         return None
-    if isinstance(entry, str) and entry.startswith("quadratic("):
-        inner = entry[len("quadratic(") : -1] if entry.endswith(")") else None
-        if inner is None:
-            raise ConfigError("malformed field %r" % entry)
-        parts = inner.split(",")
-        if len(parts) != 2:
-            raise ConfigError(
-                "field %r needs two parameters: quadratic(center,scale)" % entry
-            )
+    args = _call_args(entry, "quadratic")
+    if args is not None:
         try:
-            center, scale = float(parts[0]), float(parts[1])
+            center, scale = (float(a) for a in args)
         except ValueError:
-            raise ConfigError("non-numeric parameters in field %r" % entry)
+            raise ConfigError("field %r wants quadratic(center,scale)" % entry)
         return lambda x, c=center, s=scale: s * (np.asarray(x, float) - c) ** 2
     if isinstance(entry, dict):
-        _check_keys(entry, {"type", "x", "y"}, "field entry")
-        if entry.get("type") != "samples":
-            raise ConfigError("field object must have type 'samples'")
-        x = np.asarray(entry.get("x", ()), float)
-        y = np.asarray(entry.get("y", ()), float)
-        if x.size < 2 or x.size != y.size:
-            raise ConfigError("field samples need matching x/y, at least 2")
-        if np.any(np.diff(x) <= 0):
-            raise ConfigError("field sample x values must increase")
-        return lambda t, x=x, y=y: np.interp(np.asarray(t, float), x, y)
+        return _samples(entry, "field")
     raise ConfigError("unrecognized field entry %r" % (entry,))
 
 
 def build_field(cfg, system):
-    entries = cfg.get("fields", "zero")
-    if not isinstance(entries, list):
-        entries = [entries] * system.p
-    if len(entries) != system.p:
-        raise ConfigError("'fields' must have one entry per interval")
-    funcs = [_one_field(e) for e in entries]
+    funcs = [_one_field(e) for e in _per_interval(cfg, "fields", "zero", system.p)]
     if all(f is None for f in funcs):
         return None
     return ExternalField(tuple(funcs))
@@ -181,39 +195,22 @@ def build_field(cfg, system):
 def _one_base(entry, system, i, cells):
     if entry == "lebesgue":
         return BaseMeasure.lebesgue(system, i, cells=cells)
-    if isinstance(entry, str) and entry.startswith("power("):
-        inner = entry[len("power(") : -1] if entry.endswith(")") else None
-        if inner is None:
-            raise ConfigError("malformed base measure %r" % entry)
+    args = _call_args(entry, "power")
+    if args is not None:
         try:
-            k = int(inner)
+            (k,) = (int(a) for a in args)
         except ValueError:
-            raise ConfigError("power() wants an integer, got %r" % entry)
+            raise ConfigError("base measure %r wants power(k), k an integer" % entry)
         return BaseMeasure.power(system, i, k, cells=cells)
     if isinstance(entry, dict):
-        _check_keys(entry, {"type", "x", "y"}, "base measure entry")
-        if entry.get("type") != "samples":
-            raise ConfigError("base measure object must have type 'samples'")
-        x = np.asarray(entry.get("x", ()), float)
-        y = np.asarray(entry.get("y", ()), float)
-        if x.size < 2 or x.size != y.size:
-            raise ConfigError("base samples need matching x/y, at least 2")
-        if np.any(np.diff(x) <= 0):
-            raise ConfigError("base sample x values must increase")
-        fn = lambda t, x=x, y=y: np.interp(np.asarray(t, float), x, y)
+        fn = _samples(entry, "base measure")
         return BaseMeasure.from_callable(system, i, fn, cells=cells)
     raise ConfigError("unrecognized base measure entry %r" % (entry,))
 
 
 def build_base(cfg, system, cells):
-    entries = cfg.get("base_measures", "lebesgue")
-    if not isinstance(entries, list):
-        entries = [entries] * system.p
-    if len(entries) != system.p:
-        raise ConfigError("'base_measures' must have one entry per interval")
-    return tuple(
-        _one_base(e, system, i, cells) for i, e in enumerate(entries)
-    )
+    entries = _per_interval(cfg, "base_measures", "lebesgue", system.p)
+    return tuple(_one_base(e, system, i, cells) for i, e in enumerate(entries))
 
 
 def build_sequence(cfg, system):
@@ -278,31 +275,7 @@ def write_manifest(out_dir, command, cfg, seed, files):
         "config": cfg,
         "outputs": sorted(Path(f).name for f in files),
     }
-    path = Path(out_dir) / ("%s.manifest.json" % command)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return str(path)
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return str(path)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    FMT % v if isinstance(v, float) else str(v) for v in row
-                )
-                + "\n"
-            )
-    return str(path)
+    return _write_json(Path(out_dir) / ("%s.manifest.json" % command), manifest)
 
 
 # ---------------------------------------------------------------- commands
@@ -319,8 +292,12 @@ def cmd_eqm(cfg, seed, cells, out_dir):
         tol=float(sec.get("tol", 1e-4)),
         max_iter=int(sec.get("max_iter", 20000)),
     )
-    csv_path = str(Path(out_dir) / "eqm.csv")
-    export_equilibrium_csv(sol, csv_path)
+    csv_path = _write_csv(
+        Path(out_dir) / "eqm.csv",
+        ("interval_index", "node", "weight", "density"),
+        ((i, x, w, rho) for i, g in enumerate(sol.measure)
+         for x, w, rho in zip(g.nodes, g.weights, g.density())),
+    )
     report = _write_json(
         Path(out_dir) / "eqm.report.json",
         {
@@ -363,8 +340,12 @@ def cmd_fekete(cfg, seed, cells, out_dir):
         ],
     )
     best = results[-1]
-    config_path = str(Path(out_dir) / "fekete_config.csv")
-    export_fekete_csv(best, config_path)
+    config_path = _write_csv(
+        Path(out_dir) / "fekete_config.csv",
+        ("block", "index", "coordinate"),
+        ((i, k, x) for i, b in enumerate(best.configuration.blocks)
+         for k, x in enumerate(b)),
+    )
     report = _write_json(
         Path(out_dir) / "fekete.report.json",
         {
@@ -390,8 +371,12 @@ def cmd_sample(cfg, seed, cells, out_dir):
         thin=int(sec.get("thin", 5)),
         seed=seed,
     )
-    csv_path = str(Path(out_dir) / "sample.csv")
-    export_samples_csv(batch, csv_path)
+    csv_path = _write_csv(
+        Path(out_dir) / "sample.csv",
+        ("sample_id", "block", "index", "value"),
+        ((s, i, k, x) for s, X in enumerate(batch.configurations)
+         for i, b in enumerate(X.blocks) for k, x in enumerate(b)),
+    )
     report = _write_json(
         Path(out_dir) / "sample.report.json",
         {
@@ -527,6 +512,8 @@ def cmd_bm(cfg, seed, cells, out_dir):
 
 
 def cmd_verify(cfg, seed, cells, out_dir):
+    # Imported here, not at the top: without a bytecode cache, compiling
+    # acceptance.py adds about 10 ms to the start of every other command.
     from .acceptance import run_all
 
     results = run_all(report_path=Path(out_dir) / "report.json")
@@ -583,13 +570,12 @@ def run(argv=None):
         return 1
     try:
         cfg = load_config(args.config)
+        seed = args.seed if args.seed is not None else _integer(cfg, "seed", 0)
+        cells = args.grid if args.grid is not None else _integer(cfg, "grid", 400)
+        if cells < 2:
+            raise ConfigError("grid must be at least 2")
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    cells = args.grid if args.grid is not None else int(cfg.get("grid", 400))
-    if cells < 2:
-        print("error: grid must be at least 2", file=sys.stderr)
         return 1
     resolved = _resolved(cfg, seed, cells)
     try:

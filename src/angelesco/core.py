@@ -4,11 +4,13 @@ Everything downstream (energies, solvers, samplers) works on the immutable
 types defined here: a system of p pairwise disjoint closed intervals with a
 mass vector summing to one, measures discretized as cell weights on midpoint
 grids (M cells per interval, default 400), and point configurations stored as
-sorted per-interval blocks.
+sorted per-interval blocks.  ``write_csv`` and ``write_json`` are the one
+writer of each output file kind.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -493,3 +495,21 @@ def weak_star_distance(mu, nu):
             )
         worst = max(worst, float(np.max(np.abs(gm.cdf() - gn.cdf()))))
     return worst
+
+
+def write_csv(path, header, rows):
+    """Header line, then one line per row: floats as %.17g, all else str."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+    return str(path)
+
+
+def write_json(path, payload):
+    """Indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return str(path)

@@ -49,6 +49,18 @@ FIRST_SKETCH = 32
 CERTIFY_ROWS = 256
 
 
+def interpolant(xs, ys):
+    """x -> np.interp(x, xs, ys); ValueError unless xs increases strictly
+    and xs, ys are 1-d, of one length, at least 2 long."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
+        raise ValueError("samples need matching 1-d x and y, at least 2 long")
+    if not np.all(np.diff(xs) > 0):
+        raise ValueError("sample x values must be strictly increasing")
+    return lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)
+
+
 class ExternalField:
     """Per-interval external fields Q_i, evaluated vectorized.
 
@@ -73,19 +85,11 @@ class ExternalField:
 
     @classmethod
     def from_samples(cls, xs_list, ys_list):
-        funcs = []
-        for xs, ys in zip(xs_list, ys_list):
-            if xs is None:
-                funcs.append(None)
-                continue
-            xs = np.asarray(xs, dtype=float)
-            ys = np.asarray(ys, dtype=float)
-            if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-                raise ValueError("field samples need matching 1-d arrays")
-            if np.any(np.diff(xs) <= 0):
-                raise ValueError("field sample abscissae must increase")
-            funcs.append(lambda x, xs=xs, ys=ys: np.interp(x, xs, ys))
-        return cls(tuple(funcs))
+        """Q_i = interpolant(xs_i, ys_i); an ``xs_i`` of None means Q_i == 0."""
+        return cls(tuple(
+            None if xs is None else interpolant(xs, ys)
+            for xs, ys in zip(xs_list, ys_list)
+        ))
 
     @property
     def p(self):
@@ -133,10 +137,6 @@ class EnergyReport:
         field_terms = tuple(float(x) for x in field_terms)
         total = sum(self_terms) + sum(cross_terms) + sum(field_terms)
         return cls(total, self_terms, cross_terms, field_terms)
-
-
-def _plain_log_kernel(x, y):
-    return -np.log(np.abs(x[:, None] - y[None, :]))
 
 
 def _same_grid(g1, g2):

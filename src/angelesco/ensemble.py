@@ -25,6 +25,7 @@ from .core import (
     _readonly,
     counting_measure,
     weak_star_distance,
+    write_csv,
 )
 from .energy import ExternalField, as_field
 from .equilibrium import solve_equilibrium
@@ -608,22 +609,9 @@ def convergence_experiment(
             )
         )
     if out_csv is not None:
-        lines = ["d,total_points,mean_distance,std_distance"]
-        for row in rows:
-            lines.append(
-                f"{row.d},{row.total},{row.mean_distance:.17g},"
-                f"{row.std_distance:.17g}"
-            )
-        with open(out_csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(
+            out_csv,
+            ("d", "total_points", "mean_distance", "std_distance"),
+            ((r.d, r.total, r.mean_distance, r.std_distance) for r in rows),
+        )
     return rows
-
-
-def export_samples_csv(batch, path):
-    rows = ["sample_id,block,index,value"]
-    for s, X in enumerate(batch.configurations):
-        for i, b in enumerate(X.blocks):
-            for k, x in enumerate(b):
-                rows.append(f"{s},{i},{k},{x:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")

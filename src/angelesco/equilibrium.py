@@ -265,14 +265,3 @@ def _as_measure(system, cells, w):
             )
         )
     return VectorMeasure(tuple(comps))
-
-
-def export_csv(solution, path):
-    """Write (interval_index, node, weight, density) rows, 17 significant digits."""
-    rows = ["interval_index,node,weight,density"]
-    for i, g in enumerate(solution.measure):
-        dens = g.density()
-        for x, w, d in zip(g.nodes, g.weights, dens):
-            rows.append(f"{i},{x:.17g},{w:.17g},{d:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")

@@ -254,12 +254,3 @@ def fekete_asymptotics(
         rows.append(FeketeTrendRow(d, m.total, res.normalized, dist))
         results.append(res)
     return rows, results
-
-
-def export_csv(result, path):
-    rows = ["block,index,coordinate"]
-    for i, b in enumerate(result.configuration.blocks):
-        for k, x in enumerate(b):
-            rows.append(f"{i},{k},{x:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")

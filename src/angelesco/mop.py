@@ -196,12 +196,3 @@ def _identity_rows(spec, d, poly, z_points, mode="auto", samples=400,
         stderr = float(vals.std(ddof=1) / np.sqrt(vals.size))
         rows.append((z, float(poly(z)), float(vals.mean()), stderr))
     return rows
-
-
-def export_csv(poly, path):
-    rows = ["power,coefficient"]
-    for k, c in enumerate(poly.coefficients):
-        rows.append(f"{k},{c:.17g}")
-    rows.append(f"{poly.degree},1")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")

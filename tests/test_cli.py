@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from angelesco import BaseMeasure, ExternalField, IntervalSystem, solve_equilibrium
 from angelesco.cli import config_digest, run
+from angelesco.energy import interpolant
+from angelesco.ldp import bm_constant
 
 
 def write_config(tmp_path, name="experiment.json", **overrides):
@@ -25,6 +28,11 @@ def write_config(tmp_path, name="experiment.json", **overrides):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def numbers(rows):
+    """The data rows of a CSV file read back as floats (exact for %.17g)."""
+    return np.array([[float(v) for v in row] for row in rows[1:]])
 
 
 class TestConfigValidation:
@@ -56,6 +64,14 @@ class TestConfigValidation:
         path = write_config(tmp_path)
         assert run(["eqm", "--config", str(path), "--grid", "1"]) == 1
 
+    @pytest.mark.parametrize(
+        "key, value", [("grid", "fine"), ("seed", "x"), ("grid", None)]
+    )
+    def test_non_integer_seed_or_grid(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, **{key: value})
+        assert run(["eqm", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: '%s'" % key)
+
     def test_digest_is_order_insensitive(self):
         a = {"schema_version": 1, "intervals": [[0.0, 1.0]]}
         b = {"intervals": [[0.0, 1.0]], "schema_version": 1}
@@ -83,6 +99,22 @@ class TestCommands:
         assert sorted(manifest["outputs"]) == ["eqm.csv", "eqm.report.json"]
         assert manifest["config_sha256"] == config_digest(manifest["config"])
 
+    def test_eqm_csv_rows(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run(["eqm", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out / "eqm.csv")
+        assert rows[0] == ["interval_index", "node", "weight", "density"]
+        assert len(rows) == 1 + 2 * 100
+        assert [r[0] for r in rows[1:]] == ["0"] * 100 + ["1"] * 100
+        two = IntervalSystem(((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5))
+        data = numbers(rows)
+        for i in range(2):
+            block = data[100 * i : 100 * (i + 1)]
+            assert np.array_equal(block[:, 1], two.grid_nodes(i, 100))
+            assert block[:, 2].sum() == pytest.approx(0.5, abs=1e-10)
+            assert np.array_equal(block[:, 3], block[:, 2] / two.cell_width(i, 100))
+
     def test_fekete(self, tmp_path):
         cfg = write_config(tmp_path, fekete={"d_max": 2, "n_starts": 2})
         out = tmp_path / "out"
@@ -94,6 +126,22 @@ class TestCommands:
         assert len(config_rows) == 1 + 4
         report = json.loads((out / "fekete.report.json").read_text())
         assert report["d_max"] == 2
+
+    def test_fekete_config_csv_rows(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            sequence={"rule": "explicit", "indices": [[2, 1]]},
+            fekete={"d_max": 1, "n_starts": 2},
+        )
+        out = tmp_path / "out"
+        assert run(["fekete", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out / "fekete_config.csv")
+        assert rows[0] == ["block", "index", "coordinate"]
+        assert len(rows) == 4
+        assert [r[0] for r in rows[1:]] == ["0", "0", "1"]
+        assert [r[1] for r in rows[1:]] == ["0", "1", "0"]
+        x = numbers(rows)[:, 2]
+        assert -2.0 <= x[0] < x[1] <= -1.0 and 1.0 <= x[2] <= 2.0
 
     def test_threads_flag_is_accepted_and_ignored(self, tmp_path, capsys):
         cfg = write_config(tmp_path, fekete={"d_max": 2, "n_starts": 2})
@@ -130,6 +178,23 @@ class TestCommands:
         assert report["index"] == [1, 1]
         manifest = json.loads((out_c / "sample.manifest.json").read_text())
         assert manifest["seed"] == 1
+
+    def test_sample_csv_rows(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            grid=80,
+            sample={"d": 2, "n_samples": 3, "burn_in": 5, "thin": 1},
+        )
+        out = tmp_path / "out"
+        assert run(["sample", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out / "sample.csv")
+        assert rows[0] == ["sample_id", "block", "index", "value"]
+        assert len(rows) == 1 + 3 * 4
+        assert rows[1][:3] == ["0", "0", "0"]
+        assert [r[0] for r in rows[1:]] == [str(s) for s in range(3) for _ in range(4)]
+        assert [r[1:3] for r in rows[1:5]] == [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
+        x = numbers(rows)[:, 3]
+        assert np.all((x < 0) == np.tile([True, True, False, False], 3))
 
     def test_mop(self, tmp_path):
         cfg = write_config(tmp_path, mop={"d": 1, "z_points": [0.0, 3.0]})
@@ -260,3 +325,66 @@ def test_verify_exit_codes(tmp_path, monkeypatch):
     assert run(["verify", "--out", str(tmp_path)]) == 0
     monkeypatch.setattr(acceptance, "run_all", one_fail)
     assert run(["verify", "--out", str(tmp_path)]) == 3
+
+
+SAMPLED_FIELD = {"type": "samples", "x": [0.0, 0.4, 1.0], "y": [0.3, 0.05, 0.2]}
+SAMPLED_BASE = {"type": "samples", "x": [0.0, 0.5, 1.0], "y": [1.0, 2.0, 1.5]}
+
+
+def sampled_config(tmp_path, **overrides):
+    cfg = {
+        "intervals": [[0.0, 1.0], [1.5, 3.0]],
+        "fields": [SAMPLED_FIELD, "quadratic(2,0.2)"],
+        "base_measures": [SAMPLED_BASE, "power(2)"],
+        "bm": {"degrees": [2, 4]},
+    }
+    cfg.update(overrides)
+    return write_config(tmp_path, **cfg)
+
+
+def test_sampled_entries_match_the_python_api(tmp_path):
+    cfg = sampled_config(tmp_path)
+    out = tmp_path / "out"
+    assert run(["eqm", "--config", str(cfg), "--out", str(out)]) == 0
+    assert run(["bm", "--config", str(cfg), "--out", str(out)]) == 0
+    system = IntervalSystem(((0.0, 1.0), (1.5, 3.0)), (0.5, 0.5))
+    field = ExternalField((
+        interpolant(SAMPLED_FIELD["x"], SAMPLED_FIELD["y"]),
+        lambda x: 0.2 * (np.asarray(x, float) - 2.0) ** 2,
+    ))
+    sol = solve_equilibrium(system, field=field, cells=100)
+    eqm = numbers(read_csv(out / "eqm.csv"))
+    assert np.array_equal(
+        eqm[:, 2], np.concatenate([g.weights for g in sol.measure])
+    )
+    base = (
+        BaseMeasure.from_callable(
+            system, 0, interpolant(SAMPLED_BASE["x"], SAMPLED_BASE["y"]), cells=100
+        ),
+        BaseMeasure.power(system, 1, 2, cells=100),
+    )
+    expected = [
+        (i, n, est.beta, est.root)
+        for i, tau in enumerate(base)
+        for n in (2, 4)
+        for est in [bm_constant(tau, n)]
+    ]
+    assert np.array_equal(numbers(read_csv(out / "bm.csv")), np.array(expected))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"type": "spline", "x": [0.0, 1.0], "y": [1.0, 1.0]},
+        {"type": "samples", "x": [0.0, 1.0], "y": [1.0, 1.0], "z": [0.0]},
+        {"type": "samples", "x": [0.5], "y": [1.0]},
+        {"type": "samples", "x": [0.0, 0.5, 1.0], "y": [1.0, 1.0]},
+        {"type": "samples", "x": [0.0, 0.5, 0.5], "y": [1.0, 1.0, 1.0]},
+    ],
+    ids=["type", "unknown_key", "one_sample", "lengths", "non_increasing"],
+)
+@pytest.mark.parametrize("command, key", [("eqm", "fields"), ("bm", "base_measures")])
+def test_bad_sampled_entry_exits_1(tmp_path, capsys, command, key, bad):
+    cfg = sampled_config(tmp_path, **{key: [bad, SAMPLED_BASE]})
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

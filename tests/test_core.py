@@ -14,7 +14,7 @@ from angelesco import (
     sort_into_blocks,
     weak_star_distance,
 )
-from angelesco.core import DEFAULT_CELLS
+from angelesco.core import DEFAULT_CELLS, write_csv, write_json
 from angelesco.errors import (
     AngelescoError,
     CoordinateOutsideSystem,
@@ -279,3 +279,23 @@ def test_error_hierarchy():
     for name in names:
         assert issubclass(getattr(errors, name), AngelescoError)
     assert issubclass(AngelescoError, Exception)
+
+
+def test_write_csv_text(tmp_path):
+    path = write_csv(
+        tmp_path / "t.csv",
+        ("a", "b"),
+        [(3, 0.1), (np.float64(0.1), -np.inf), (5e-324, "x")],
+    )
+    assert path == str(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_text() == (
+        "a,b\n3,0.10000000000000001\n0.10000000000000001,-inf\n"
+        "4.9406564584124654e-324,x\n"
+    )
+
+
+def test_write_json_text(tmp_path):
+    write_json(tmp_path / "t.json", {"b": 1, "a": [0.5]})
+    assert (tmp_path / "t.json").read_text() == (
+        '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
+    )

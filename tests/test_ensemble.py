@@ -27,7 +27,7 @@ from angelesco import (
     weak_star_distance,
 )
 from angelesco import ensemble
-from angelesco.ensemble import _GibbsChain, export_samples_csv, sector_factor
+from angelesco.ensemble import _GibbsChain, sector_factor
 from angelesco.errors import (
     DegenerateConditional,
     DimensionTooLarge,
@@ -570,14 +570,3 @@ def test_convergence_experiment_csv(tmp_path, two, coarse_spec):
     assert lines[0] == ["d", "total_points", "mean_distance", "std_distance"]
     assert len(lines) == 3
     assert int(lines[2][1]) == 8
-
-
-def test_export_samples_csv(tmp_path, coarse_spec):
-    batch = gibbs_sample(coarse_spec, 2, 3, burn_in=5, thin=1, seed=0)
-    path = tmp_path / "samples.csv"
-    export_samples_csv(batch, str(path))
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["sample_id", "block", "index", "value"]
-    assert len(rows) == 1 + 3 * 4
-    assert rows[1][:3] == ["0", "0", "0"]

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from angelesco.equilibrium import (
     SUPPORT_THRESHOLD,
     _project_rows,
     _support_residual,
-    export_csv,
     kkt_residual,
     project_simplex,
 )
@@ -200,17 +197,3 @@ def test_iteration_cap_carries_best_iterate(two):
     assert best.iterations == 3
     assert best.measure.masses == pytest.approx((0.5, 0.5))
     assert len(best.energy_history) >= 1
-
-
-def test_export_csv_round_trip(tmp_path, two_equilibrium):
-    path = tmp_path / "eqm.csv"
-    export_csv(two_equilibrium, str(path))
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["interval_index", "node", "weight", "density"]
-    assert len(rows) == 1 + 2 * 400
-    idx, node, weight, density = rows[1]
-    g = two_equilibrium.measure[0]
-    assert int(idx) == 0
-    assert float(node) == pytest.approx(g.nodes[0])
-    assert float(density) == pytest.approx(float(weight) / g.cell_width, rel=1e-4)

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from angelesco import (
     fekete_points,
     log_boltzmann,
 )
-from angelesco.fekete import export_csv
 from angelesco.ldp import random_configuration
 
 
@@ -151,15 +148,3 @@ def test_mixed_index_beats_random_configurations(two):
     for _ in range(200):
         X = random_configuration(two, MultiIndex((3, 2)), rng)
         assert log_boltzmann(X) <= res.log_boltzmann + 1e-12
-
-
-def test_export_configuration_csv(tmp_path, two):
-    res = fekete_points(two, MultiIndex((2, 1)), n_starts=2, seed=0)
-    path = tmp_path / "fekete.csv"
-    export_csv(res, str(path))
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["block", "index", "coordinate"]
-    assert len(rows) == 4
-    assert [r[0] for r in rows[1:]] == ["0", "0", "1"]
-    assert [r[1] for r in rows[1:]] == ["0", "1", "0"]

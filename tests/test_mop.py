@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ from angelesco import (
 )
 from angelesco.ensemble import _tensor_axes
 from angelesco.errors import IllConditionedSystem
-from angelesco.mop import _pairing_slogdet, export_csv
+from angelesco.mop import _pairing_slogdet
 
 
 @pytest.fixture(scope="module")
@@ -271,15 +269,3 @@ class TestMonicPolynomial:
         assert np.allclose(poly.real_roots(sym), [-0.5, 0.5], atol=1e-6)
         outside = MonicPolynomial(2, np.array([-4.0, 0.0])).real_roots(sym)
         assert outside.size == 0
-
-
-def test_export_polynomial_csv(tmp_path, pair_spec):
-    poly = solve_mop(pair_spec, MultiIndex((1, 1)))
-    path = tmp_path / "poly.csv"
-    export_csv(poly, str(path))
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["power", "coefficient"]
-    assert rows[-1] == ["2", "1"]
-    assert len(rows) == 4
-    assert float(rows[1][1]) == pytest.approx(-7.0 / 3.0, abs=1e-6)
