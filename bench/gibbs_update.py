@@ -1,19 +1,24 @@
 """Gibbs sampler cost, before and after a change, written as BENCH_<pr>.json.
 
-    python3 bench/gibbs_update.py --before OLD/src --after src --out BENCH_2.json
+    python3 bench/gibbs_update.py --before OLD/src --after src --out BENCH_14.json
 
 Each source tree is measured in fresh interpreters, alternating the two trees
 so that both see the same machine drift.  One measurement records
 
-- the wall time per coordinate update of one chain on two intervals
-  [-2, -1], [1, 2] with Lebesgue base measures and 400 cells, refined 8x
-  (G = 3200 conditional nodes), at n = 2, 6, 16, 32, 64 points split evenly;
+- the wall time per coordinate update of one seeded chain with Lebesgue base
+  measures, refined 8x, on each shape of ``SHAPES``: one interval [0, 1] at
+  G = 1600 conditional nodes with n = 8 and 48 points, two intervals
+  [-2, -1], [1, 2] at G = 3200 with n = 2, 6, 16, 32, 64 and at G = 6400
+  with n = 10, points split evenly;
+- a hash of each chain's final state, which must be the same for both trees
+  and every repeat (the script exits 1 otherwise);
 - the wall time and the verdict of acceptance criterion_6.
 
 The file keeps every repeat and the median per tree.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -22,8 +27,15 @@ import subprocess
 import sys
 import time
 
-SIZES = (2, 6, 16, 32, 64)
-UPDATES = 4000  # coordinate updates timed per size
+TWO = ((-2.0, -1.0), (1.0, 2.0))
+# label: (intervals, cells per interval, points per interval)
+SHAPES = {
+    "p1_G1600_n8": (((0.0, 1.0),), 200, (8,)),
+    "p1_G1600_n48": (((0.0, 1.0),), 200, (48,)),
+    **{"p2_G3200_n%d" % n: (TWO, 400, (n // 2, n // 2)) for n in (2, 6, 16, 32, 64)},
+    "p2_G6400_n10": (TWO, 800, (5, 5)),
+}
+UPDATES = 4000  # coordinate updates timed per shape
 
 
 def measure(src):
@@ -34,22 +46,27 @@ def measure(src):
     from angelesco.core import IntervalSystem, MultiIndex, MultiIndexSequence
     from angelesco.ensemble import BaseMeasure, EnsembleSpec, _GibbsChain
 
-    system = IntervalSystem(((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5))
-    base = tuple(BaseMeasure.lebesgue(system, i, 400) for i in range(2))
-    seq = MultiIndexSequence.proportional(system.r, start=2, step=2)
-    spec = EnsembleSpec(system, None, base, seq)
-    update_us = {}
-    for n in SIZES:
-        chain = _GibbsChain(spec, MultiIndex((n // 2, n // 2)), 8, np.random.default_rng(0))
+    update_us, state_sha = {}, {}
+    for label, (intervals, cells, counts) in SHAPES.items():
+        p = len(intervals)
+        system = IntervalSystem(intervals, (1.0 / p,) * p)
+        base = tuple(BaseMeasure.lebesgue(system, i, cells) for i in range(p))
+        seq = MultiIndexSequence.proportional(system.r, start=p, step=p)
+        spec = EnsembleSpec(system, None, base, seq)
+        chain = _GibbsChain(spec, MultiIndex(counts), 8, np.random.default_rng(0))
         chain.sweep()  # warm-up
+        n = sum(counts)
         sweeps = max(UPDATES // n, 2)
         t0 = time.perf_counter()
         for _ in range(sweeps):
             chain.sweep()
-        update_us[str(n)] = 1e6 * (time.perf_counter() - t0) / (sweeps * n)
+        update_us[label] = 1e6 * (time.perf_counter() - t0) / (sweeps * n)
+        state_sha[label] = hashlib.sha256(
+            b"".join(block.tobytes() for block in chain.state)
+        ).hexdigest()
     crit = acceptance.criterion_6()
-    return {"update_us": update_us, "criterion_6_s": crit.seconds,
-            "criterion_6_passed": crit.passed}
+    return {"update_us": update_us, "state_sha256": state_sha,
+            "criterion_6_s": crit.seconds, "criterion_6_passed": crit.passed}
 
 
 def child(src):
@@ -60,8 +77,8 @@ def child(src):
 
 def summarize(runs):
     return {
-        "update_us": {str(n): statistics.median(r["update_us"][str(n)] for r in runs)
-                      for n in SIZES},
+        "update_us": {label: statistics.median(r["update_us"][label] for r in runs)
+                      for label in SHAPES},
         "criterion_6_s": statistics.median(r["criterion_6_s"] for r in runs),
         "criterion_6_passed": all(r["criterion_6_passed"] for r in runs),
     }
@@ -92,19 +109,27 @@ def main():
         order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
         for label in order:
             runs[label].append(child(trees[label]))
-            print(label, rep, json.dumps(runs[label][-1]), flush=True)
+            print(label, rep, json.dumps(runs[label][-1]["update_us"]), flush=True)
+    hashes = {json.dumps(r["state_sha256"], sort_keys=True)
+              for tree_runs in runs.values() for r in tree_runs}
     report = {
-        "what": "Gibbs coordinate update (p = 2, G = 3200) and criterion_6",
+        "what": "Gibbs coordinate update (p = 1, G = 1600; p = 2, G = 3200 "
+                "and 6400) and criterion_6",
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
         "repeats": args.repeats,
         "head_sha": git_sha(os.path.dirname(os.path.abspath(__file__))),
+        "states_identical": len(hashes) == 1,
         "median": {label: summarize(r) for label, r in runs.items()},
         "runs": runs,
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
+    if len(hashes) != 1:
+        print("error: the chains' final states differ between trees or repeats",
+              file=sys.stderr)
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -112,12 +112,25 @@ def load_config(path):
     return cfg
 
 
-def _integer(cfg, key, default):
-    """``int(cfg[key])``, or ConfigError naming the key."""
+_KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers")}
+
+
+def _typed(cfg, key, default, kind, listed=False):
+    """``kind(cfg[key])``, or a list of those if ``listed``; else ConfigError.
+
+    An absent key gives ``default``, converted the same way.
+    """
+    value = cfg.get(key, default)
     try:
-        return int(cfg.get(key, default))
+        if not listed:
+            return kind(value)
+        if isinstance(value, list):
+            return [kind(v) for v in value]
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError("%r must be an integer, got %r" % (key, cfg[key]))
+        pass
+    one, many = _KIND_NAMES[kind]
+    what = "a list of " + many if listed else one
+    raise ConfigError("%r must be %s, got %r" % (key, what, value))
 
 
 def build_system(cfg):
@@ -131,8 +144,8 @@ def build_system(cfg):
     masses = cfg.get("masses")
     if masses is None:
         masses = [1.0 / len(pairs)] * len(pairs)
-    if len(masses) != len(pairs):
-        raise ConfigError("'masses' length must match 'intervals'")
+    if not isinstance(masses, list) or len(masses) != len(pairs):
+        raise ConfigError("'masses' must be a list as long as 'intervals'")
     try:
         return IntervalSystem(pairs, tuple(float(r) for r in masses))
     except (TypeError, ValueError) as exc:
@@ -220,8 +233,8 @@ def build_sequence(cfg, system):
     kind = rule.get("rule")
     if kind == "proportional":
         _check_keys(rule, {"rule", "start", "step"}, "sequence")
-        start = int(rule.get("start", system.p))
-        step = int(rule.get("step", system.p))
+        start = _typed(rule, "start", system.p, int)
+        step = _typed(rule, "step", system.p, int)
         try:
             return MultiIndexSequence.proportional(
                 system.r, start=start, step=step
@@ -289,8 +302,8 @@ def cmd_eqm(cfg, seed, cells, out_dir):
         system,
         field=field,
         cells=cells,
-        tol=float(sec.get("tol", 1e-4)),
-        max_iter=int(sec.get("max_iter", 20000)),
+        tol=_typed(sec, "tol", 1e-4, float),
+        max_iter=_typed(sec, "max_iter", 20000, int),
     )
     csv_path = _write_csv(
         Path(out_dir) / "eqm.csv",
@@ -318,9 +331,9 @@ def cmd_fekete(cfg, seed, cells, out_dir):
     field = build_field(cfg, system)
     seq = build_sequence(cfg, system)
     sec = cfg.get("fekete", {})
-    d_max = int(sec.get("d_max", 3))
-    n_starts = int(sec.get("n_starts", 4))
-    tol = float(sec.get("tol", 1e-10))
+    d_max = _typed(sec, "d_max", 3, int)
+    n_starts = _typed(sec, "n_starts", 4, int)
+    tol = _typed(sec, "tol", 1e-10, float)
     rows, results = fekete_asymptotics(
         system,
         seq,
@@ -362,13 +375,13 @@ def cmd_fekete(cfg, seed, cells, out_dir):
 def cmd_sample(cfg, seed, cells, out_dir):
     spec = build_spec(cfg, cells)
     sec = cfg.get("sample", {})
-    d = int(sec.get("d", 1))
+    d = _typed(sec, "d", 1, int)
     batch = gibbs_sample(
         spec,
         d,
-        int(sec.get("n_samples", 100)),
-        burn_in=int(sec.get("burn_in", 50)),
-        thin=int(sec.get("thin", 5)),
+        _typed(sec, "n_samples", 100, int),
+        burn_in=_typed(sec, "burn_in", 50, int),
+        thin=_typed(sec, "thin", 5, int),
         seed=seed,
     )
     csv_path = _write_csv(
@@ -393,8 +406,8 @@ def cmd_sample(cfg, seed, cells, out_dir):
 def cmd_mop(cfg, seed, cells, out_dir):
     spec = build_spec(cfg, cells)
     sec = cfg.get("mop", {})
-    d = int(sec.get("d", 1))
-    z_points = [float(z) for z in sec.get("z_points", [0.0])]
+    d = _typed(sec, "d", 1, int)
+    z_points = _typed(sec, "z_points", [0.0], float, listed=True)
     poly = solve_mop(spec, spec.index(d))
     rows = _identity_rows(
         spec, d, poly, z_points, mode=str(sec.get("mode", "auto")), seed=seed
@@ -419,9 +432,9 @@ def cmd_mop(cfg, seed, cells, out_dir):
 def cmd_zconst(cfg, seed, cells, out_dir):
     spec = build_spec(cfg, cells)
     sec = cfg.get("zconst", {})
-    d_list = [int(d) for d in sec.get("d_list", [1])]
-    epsilon = float(sec.get("epsilon", 0.05))
-    n_starts = int(sec.get("n_starts", 2))
+    d_list = _typed(sec, "d_list", [1], int, listed=True)
+    epsilon = _typed(sec, "epsilon", 0.05, float)
+    n_starts = _typed(sec, "n_starts", 2, int)
     rows = []
     for d in d_list:
         m = spec.index(d)
@@ -453,8 +466,8 @@ def cmd_ldp(cfg, seed, cells, out_dir):
     system = build_system(cfg)
     field = build_field(cfg, system)
     sec = cfg.get("ldp", {})
-    n_list = [int(n) for n in sec.get("n_list", [50, 100, 200])]
-    n_configs = int(sec.get("n_configs", 100))
+    n_list = _typed(sec, "n_list", [50, 100, 200], int, listed=True)
+    n_configs = _typed(sec, "n_configs", 100, int)
     eq = solve_equilibrium(system, field=field, cells=cells)
     rate = rate_function(eq.measure, field=field, equilibrium=eq)
     probe = quantile_energy_probe(eq.measure, n_list, field=field)
@@ -497,7 +510,7 @@ def cmd_bm(cfg, seed, cells, out_dir):
     system = build_system(cfg)
     base = build_base(cfg, system, cells)
     sec = cfg.get("bm", {})
-    degrees = [int(n) for n in sec.get("degrees", [4, 8, 16])]
+    degrees = _typed(sec, "degrees", [4, 8, 16], int, listed=True)
     rows = []
     for i, tau in enumerate(base):
         for n in degrees:
@@ -570,8 +583,8 @@ def run(argv=None):
         return 1
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else _integer(cfg, "seed", 0)
-        cells = args.grid if args.grid is not None else _integer(cfg, "grid", 400)
+        seed = args.seed if args.seed is not None else _typed(cfg, "seed", 0, int)
+        cells = args.grid if args.grid is not None else _typed(cfg, "grid", 400, int)
         if cells < 2:
             raise ConfigError("grid must be at least 2")
     except ConfigError as exc:

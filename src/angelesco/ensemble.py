@@ -4,8 +4,10 @@ The joint density of a configuration is proportional to the Boltzmann factor
 of the log interaction weight times the product of base-measure densities.
 Sampling is a systematic-scan Gibbs chain whose one-dimensional conditionals
 are drawn exactly by inverse CDF on a refined grid of G nodes (default 8x the
-base grid).  The chain keeps one running repulsion table per interval, so a
-coordinate update costs O(p G) whatever the number of points n.  Partition
+base grid).  The chain keeps one running repulsion table per interval and
+each point's own column of it (one n_i x G array per interval), so a
+coordinate update costs p grid-length logs, one ``exp`` and one ``cumsum``
+on reused arrays, O(p G) whatever the number of points n.  Partition
 integrals over the full product of blocks (prod(n_i!) times the ordered
 sector's) are one determinant at any n.  Tensor quadrature at small n stays
 as the determinant's oracle and for the deviation probability, an integral
@@ -172,21 +174,29 @@ def log_density_unnormalized(spec, d, X):
     return val
 
 
-def _draw_from_log_density(logp, left_edge, h, rng):
-    """Inverse-CDF draw from a piecewise-constant density given in log form."""
-    m = logp.max()
-    if not np.isfinite(m):
+def _draw_from_log_density(static, rest, left_edge, h, rng, work):
+    """Inverse-CDF draw from the piecewise-constant density exp(static + rest).
+
+    ``work`` is a pair of grid-length arrays: the first takes the log density
+    and then its exponential after max subtraction, the second the running
+    sum.  ``argmax`` and ``np.add.accumulate`` give the values of ``max``
+    (NaN included) and ``cumsum`` with less call overhead.
+    """
+    pr, cum = work
+    np.add(static, rest, out=pr)
+    m = pr.item(pr.argmax())
+    if not math.isfinite(m):
         raise DegenerateConditional("conditional density vanishes everywhere")
-    pr = np.exp(logp - m)
-    cum = np.cumsum(pr)
-    tot = cum[-1]
-    if not np.isfinite(tot) or tot <= 0:
+    np.subtract(pr, m, out=pr)
+    np.exp(pr, out=pr)
+    np.add.accumulate(pr, out=cum)
+    tot = cum.item(-1)
+    if not math.isfinite(tot) or tot <= 0:
         raise DegenerateConditional("conditional density has no mass")
     u = rng.random() * tot
-    idx = int(np.searchsorted(cum, u, side="right"))
-    idx = min(idx, pr.size - 1)
-    prev = cum[idx - 1] if idx > 0 else 0.0
-    frac = (u - prev) / pr[idx]
+    idx = min(int(cum.searchsorted(u, "right")), pr.size - 1)
+    prev = cum.item(idx - 1) if idx > 0 else 0.0
+    frac = (u - prev) / pr.item(idx)
     return left_edge + (idx + frac) * h
 
 
@@ -196,8 +206,12 @@ class _GibbsChain:
     On interval i's refined grid t the table holds
     T_i(t) = sum_j c_ij sum_k log|t - x_k^(j)|, with c_ii = 2 and c_ij = 1,
     so the repulsion felt by point k of block i is T_i - 2 log|t - x_k|.
-    An update costs p + 1 grid-length logs: one to take the old point out of
-    T_i, one to put the new one in, and one ratio column per other table.
+    Row k of ``columns[i]`` (one n_i x G array per interval) caches that
+    column log (t - x_k)^2, so taking the old point out of T_i is one
+    subtraction.  An update then costs p grid-length logs (the new point's
+    column, written into its row, and one ratio column per other table), one
+    ``exp`` and one ``cumsum``; ``work`` holds two grid-length arrays per
+    interval that the draw and the ratio columns reuse.
     """
 
     def __init__(self, spec, index, refine, rng):
@@ -215,16 +229,36 @@ class _GibbsChain:
                 self.grids.append(
                     (t, h, float(sys_.intervals[i][0]), static)
                 )
+        self.work = [(np.empty_like(g[0]), np.empty_like(g[0])) for g in self.grids]
         self.state = [
             np.array(
                 [
-                    _draw_from_log_density(g[3], g[2], g[1], self.rng)
+                    _draw_from_log_density(g[3], 0.0, g[2], g[1], self.rng, work)
                     for _ in range(n_i)
                 ]
             )
-            for g, n_i in zip(self.grids, index.counts)
+            for g, work, n_i in zip(self.grids, self.work, index.counts)
         ]
-        self.tables = [self._table(i) for i in range(sys_.p)]
+        self.columns = [
+            np.empty((n_i, g[0].size)) for g, n_i in zip(self.grids, index.counts)
+        ]
+        self._rebuild()
+
+    def _rebuild(self):
+        """Every point column and table from scratch, from ``state``."""
+        with np.errstate(divide="ignore"):
+            for i, block in enumerate(self.state):
+                for k, x in enumerate(block):
+                    self._column(i, k, x)
+            self.tables = [self._table(i) for i in range(len(self.grids))]
+
+    def _column(self, i, k, x):
+        """log (t - x)^2 = 2 log|t - x| into row k of ``columns[i]``."""
+        col = self.columns[i][k]
+        np.subtract(self.grids[i][0], x, out=col)
+        np.square(col, out=col)
+        np.log(col, out=col)
+        return col
 
     def _table(self, i, skip=-1):
         """T_i from scratch, leaving out point ``skip`` of block i."""
@@ -240,32 +274,28 @@ class _GibbsChain:
 
     def _update(self, i, k):
         """Redraw point k of block i; run under ``divide="ignore"``."""
-        t, h, a, static = self.grids[i]
+        _, h, a, static = self.grids[i]
         block = self.state[i]
-        x_old = block[k]
+        x_old = block.item(k)
+        col = self.columns[i][k]
         rest = self.tables[i]
-        col = np.subtract(t, x_old)  # 2 log|t - x| = log (t - x)^2
-        np.square(col, out=col)
-        np.log(col, out=col)
         # Only the node of the cell holding x_old can coincide with it; there
         # -inf - (-inf) would poison the table, so rebuild it instead.
-        if col[min(int((x_old - a) / h), col.size - 1)] == -np.inf:
-            rest = self._table(i, skip=k)
+        if col.item(min(int((x_old - a) / h), col.size - 1)) == -math.inf:
+            rest = self.tables[i] = self._table(i, skip=k)
         else:
             rest -= col
-        x_new = _draw_from_log_density(static + rest, a, h, self.rng)
+        x_new = _draw_from_log_density(static, rest, a, h, self.rng, self.work[i])
         block[k] = x_new
-        np.subtract(t, x_new, out=col)
-        np.square(col, out=col)
-        np.log(col, out=col)
-        rest += col
-        self.tables[i] = rest
+        rest += self._column(i, k, x_new)
         # The intervals are disjoint, so these ratios are positive and finite.
         for j, table in enumerate(self.tables):
             if j != i:
                 tj = self.grids[j][0]
-                ratio = tj - x_new
-                ratio /= tj - x_old
+                ratio, old = self.work[j]
+                np.subtract(tj, x_new, out=ratio)
+                np.subtract(tj, x_old, out=old)
+                ratio /= old
                 table += np.log(ratio, out=ratio)
 
     def sweep(self):

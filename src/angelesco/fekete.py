@@ -23,6 +23,7 @@ can gain more than ``tol`` jumps to the best node and Newton runs again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +54,15 @@ class FeketeTrendRow:
     distance_to_equilibrium: float
 
 
+@lru_cache(maxsize=8)
+def _upper_pairs(size):
+    """Read-only row and column indices of the strict upper triangle."""
+    pairs = np.triu_indices(size, k=1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def log_boltzmann(X, field=None, index=None):
     """Log interaction weight of a configuration; -inf on any collision.
 
@@ -68,8 +78,7 @@ def log_boltzmann(X, field=None, index=None):
     for i, b in enumerate(X.blocks):
         if b.size > 1:
             d = np.abs(b[:, None] - b[None, :])
-            iu = np.triu_indices(b.size, k=1)
-            gaps = d[iu]
+            gaps = d[_upper_pairs(b.size)]
             if np.any(gaps == 0.0):
                 return float("-inf")
             interaction += 2.0 * float(np.sum(np.log(gaps)))  # ordered pairs

@@ -72,6 +72,29 @@ class TestConfigValidation:
         assert run(["eqm", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: '%s'" % key)
 
+    @pytest.mark.parametrize(
+        "command, overrides, key",
+        [
+            ("eqm", {"eqm": {"tol": None}}, "tol"),
+            ("mop", {"mop": {"z_points": 5}}, "z_points"),
+            ("eqm", {"masses": 0.5}, "masses"),
+            ("sample", {"sample": {"n_samples": "many"}}, "n_samples"),
+            ("bm", {"bm": {"degrees": [4, None]}}, "degrees"),
+            ("sample", {"sequence": {"rule": "proportional", "start": [2]}}, "start"),
+        ],
+        ids=["eqm_tol_null", "mop_z_points_scalar", "masses_scalar",
+             "sample_n_samples_string", "bm_degree_null", "sequence_start_list"],
+    )
+    def test_wrongly_typed_value_exits_1(
+        self, tmp_path, capsys, command, overrides, key
+    ):
+        path = write_config(tmp_path, **overrides)
+        out = str(tmp_path / "out")
+        assert run([command, "--config", str(path), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: '%s' must be" % key)
+        assert "TypeError" not in err
+
     def test_digest_is_order_insensitive(self):
         a = {"schema_version": 1, "intervals": [[0.0, 1.0]]}
         b = {"intervals": [[0.0, 1.0]], "schema_version": 1}

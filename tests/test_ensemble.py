@@ -1,3 +1,4 @@
+import copy
 import csv
 import math
 
@@ -217,16 +218,18 @@ class TestGibbsSampling:
 
         rng = np.random.default_rng(0)
         logp = np.full(16, -np.inf)
+        work = (np.empty(16), np.empty(16))
         with pytest.raises(DegenerateConditional):
-            _draw_from_log_density(logp, 0.0, 1.0 / 16.0, rng)
+            _draw_from_log_density(logp, 0.0, 0.0, 1.0 / 16.0, rng, work)
 
     def test_nan_conditional_raises(self):
         from angelesco.ensemble import _draw_from_log_density
 
         rng = np.random.default_rng(0)
         logp = np.array([0.0, np.nan, -1.0])
+        work = (np.empty(3), np.empty(3))
         with pytest.raises(DegenerateConditional):
-            _draw_from_log_density(logp, 0.0, 0.25, rng)
+            _draw_from_log_density(logp, 0.0, 0.0, 0.25, rng, work)
 
 
 def _scratch_repulsion(chain, i, k):
@@ -254,12 +257,48 @@ def _record_draws(monkeypatch):
     seen = []
     real = ensemble._draw_from_log_density
 
-    def spy(logp, left_edge, h, rng):
-        seen.append(logp.copy())
-        return real(logp, left_edge, h, rng)
+    def spy(static, rest, left_edge, h, rng, work):
+        seen.append(static + rest)
+        return real(static, rest, left_edge, h, rng, work)
 
     monkeypatch.setattr(ensemble, "_draw_from_log_density", spy)
     return seen
+
+
+def _reference_draw(logp, left_edge, h, rng):
+    """Inverse-CDF draw with fresh arrays, in the chain's order of operations."""
+    m = logp.max()
+    pr = np.exp(logp - m)
+    cum = np.cumsum(pr)
+    u = rng.random() * cum[-1]
+    idx = min(int(np.searchsorted(cum, u, side="right")), pr.size - 1)
+    prev = cum[idx - 1] if idx > 0 else 0.0
+    return left_edge + (idx + (u - prev) / pr[idx]) * h
+
+
+def _reference_update(grids, state, tables, rng, i, k):
+    """Reference coordinate update on running tables: a fresh log of the old
+    point's column and fresh arrays everywhere, the chain's operations in the
+    chain's order, and a rebuild of T_i when the old point sits on a node."""
+    t, h, a, static = grids[i]
+    x_old = state[i][k]
+    col = np.log(np.square(t - x_old))
+    if col[min(int((x_old - a) / h), col.size - 1)] == -np.inf:
+        rest = np.zeros_like(t)
+        for j, block in enumerate(state):
+            c = 2.0 if j == i else 1.0
+            for kk, x in enumerate(block):
+                if j != i or kk != k:
+                    rest += c * np.log(np.abs(t - x))
+    else:
+        rest = tables[i] - col
+    x_new = _reference_draw(static + rest, a, h, rng)
+    state[i][k] = x_new
+    tables[i] = rest + np.log(np.square(t - x_new))
+    for j in range(len(tables)):
+        if j != i:
+            tj = grids[j][0]
+            tables[j] = tables[j] + np.log((tj - x_new) / (tj - x_old))
 
 
 class TestRepulsionTables:
@@ -280,7 +319,7 @@ class TestRepulsionTables:
         for i, block in enumerate(chain.state):
             a, b = system.intervals[i]
             block[:] = a + (b - a) * (np.arange(block.size) + 0.3137) / block.size
-        chain.tables = [chain._table(i) for i in range(system.p)]
+        chain._rebuild()
         seen = _record_draws(monkeypatch)
         for _ in range(3):
             for i, block in enumerate(chain.state):
@@ -294,7 +333,7 @@ class TestRepulsionTables:
         chain = _chain(two, (3, 2))
         t0 = chain.grids[0][0]
         chain.state[0][:] = [t0[10], t0[40], -1.3]
-        chain.tables = [chain._table(i) for i in range(2)]
+        chain._rebuild()
         assert np.isneginf(chain.tables[0][[10, 40]]).all()
         rebuilds = []
         real_table = chain._table
@@ -319,6 +358,48 @@ class TestRepulsionTables:
         for i in range(2):
             assert not np.isnan(chain.tables[i]).any()
             np.testing.assert_allclose(chain.tables[i], real_table(i), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "intervals, masses, counts",
+        [
+            (((0.0, 1.0),), (1.0,), (6,)),
+            (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5), (3, 4)),
+            (((-3.0, -2.0), (-1.0, 0.5), (1.0, 2.0)), (0.2, 0.5, 0.3), (2, 3, 2)),
+        ],
+    )
+    def test_update_matches_reference_bit_for_bit(self, intervals, masses, counts):
+        system = IntervalSystem(intervals, masses)
+        chain = _chain(system, counts, seed=5)
+        # two points of block 0 on grid nodes: their first update rebuilds
+        t0 = chain.grids[0][0]
+        chain.state[0][:2] = [t0[7], t0[200]]
+        chain._rebuild()
+        state = [b.copy() for b in chain.state]
+        tables = [tb.copy() for tb in chain.tables]
+        rng = copy.deepcopy(chain.rng)
+        with np.errstate(divide="ignore"):
+            for _ in range(4):
+                for i, block in enumerate(state):
+                    for k in range(block.size):
+                        chain._update(i, k)
+                        _reference_update(chain.grids, state, tables, rng, i, k)
+                        for j in range(system.p):
+                            assert np.array_equal(chain.state[j], state[j])
+                            assert np.array_equal(chain.tables[j], tables[j])
+        assert rng.random() == chain.rng.random()
+
+    def test_cached_columns_stay_exact(self, two):
+        chain = _chain(two, (5, 4), seed=2)
+        for _ in range(20):
+            chain.sweep()
+        with np.errstate(divide="ignore"):
+            for i, block in enumerate(chain.state):
+                t = chain.grids[i][0]
+                assert chain.columns[i].shape == (block.size, t.size)
+                for k, x in enumerate(block):
+                    assert np.array_equal(
+                        chain.columns[i][k], np.log(np.square(t - x))
+                    )
 
     def test_tables_do_not_drift(self, two):
         chain = _chain(two, (32, 32), cells=200, seed=3)

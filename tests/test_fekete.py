@@ -56,6 +56,21 @@ def test_collisions_and_index_mismatch(sym, two):
         log_boltzmann(Y, index=MultiIndex((2, 2)))
 
 
+def test_weight_sums_every_pair_once(two):
+    rng = np.random.default_rng(4)
+    a, b = np.sort(rng.uniform(-2.0, -1.0, 7)), np.sort(rng.uniform(1.0, 2.0, 5))
+
+    def within(x):
+        gaps = np.abs(x[:, None] - x[None, :])[np.triu_indices(x.size, k=1)]
+        return 2.0 * float(np.sum(np.log(gaps)))
+
+    across = float(np.sum(np.log(np.abs(b[:, None] - a[None, :]))))
+    X = Configuration(two, (a, b))
+    # the second call reuses the memoized index pairs
+    for _ in range(2):
+        assert log_boltzmann(X) == within(a) + across + within(b)
+
+
 def test_forty_points_reproduce_frozen_weight(sym):
     seq = MultiIndexSequence.proportional((1.0,), start=1, step=1)
     res = fekete_points(sym, seq(40), n_starts=2, seed=0)
