@@ -42,9 +42,12 @@ def measure(src):
     sys.path.insert(0, os.path.abspath(src))
     import numpy as np
 
-    from angelesco import acceptance
+    from angelesco import acceptance, ensemble
     from angelesco.core import IntervalSystem, MultiIndex, MultiIndexSequence
     from angelesco.ensemble import BaseMeasure, EnsembleSpec, _GibbsChain
+
+    # Trees without ensemble.REFINE take the refinement factor as an argument.
+    refine = () if hasattr(ensemble, "REFINE") else (8,)
 
     update_us, state_sha = {}, {}
     for label, (intervals, cells, counts) in SHAPES.items():
@@ -53,7 +56,7 @@ def measure(src):
         base = tuple(BaseMeasure.lebesgue(system, i, cells) for i in range(p))
         seq = MultiIndexSequence.proportional(system.r, start=p, step=p)
         spec = EnsembleSpec(system, None, base, seq)
-        chain = _GibbsChain(spec, MultiIndex(counts), 8, np.random.default_rng(0))
+        chain = _GibbsChain(spec, MultiIndex(counts), *refine, np.random.default_rng(0))
         chain.sweep()  # warm-up
         n = sum(counts)
         sweeps = max(UPDATES // n, 2)

@@ -115,17 +115,25 @@ def load_config(path):
 _KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers")}
 
 
+def _number(value, kind):
+    """``kind(value)``, but TypeError for a bool (true is 1 to Python) and for
+    a float given as an int (``int`` would truncate 1.9 to 1)."""
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+        raise TypeError("%r is not %s" % (value, _KIND_NAMES[kind][0]))
+    return kind(value)
+
+
 def _typed(cfg, key, default, kind, listed=False):
     """``kind(cfg[key])``, or a list of those if ``listed``; else ConfigError.
 
-    An absent key gives ``default``, converted the same way.
+    An absent key gives ``default``, converted the same way (``_number``).
     """
     value = cfg.get(key, default)
     try:
         if not listed:
-            return kind(value)
+            return _number(value, kind)
         if isinstance(value, list):
-            return [kind(v) for v in value]
+            return [_number(v, kind) for v in value]
     except (TypeError, ValueError, OverflowError):
         pass
     one, many = _KIND_NAMES[kind]
@@ -138,7 +146,7 @@ def build_system(cfg):
     if not isinstance(intervals, list) or not intervals:
         raise ConfigError("'intervals' must be a non-empty list of [a, b]")
     try:
-        pairs = tuple((float(a), float(b)) for a, b in intervals)
+        pairs = tuple((_number(a, float), _number(b, float)) for a, b in intervals)
     except (TypeError, ValueError):
         raise ConfigError("'intervals' entries must be [a, b] number pairs")
     masses = cfg.get("masses")
@@ -147,7 +155,7 @@ def build_system(cfg):
     if not isinstance(masses, list) or len(masses) != len(pairs):
         raise ConfigError("'masses' must be a list as long as 'intervals'")
     try:
-        return IntervalSystem(pairs, tuple(float(r) for r in masses))
+        return IntervalSystem(pairs, tuple(_number(r, float) for r in masses))
     except (TypeError, ValueError) as exc:
         raise ConfigError("invalid interval system: %s" % exc)
 
@@ -248,7 +256,7 @@ def build_sequence(cfg, system):
             raise ConfigError("explicit sequence needs 'indices'")
         try:
             return MultiIndexSequence.explicit(
-                tuple(tuple(int(c) for c in row) for row in indices)
+                tuple(tuple(_number(c, int) for c in row) for row in indices)
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError("invalid explicit sequence: %s" % exc)

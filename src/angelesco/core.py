@@ -85,15 +85,15 @@ class IntervalSystem:
         a, b = self.intervals[i]
         return np.linspace(a, b, cells + 1)
 
-    def contains(self, i, x, slack=ENDPOINT_SLACK):
+    def contains(self, i, x):
         a, b = self.intervals[i]
         x = np.asarray(x)
-        return (x >= a - slack) & (x <= b + slack)
+        return (x >= a - ENDPOINT_SLACK) & (x <= b + ENDPOINT_SLACK)
 
-    def locate(self, x, slack=ENDPOINT_SLACK):
+    def locate(self, x):
         """Index of the interval containing scalar x, or -1."""
         for i, (a, b) in enumerate(self.intervals):
-            if a - slack <= x <= b + slack:
+            if a - ENDPOINT_SLACK <= x <= b + ENDPOINT_SLACK:
                 return i
         return -1
 
@@ -310,7 +310,6 @@ class MultiIndexSequence:
 
     fn: object
     slack: float = None  # default p + 1, set in __post_init__
-    description: str = "custom"
 
     def __post_init__(self):
         if self.slack is None:
@@ -335,9 +334,7 @@ class MultiIndexSequence:
         if start < p or step < 1:
             raise ValueError("need start >= p and step >= 1")
         return cls(
-            fn=lambda d: apportion(start + step * (d - 1), r),
-            slack=float(p + 1),
-            description=f"proportional(start={start}, step={step})",
+            fn=lambda d: apportion(start + step * (d - 1), r), slack=float(p + 1)
         )
 
     @classmethod
@@ -351,7 +348,7 @@ class MultiIndexSequence:
 
         if slack is None:
             slack = float(max(m.total for m in ms) + 1)
-        return cls(fn=fn, slack=slack, description=f"explicit({len(ms)} entries)")
+        return cls(fn=fn, slack=slack)
 
     def check_limit(self, r, d_range):
         """Raise if any prefix entry drifts beyond the declared schedule."""

@@ -3,8 +3,8 @@
 The joint density of a configuration is proportional to the Boltzmann factor
 of the log interaction weight times the product of base-measure densities.
 Sampling is a systematic-scan Gibbs chain whose one-dimensional conditionals
-are drawn exactly by inverse CDF on a refined grid of G nodes (default 8x the
-base grid).  The chain keeps one running repulsion table per interval and
+are drawn exactly by inverse CDF on a refined grid of G nodes, 8x (``REFINE``)
+the base grid.  The chain keeps one running repulsion table per interval and
 each point's own column of it (one n_i x G array per interval), so a
 coordinate update costs p grid-length logs, one ``exp`` and one ``cumsum``
 on reused arrays, O(p G) whatever the number of points n.  Partition
@@ -36,6 +36,11 @@ from .fekete import log_boltzmann
 from .ldp import _orthonormal, growth_constant
 
 TENSOR_MAX_POINTS = 5
+# Nodes of the whole tensor-quadrature grid, shared out per dimension.
+TENSOR_BUDGET = 2 ** 25
+# Cells of a base measure's refined grid per cell of its own: the one grid of
+# the Gibbs conditionals, log Z, the MOP, Heine's check and the growth constants.
+REFINE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,10 +83,10 @@ class BaseMeasure:
     def density_at(self, x):
         return np.interp(x, self.nodes, self.values)
 
-    def refined(self, refine=8):
-        """Midpoint grid with ``refine`` times the cells, values interpolated."""
+    def refined(self):
+        """Midpoint grid with ``REFINE`` times the cells, values interpolated."""
         i = self.interval_index
-        cells = self.cells * refine
+        cells = self.cells * REFINE
         t = self.system.grid_nodes(i, cells)
         return t, self.system.cell_width(i, cells), self.density_at(t)
 
@@ -214,7 +219,7 @@ class _GibbsChain:
     interval that the draw and the ratio columns reuse.
     """
 
-    def __init__(self, spec, index, refine, rng):
+    def __init__(self, spec, index, rng):
         self.spec = spec
         self.index = index
         self.rng = rng
@@ -223,7 +228,7 @@ class _GibbsChain:
         self.grids = []
         with np.errstate(divide="ignore"):
             for i in range(sys_.p):
-                t, h, w = spec.base[i].refined(refine)
+                t, h, w = spec.base[i].refined()
                 static = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
                 static = static - 2.0 * self.n * spec.field(i, t)
                 self.grids.append(
@@ -310,9 +315,7 @@ class _GibbsChain:
         )
 
 
-def gibbs_sample(
-    spec, d, n_samples, burn_in=50, thin=5, seed=0, refine=8
-):
+def gibbs_sample(spec, d, n_samples, burn_in=50, thin=5, seed=0):
     """Systematic-scan Gibbs samples of the ensemble at multi-index d.
 
     Each one-dimensional conditional is sampled exactly by inverse CDF on
@@ -320,7 +323,7 @@ def gibbs_sample(
     subtraction.  Deterministic for fixed (spec, d, seed).
     """
     m = spec.index(d)
-    chain = _GibbsChain(spec, m, refine, np.random.default_rng(seed))
+    chain = _GibbsChain(spec, m, np.random.default_rng(seed))
     for _ in range(burn_in):
         chain.sweep()
     out = []
@@ -339,7 +342,7 @@ def gibbs_sample(
     )
 
 
-def _tensor_axes(spec, m, budget, refine):
+def _tensor_axes(spec, m):
     """Per-coordinate (interval, nodes, base weights, field factors).
 
     The field factor exp(-2 n Q_i) belongs to the interaction amplitude,
@@ -351,11 +354,11 @@ def _tensor_axes(spec, m, budget, refine):
             f"tensor quadrature supports at most {TENSOR_MAX_POINTS} points, "
             f"got {n}"
         )
-    per_dim = max(int(budget ** (1.0 / n)), 8)
+    per_dim = int(TENSOR_BUDGET ** (1.0 / n))
     axes = []
     for i, n_i in enumerate(m.counts):
         base = spec.base[i]
-        g = min(refine * base.cells, per_dim)
+        g = min(REFINE * base.cells, per_dim)
         t = spec.system.grid_nodes(i, g)
         h = spec.system.cell_width(i, g)
         w = base.density_at(t) * h
@@ -365,36 +368,29 @@ def _tensor_axes(spec, m, budget, refine):
     return axes
 
 
-def _tensor_reduce(spec, d, budget=2 ** 25, refine=8, threshold=None):
+def _tensor_reduce(spec, d, threshold=None):
     """Accumulate tensor-quadrature integrals of the joint density.
 
     Returns (z_full, below): the integral of the unnormalized density and
     its integral restricted to {interaction weight <= threshold}.
     """
     m = spec.index(d)
-    axes = _tensor_axes(spec, m, budget, refine)
+    axes = _tensor_axes(spec, m)
     n = len(axes)
     block_of = [a[0] for a in axes]
+    # Axis 0 is the python loop; the others span an open mesh.
+    (_, t0, w0, ff0), inner = axes[0], axes[1:]
+    xs, ws, ffs = (np.ix_(*(a[k] for a in inner)) for k in (1, 2, 3))
 
-    def shaped(arr, axis):
-        shape = [1] * (n - 1)
-        if axis > 0:
-            shape[axis - 1] = arr.size
-            return arr.reshape(shape)
-        return arr  # axis 0 is the python loop
-
-    z_full = 0.0
-    below = 0.0
-    t0, w0, ff0 = axes[0][1], axes[0][2], axes[0][3]
-    inner = axes[1:]
+    z_full = below = 0.0
     for i0 in range(t0.size):
-        x = [np.asarray(t0[i0])] + [shaped(a[1], ax + 1) for ax, a in enumerate(inner)]
+        x = [np.asarray(t0[i0]), *xs]
         wgt = w0[i0]
-        for ax, a in enumerate(inner):
-            wgt = wgt * shaped(a[2], ax + 1)
+        for w in ws:
+            wgt = wgt * w
         amp = np.asarray(ff0[i0])
-        for ax, a in enumerate(inner):
-            amp = amp * shaped(a[3], ax + 1)
+        for ff in ffs:
+            amp = amp * ff
         for a_idx in range(n):
             for b_idx in range(a_idx + 1, n):
                 diff = np.abs(x[b_idx] - x[a_idx])
@@ -422,13 +418,14 @@ def _log_sector_factor(index):
     return float(sum(math.lgamma(n_i + 1) for n_i in index.counts))
 
 
-def partition_function_quadrature(spec, d, budget=2 ** 25, refine=8):
+def partition_function_quadrature(spec, d):
     """log of the partition integral over the full product of blocks.
 
-    Nodes per dimension shrink with the point count to keep the tensor under
-    ``budget`` points; more than 5 points raises DimensionTooLarge.
+    Nodes per dimension, at most the refined grid's, shrink with the point
+    count to keep the tensor under ``TENSOR_BUDGET`` points; more than
+    ``TENSOR_MAX_POINTS`` points raises DimensionTooLarge.
     """
-    z_full, _ = _tensor_reduce(spec, d, budget, refine)
+    z_full, _ = _tensor_reduce(spec, d)
     return float(np.log(z_full))
 
 
@@ -445,7 +442,7 @@ def _projection_matrix(spec, index, n_field=0):
     center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
     grids, log_det = [], 0.0
     for j, n_j in enumerate(index.counts):
-        t, h, w = spec.base[j].refined(8)
+        t, h, w = spec.base[j].refined()
         expo = -2.0 * n_field * spec.field(j, t)
         w = w * h * np.exp(expo - expo.max())
         grids.append((t[w > 0], w[w > 0]))
@@ -522,16 +519,7 @@ class DeviationReport:
 
 
 def johansson_probability(
-    spec,
-    d,
-    eta,
-    mode="auto",
-    budget=2 ** 25,
-    refine=8,
-    samples=400,
-    burn_in=50,
-    thin=5,
-    seed=0,
+    spec, d, eta, mode="auto", samples=400, burn_in=50, thin=5, seed=0,
     equilibrium=None,
 ):
     """Probability that the interaction weight per n^2 falls eta short.
@@ -555,9 +543,7 @@ def johansson_probability(
         mode = "quadrature" if n <= TENSOR_MAX_POINTS - 1 else "mc"
     if mode == "quadrature":
         thr_lin = thr ** (n * n) if thr > 0 else -1.0
-        z_full, below = _tensor_reduce(
-            spec, d, budget, refine, threshold=thr_lin
-        )
+        z_full, below = _tensor_reduce(spec, d, threshold=thr_lin)
         z_sector = z_full / sector_factor(m)
         root = float(z_sector ** (1.0 / (n * n)))
         premise = root >= delta - eta / 4.0
@@ -599,15 +585,8 @@ class ConvergenceRow:
 
 
 def convergence_experiment(
-    spec,
-    d_list,
-    samples_per_d=30,
-    burn_in=50,
-    thin=5,
-    seed=0,
-    refine=8,
-    equilibrium=None,
-    out_csv=None,
+    spec, d_list, samples_per_d=30, burn_in=50, thin=5, seed=0,
+    equilibrium=None, out_csv=None,
 ):
     """Mean/concentration of the counting-measure distance to equilibrium.
 
@@ -620,10 +599,8 @@ def convergence_experiment(
     seeds = np.random.SeedSequence(seed).spawn(len(d_list))
     rows = []
     for d, s in zip(d_list, seeds):
-        batch = gibbs_sample(
-            spec, d, samples_per_d, burn_in, thin,
-            seed=int(s.generate_state(1)[0]), refine=refine,
-        )
+        seed_d = int(s.generate_state(1)[0])
+        batch = gibbs_sample(spec, d, samples_per_d, burn_in, thin, seed_d)
         dists = np.array(
             [
                 weak_star_distance(

@@ -117,7 +117,7 @@ def _orthonormal(t, w, degree, center, scale):
     return vals, log_lead, coef
 
 
-def _kernel_profile(tau, degree, field=None, weight_scale=0, refine=8):
+def _kernel_profile(tau, degree, field=None, weight_scale=0):
     """Cumulative Christoffel kernel sups for degrees 0..degree.
 
     Running sums of squared orthonormal polynomials of the refined,
@@ -126,7 +126,7 @@ def _kernel_profile(tau, degree, field=None, weight_scale=0, refine=8):
     the measure and the kernel diagonal by exp(-2 scale Q).
     """
     i = tau.interval_index
-    t, h, w = tau.refined(refine)
+    t, h, w = tau.refined()
     factor = np.exp(-2.0 * weight_scale * as_field(field, tau.system.p)(i, t))
     w = w * h * factor
     a, b = tau.system.intervals[i]
@@ -134,7 +134,7 @@ def _kernel_profile(tau, degree, field=None, weight_scale=0, refine=8):
     return np.max(np.cumsum(vals * vals, axis=0) * factor, axis=1)
 
 
-def bm_constant(tau, degree, field=None, weight_scale=0, refine=8):
+def bm_constant(tau, degree, field=None, weight_scale=0):
     """Christoffel-kernel growth estimate for one base measure.
 
     ``beta`` is the sup over the interval of the degree-``degree`` kernel
@@ -142,7 +142,7 @@ def bm_constant(tau, degree, field=None, weight_scale=0, refine=8):
     (2 degree)-th root.  Roots tending to 1 certify subexponential sup
     growth; roots bounded away from 1 expose a support defect.
     """
-    sups = _kernel_profile(tau, degree, field, weight_scale, refine)
+    sups = _kernel_profile(tau, degree, field, weight_scale)
     beta = float(sups[degree])
     root = float(beta ** (1.0 / (2 * degree))) if degree > 0 else 1.0
     return BMEstimate(degree=degree, beta=beta, root=root)

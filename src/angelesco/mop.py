@@ -43,11 +43,11 @@ class MonicPolynomial:
         full = np.concatenate((self.coefficients, [1.0]))
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), full)
 
-    def real_roots(self, system, cells=4000):
-        """Sign-change bisection on each interval; diagnostics only."""
+    def real_roots(self, system):
+        """Sign-change bisection on a 4,000-node scan per interval; diagnostics only."""
         roots = []
         for i in range(system.p):
-            xs = np.linspace(*system.intervals[i], cells)
+            xs = np.linspace(*system.intervals[i], 4000)
             vals = self(xs)
             sign = np.sign(vals)
             for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
@@ -62,9 +62,9 @@ class MonicPolynomial:
         return np.array(roots)
 
 
-def moments(tau, k_max, refine=8, center=0.0, scale=1.0):
+def moments(tau, k_max, center=0.0, scale=1.0):
     """Moments int ((x - center)/scale)^k w(x) dx, k = 0..k_max, refined grid."""
-    t, h, w = tau.refined(refine)
+    t, h, w = tau.refined()
     s = (t - center) / scale
     out = np.empty(k_max + 1)
     powers = np.ones_like(s)
@@ -97,7 +97,7 @@ def solve_mop(spec, index):
     worst = 0.0
     scale_ref = 1.0
     for j, n_j in enumerate(index.counts):
-        t, h, w = spec.base[j].refined(8)
+        t, h, w = spec.base[j].refined()
         pv = poly(t)
         scale_ref = max(scale_ref, float(np.max(np.abs(moments(spec.base[j], 2 * n)))))
         for k in range(n_j):
@@ -175,7 +175,7 @@ def _identity_rows(spec, d, poly, z_points, mode="auto", samples=400,
         # _tensor_axes's layout on P's own grids; the field factor is 1.
         axes = []
         for i, n_i in enumerate(spec.index(d).counts):
-            t, h, w = spec.base[i].refined(8)
+            t, h, w = spec.base[i].refined()
             axes += [(i, t, w * h, 1.0)] * n_i
         sign, log_a, cond = _pairing_slogdet(spec.system, axes)
         if cond * np.finfo(float).eps < 1e-6:

@@ -51,7 +51,7 @@ def moment_system():
             ctx.prec = digits
             rows = []
             for j, n_j in enumerate(counts):
-                t, h, w = spec.base[j].refined(8)
+                t, h, w = spec.base[j].refined()
                 w = w * h * np.exp(-2.0 * n_field * spec.field(j, t))
                 ts = [decimal.Decimal(float(x)) for x in t]
                 powers = [decimal.Decimal(float(x)) for x in w]

@@ -81,9 +81,15 @@ class TestConfigValidation:
             ("sample", {"sample": {"n_samples": "many"}}, "n_samples"),
             ("bm", {"bm": {"degrees": [4, None]}}, "degrees"),
             ("sample", {"sequence": {"rule": "proportional", "start": [2]}}, "start"),
+            # int() would take 1.9 and true for 1, float() true for 1.0.
+            ("sample", {"sample": {"d": 1.9}}, "d"),
+            ("sample", {"sample": {"d": True}}, "d"),
+            ("eqm", {"eqm": {"tol": True}}, "tol"),
+            ("bm", {"bm": {"degrees": [4, 8.5]}}, "degrees"),
         ],
         ids=["eqm_tol_null", "mop_z_points_scalar", "masses_scalar",
-             "sample_n_samples_string", "bm_degree_null", "sequence_start_list"],
+             "sample_n_samples_string", "bm_degree_null", "sequence_start_list",
+             "sample_d_float", "sample_d_bool", "eqm_tol_bool", "bm_degree_float"],
     )
     def test_wrongly_typed_value_exits_1(
         self, tmp_path, capsys, command, overrides, key
@@ -94,6 +100,23 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: '%s' must be" % key)
         assert "TypeError" not in err
+
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            ("sample", {"sequence": {"rule": "explicit", "indices": [[1, 1.5]]}},
+             "invalid explicit sequence: 1.5 is not an integer"),
+            ("eqm", {"intervals": [[False, True]], "masses": [1.0]},
+             "'intervals' entries must be [a, b] number pairs"),
+        ],
+        ids=["sequence_index_float", "interval_bool"],
+    )
+    def test_wrongly_typed_list_entry_exits_1(
+        self, tmp_path, capsys, command, overrides, message
+    ):
+        path = write_config(tmp_path, **overrides)
+        assert run([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     def test_digest_is_order_insensitive(self):
         a = {"schema_version": 1, "intervals": [[0.0, 1.0]]}

@@ -60,10 +60,13 @@ class TestIntervalSystem:
         assert two.contains(0, -2.0)
         assert not two.contains(0, 1.5)
         assert two.contains(1, 2.0 + 5e-13)
+        assert not two.contains(1, 2.0 + 1e-11)
         assert np.all(two.contains(0, np.array([-2.0, -1.3, -1.0])))
         assert two.locate(-1.5) == 0
         assert two.locate(1.5) == 1
         assert two.locate(0.0) == -1
+        assert two.locate(2.0 + 5e-13) == 1
+        assert two.locate(2.0 + 1e-11) == -1
 
 
 class TestGridMeasure:

@@ -11,15 +11,18 @@ from angelesco import (
     ExternalField,
     GridMeasure,
     IntervalSystem,
+    MonicPolynomial,
     MultiIndex,
     MultiIndexSequence,
     VectorMeasure,
+    bm_constant,
     convergence_experiment,
     counting_measure,
     fekete_points,
     gibbs_sample,
     johansson_probability,
     log_density_unnormalized,
+    moments,
     partition_function_bounds,
     partition_function_quadrature,
     solve_equilibrium,
@@ -74,7 +77,7 @@ class TestBaseMeasure:
         assert tau.total_mass == pytest.approx(1.0)
         assert np.allclose(tau.values, 1.0)
         assert tau.density_at(0.37) == pytest.approx(1.0)
-        nodes, h, values = tau.refined(8)
+        nodes, h, values = tau.refined()
         assert nodes.size == 800
         assert float(np.sum(values) * h) == pytest.approx(1.0, abs=1e-9)
 
@@ -249,7 +252,7 @@ def _chain(system, counts, cells=50, seed=0):
     base = tuple(BaseMeasure.lebesgue(system, i, cells) for i in range(system.p))
     seq = MultiIndexSequence.proportional(system.r, start=system.p, step=system.p)
     spec = EnsembleSpec(system, None, base, seq)
-    return _GibbsChain(spec, MultiIndex(counts), 8, np.random.default_rng(seed))
+    return _GibbsChain(spec, MultiIndex(counts), np.random.default_rng(seed))
 
 
 def _record_draws(monkeypatch):
@@ -651,3 +654,29 @@ def test_convergence_experiment_csv(tmp_path, two, coarse_spec):
     assert lines[0] == ["d", "total_points", "mean_distance", "std_distance"]
     assert len(lines) == 3
     assert int(lines[2][1]) == 8
+
+
+# The refined grid, the tensor budget, the root scan and the endpoint slack
+# are module constants, not keywords.
+REMOVED_KEYWORDS = {
+    "refined_refine": lambda s: s.base[0].refined(refine=8),
+    "gibbs_sample_refine": lambda s: gibbs_sample(s, 1, 1, refine=8),
+    "johansson_refine": lambda s: johansson_probability(s, 1, 0.1, refine=8),
+    "johansson_budget": lambda s: johansson_probability(s, 1, 0.1, budget=2 ** 25),
+    "convergence_refine": lambda s: convergence_experiment(s, [1], refine=8),
+    "quadrature_refine": lambda s: partition_function_quadrature(s, 1, refine=8),
+    "quadrature_budget": lambda s: partition_function_quadrature(s, 1, budget=2 ** 25),
+    "bm_constant_refine": lambda s: bm_constant(s.base[0], 4, refine=8),
+    "moments_refine": lambda s: moments(s.base[0], 4, refine=8),
+    "real_roots_cells": lambda s: MonicPolynomial(1, [0.0]).real_roots(
+        s.system, cells=9
+    ),
+    "contains_slack": lambda s: s.system.contains(0, -1.5, slack=0.1),
+    "locate_slack": lambda s: s.system.locate(-1.5, slack=0.1),
+}
+
+
+@pytest.mark.parametrize("call", REMOVED_KEYWORDS.values(), ids=REMOVED_KEYWORDS)
+def test_removed_keywords_raise(coarse_spec, call):
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        call(coarse_spec)

@@ -124,7 +124,7 @@ class TestNormRatios:
         # N refined midpoints: t p_k = b_{k+1} p_{k+1} + b_k p_{k-1} with
         # b_k^2 = k^2 (1 - k^2/N^2) / (4 k^2 - 1) (Gram polynomials).
         tau = BaseMeasure.lebesgue(sym, 0)
-        t, _, _ = tau.refined(8)
+        t, _, _ = tau.refined()
         prev, cur, b = np.zeros_like(t), np.ones_like(t), 0.0
         kernel = cur * cur
         for k in range(1, degree + 1):

@@ -12,7 +12,6 @@ from angelesco import (
     moments,
     solve_mop,
 )
-from angelesco.ensemble import _tensor_axes
 from angelesco.errors import IllConditionedSystem
 from angelesco.mop import _pairing_slogdet
 
@@ -106,7 +105,7 @@ class TestSolve:
     def test_orthogonality_conditions(self, pair_spec):
         poly = solve_mop(pair_spec, MultiIndex((1, 1)))
         for i in range(2):
-            nodes, h, values = pair_spec.base[i].refined(8)
+            nodes, h, values = pair_spec.base[i].refined()
             resid = float(np.sum(poly(nodes) * values) * h)
             assert abs(resid) < 1e-6
 
@@ -189,15 +188,27 @@ def _heine_spec(intervals, counts, power):
     return EnsembleSpec(system, None, base, MultiIndexSequence.explicit([counts]))
 
 
-def _tensor_heine(spec, zs, budget):
+def _oracle_axes(spec):
+    """One (interval, nodes, weights, field factor) per point, as laid out by
+    ``_tensor_axes``, on grids of max(int(4096 ** (1 / n)), 8) midpoints: a
+    tensor of about 2**12 nodes.  The Heine specs have no field.
+    """
+    m = spec.index(1)
+    g = max(int((2 ** 12) ** (1.0 / m.total)), 8)
+    axes = []
+    for i, n_i in enumerate(m.counts):
+        t = spec.system.grid_nodes(i, g)
+        w = spec.base[i].density_at(t) * spec.system.cell_width(i, g)
+        axes += [(i, t, w, 1.0)] * n_i
+    return axes
+
+
+def _tensor_heine(axes, zs):
     """E prod_k (z - x_k) by summing the joint density node by node.
 
     The density is prod_a w ff (x_a) prod_{a<b} |x_b - x_a|, squared within
-    a block, on the axes of ``_tensor_axes`` (n >= 2); the first axis is a
-    loop.
+    a block, on ``axes`` (n >= 2); the first axis is a loop.
     """
-    m = spec.index(1)
-    axes = _tensor_axes(spec, m, budget, 8)
     n = len(axes)
     zs = np.asarray(zs, dtype=float)
     total, moments = 0.0, np.zeros(zs.size)
@@ -227,13 +238,13 @@ class TestHeineDeterminant:
     def test_matches_the_tensor_sum(self):
         for name, (intervals, counts, power, zs) in HEINE_CASES.items():
             spec = _heine_spec(intervals, counts, power)
-            axes = _tensor_axes(spec, spec.index(1), 2 ** 12, 8)
+            axes = _oracle_axes(spec)
             sign, log_a, _ = _pairing_slogdet(spec.system, axes)
             got = []
             for z in zs:
                 sign_z, log_b, _ = _pairing_slogdet(spec.system, axes, z)
                 got.append(sign * sign_z * np.exp(log_b - log_a))
-            exact = _tensor_heine(spec, zs, 2 ** 12)
+            exact = _tensor_heine(axes, zs)
             np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0, err_msg=name)
 
     def test_quadrature_raises_when_ill_conditioned(self):
