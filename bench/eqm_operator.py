@@ -1,13 +1,18 @@
 """Equilibrium kernel and solver cost, before and after a change, as a BENCH_*.json file.
 
-    python3 bench/eqm_operator.py --before OLD/src --after src --out BENCH_12.json
+    python3 bench/eqm_operator.py --before OLD/src --after src --out BENCH_16.json
 
 Each source tree is measured in fresh interpreters, alternating the two trees
 so that both see the same machine drift.  One measurement records, for the
 zero-field problem on [-2, -1] u [1, 2] and on a three-interval layout with
 gaps 0.01, at M = 400, 800, 1600, 3200 cells per interval:
 
-- ``assembly_s``: ``energy.system_kernel`` on an empty cache;
+- ``assembly_s``: ``energy.system_kernel`` on an empty cache; for a tree that
+  builds its cross blocks by adaptive cross approximation
+  (``energy._cross_factors``), split into ``aca_s`` (the steps and the
+  recompression) and ``certificate_s`` (``energy._entry_error``, the
+  streamed entrywise check), summed over the cross blocks and also given per
+  block; null for a tree without them;
 - ``apply_s``: one kernel apply (partial potentials at all pM nodes), the
   median of 21 after a warm-up; for a tree whose ``system_kernel`` returns
   the dense (pM)^2 matrix this is (1/2)(K w + blockdiag(K) w);
@@ -15,8 +20,9 @@ gaps 0.01, at M = 400, 800, 1600, 3200 cells per interval:
   with its iteration count, energy, kernel applies (``KernelOperator.apply``
   counted; null for a tree without that class) and line-search trials per
   iteration, (applies - 1) / iterations;
-- ``certificates``: rank, largest entry error and sketch size of each
-  low-rank cross block, where the tree has them.
+- ``certificates``: rank, largest entry error and ACA ``steps`` of each
+  low-rank cross block (``sketch`` size for a tree with the randomized
+  sketch), where the tree has them.
 
 Three-interval sizes above ``--before-max-cells`` are skipped for the
 ``before`` tree, whose dense kernel there needs 8 (3M)^2 bytes.
@@ -28,7 +34,8 @@ cap is kept with ``capped`` true, its best residual and its cost.
 
 It also times three grid-400 solves on three two-interval systems, first on
 a quiet machine and then beside one busy process (a pure-Python loop) that
-competes for the cores.
+competes for the cores: wall time ``s`` and process CPU time ``cpu_s``.  CPU
+time well above wall time means a second BLAS thread is spinning.
 
 The file keeps every repeat and the median per tree.
 """
@@ -103,6 +110,41 @@ def measure(src, max_p3):
             "trials_per_iteration": (n - 1) / sol.iterations if n and sol.iterations else None,
         }
 
+    factors = getattr(energy, "_cross_factors", None)
+
+    def assemble(system, m):
+        """system_kernel on an empty cache, with (aca_s, certificate_s) per
+        cross block where the tree has ``_cross_factors``."""
+        system_kernel.cache_clear()
+        blocks = []
+        if factors is None:
+            t0 = time.perf_counter()
+            return system_kernel(system, m), time.perf_counter() - t0, None
+        plain_error = energy._entry_error
+        checked = [0.0]
+
+        def timed_error(*args):
+            t0 = time.perf_counter()
+            try:
+                return plain_error(*args)
+            finally:
+                checked[0] += time.perf_counter() - t0
+
+        def timed_factors(*args):
+            checked[0] = 0.0
+            t0 = time.perf_counter()
+            out = factors(*args)
+            blocks.append((time.perf_counter() - t0 - checked[0], checked[0]))
+            return out
+
+        energy._cross_factors, energy._entry_error = timed_factors, timed_error
+        try:
+            t0 = time.perf_counter()
+            kernel = system_kernel(system, m)
+            return kernel, time.perf_counter() - t0, blocks
+        finally:
+            energy._cross_factors, energy._entry_error = factors, plain_error
+
     def applier(kernel, p, m):
         if hasattr(kernel, "apply"):
             return kernel.apply
@@ -123,10 +165,7 @@ def measure(src, max_p3):
         for m in SIZES:
             if system.p > 2 and m > max_p3:
                 continue
-            system_kernel.cache_clear()
-            t0 = time.perf_counter()
-            kernel = system_kernel(system, m)
-            assembly = time.perf_counter() - t0
+            kernel, assembly, blocks = assemble(system, m)
             apply = applier(kernel, system.p, m)
             w = np.random.default_rng(0).random(system.p * m)
             apply(w)
@@ -136,12 +175,19 @@ def measure(src, max_p3):
                 apply(w)
                 ticks.append(time.perf_counter() - t0)
             certificates = {
-                "%d,%d" % key: {"rank": rank, "error": err, "sketch": sketch}
-                for key, (rank, err, sketch) in getattr(kernel, "certificates", {}).items()
+                "%d,%d" % key: {"rank": rank, "error": err,
+                                ("sketch" if blocks is None else "steps"): third}
+                for key, (rank, err, third) in getattr(kernel, "certificates", {}).items()
             }
+            split = {"aca_s": None, "certificate_s": None}
+            if blocks is not None:
+                for cert, (aca, check) in zip(certificates.values(), blocks):
+                    cert.update(aca_s=aca, certificate_s=check)
+                split = {"aca_s": sum(b[0] for b in blocks),
+                         "certificate_s": sum(b[1] for b in blocks)}
             del kernel, apply
             out["%s_M%d" % (name, m)] = {
-                "assembly_s": assembly, "apply_s": statistics.median(ticks),
+                "assembly_s": assembly, **split, "apply_s": statistics.median(ticks),
                 **solve(system, m), "certificates": certificates,
             }
     for tol in TIGHT_TOLS:
@@ -153,16 +199,16 @@ def measure(src, max_p3):
 
     def three_solves():
         system_kernel.cache_clear()
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         for intervals, masses in CONTENTION:
             solve_equilibrium(IntervalSystem(intervals, masses), cells=400)
-        return time.perf_counter() - t0
+        return {"s": time.perf_counter() - t0, "cpu_s": time.process_time() - c0}
 
-    out["three_grid400_quiet"] = {"s": three_solves()}
+    out["three_grid400_quiet"] = three_solves()
     busy = subprocess.Popen([sys.executable, "-c", "while True: pass"])
     try:
         time.sleep(0.5)
-        out["three_grid400_beside_busy"] = {"s": three_solves()}
+        out["three_grid400_beside_busy"] = three_solves()
     finally:
         busy.kill()
         busy.wait()
@@ -175,12 +221,15 @@ def child(src, max_p3):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def summarize(runs):
-    """Median of every timing per case; the other fields are deterministic."""
-    return {key: {field: (statistics.median(r[key][field] for r in runs)
-                          if field.endswith("_s") or field == "s" else value)
-                  for field, value in runs[0][key].items()}
-            for key in runs[0]}
+def summarize(runs, field=""):
+    """Median of every timing (a field ending in _s, or s), in nested dicts
+    too; the other fields are deterministic."""
+    first = runs[0]
+    if isinstance(first, dict):
+        return {key: summarize([r[key] for r in runs], key) for key in first}
+    if first is not None and (field.endswith("_s") or field == "s"):
+        return statistics.median(runs)
+    return first
 
 
 def git_sha(path):

@@ -116,9 +116,12 @@ _KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers")}
 
 
 def _number(value, kind):
-    """``kind(value)``, but TypeError for a bool (true is 1 to Python) and for
-    a float given as an int (``int`` would truncate 1.9 to 1)."""
-    if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+    """``kind(value)`` for a JSON number of that kind (an int, or for a float
+    an int or a float), else TypeError: a string (``int("2")`` succeeds), a
+    bool (true is 1 to Python) and a float given as an int (``int`` would
+    truncate 1.9 to 1) are refused."""
+    kinds = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise TypeError("%r is not %s" % (value, _KIND_NAMES[kind][0]))
     return kind(value)
 
@@ -317,7 +320,8 @@ def cmd_eqm(cfg, seed, cells, out_dir):
         Path(out_dir) / "eqm.csv",
         ("interval_index", "node", "weight", "density"),
         ((i, x, w, rho) for i, g in enumerate(sol.measure)
-         for x, w, rho in zip(g.nodes, g.weights, g.density())),
+         for x, w, rho in zip(g.nodes.tolist(), g.weights.tolist(),
+                              g.density().tolist())),
     )
     report = _write_json(
         Path(out_dir) / "eqm.report.json",
@@ -365,7 +369,7 @@ def cmd_fekete(cfg, seed, cells, out_dir):
         Path(out_dir) / "fekete_config.csv",
         ("block", "index", "coordinate"),
         ((i, k, x) for i, b in enumerate(best.configuration.blocks)
-         for k, x in enumerate(b)),
+         for k, x in enumerate(b.tolist())),
     )
     report = _write_json(
         Path(out_dir) / "fekete.report.json",
@@ -396,7 +400,7 @@ def cmd_sample(cfg, seed, cells, out_dir):
         Path(out_dir) / "sample.csv",
         ("sample_id", "block", "index", "value"),
         ((s, i, k, x) for s, X in enumerate(batch.configurations)
-         for i, b in enumerate(X.blocks) for k, x in enumerate(b)),
+         for i, b in enumerate(X.blocks) for k, x in enumerate(b.tolist())),
     )
     report = _write_json(
         Path(out_dir) / "sample.report.json",

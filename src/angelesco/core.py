@@ -495,12 +495,23 @@ def weak_star_distance(mu, nu):
 
 
 def write_csv(path, header, rows):
-    """Header line, then one line per row: floats as %.17g, all else str."""
+    """Header line, then one line per row: floats as %.17g, all else str.
+
+    Each row is formatted whole by one row format, built once per sequence
+    of value types (``%.17g`` for float and its subclasses, ``%s`` else).
+    """
+    formats = {}
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+            row = tuple(row)
+            types = tuple(map(type, row))
+            fmt = formats.get(types)
+            if fmt is None:
+                fmt = formats[types] = ",".join(
+                    "%.17g" if issubclass(t, float) else "%s" for t in types
+                ) + "\n"
+            fh.write(fmt % row)
     return str(path)
 
 

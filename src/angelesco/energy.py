@@ -18,8 +18,10 @@ The functions on general grids (``kernel_matrix``, ``weighted_energy``,
 ``difference_energy``) assemble dense blocks.  On the standard midpoint
 grids of a system, ``system_kernel`` gives the same kernel as a structured
 operator: each self block is Toeplitz and is applied by FFT, and each cross
-block, smooth because the intervals are disjoint, is stored as low-rank
-factors whose every entry is certified against the exact block.
+block, analytic because the intervals are disjoint, is stored as low-rank
+factors built by adaptive cross approximation from a few of its rows and
+columns.  Every entry of the factors is certified against the exact block,
+which is recomputed in row chunks and never stored.
 """
 
 from __future__ import annotations
@@ -36,17 +38,14 @@ from .errors import AngelescoError, CoincidentNodesAcrossIntervals
 CELL_SELF_ENERGY = 1.5
 
 # Low-rank cross blocks: the entry certificate (relative to max(1, max|C|)),
-# the singular-value cut-off (relative to the largest), the sketch columns
-# required beyond the rank, the first sketch size, and the rows of U V' - C
-# that the certificate forms at a time (so no second M x M array is held).
-# Cross blocks of intervals a few gaps apart certify at ranks 6-22, so 32
-# columns cover them with the spare columns in one sketch; closer intervals
-# double it.
+# the singular-value cut-off (relative to the largest), the ACA stop (|u| |v|
+# relative to the running Frobenius estimate), and the rows of C that the
+# certificate recomputes at a time (two buffers of that many rows, so the
+# block is never held).
 LOW_RANK_TOL = 1e-13
 SINGULAR_CUTOFF = 1e-15
-SPARE_COLUMNS = 8
-FIRST_SKETCH = 32
-CERTIFY_ROWS = 256
+ACA_STOP = 1e-15
+CERTIFY_ROWS = 64
 
 
 def interpolant(xs, ys):
@@ -246,39 +245,88 @@ def difference_energy(nu, mu):
     return float(total)
 
 
-def _low_rank(c, k):
-    """Certified factors U, V of a cross block: every entry of U V' lies
-    within LOW_RANK_TOL * max(1, max|c|) of c.
+def _entry_error(x, y, u, v):
+    """max |U V' - C| over every entry of C = -log|x - y|.
 
-    Randomized range finder with a fixed seed (Halko, Martinsson & Tropp,
-    SIAM Review 53, 2011): sketch c with k Gaussian columns, orthonormalize,
-    take the SVD of Q'c and keep singular values above SINGULAR_CUTOFF times
-    the largest.  The sketch doubles until the certificate holds with at
-    least SPARE_COLUMNS columns beyond the rank; at k = M it is exact to
-    round-off.  Returns U, V, the largest entry error and the final k.
+    C is recomputed CERTIFY_ROWS rows at a time into one buffer (subtract,
+    abs, log: it holds -C), U V' of those rows goes into a second, and the
+    sum of the two is U V' - C; C itself is never stored.
     """
-    m = c.shape[1]
-    bound = LOW_RANK_TOL * max(1.0, float(c.max()), -float(c.min()))
-    rng = np.random.default_rng(0)
+    chunk = min(x.size, CERTIFY_ROWS)
+    logs, diff = np.empty((chunk, y.size)), np.empty((chunk, y.size))
+    err = 0.0
+    for a in range(0, x.size, chunk):
+        b = min(a + chunk, x.size)
+        lg, df = logs[: b - a], diff[: b - a]
+        np.subtract(x[a:b, None], y, out=lg)
+        np.log(np.abs(lg, out=lg), out=lg)
+        np.matmul(u[a:b], v.T, out=df)
+        df += lg
+        err = max(err, float(df.max()), -float(df.min()))
+    return err
+
+
+def _cross_factors(x, y):
+    """Certified factors U, V of the cross block C = -log|x - y| between two
+    disjoint grids: every entry of U V' lies within LOW_RANK_TOL * max(1,
+    max|C|) of C.
+
+    Partially pivoted adaptive cross approximation (Bebendorf, Numer. Math.
+    86, 2000): each step evaluates one row and one column of C minus the
+    steps so far, so only O((M_i + M_j) k) entries are formed.  Steps stop
+    once |u| |v| <= ACA_STOP times the running Frobenius estimate; they are
+    then recompressed (QR of both thin factors, SVD of the k x k core) to the
+    singular values above SINGULAR_CUTOFF times the largest, and every entry
+    is certified (``_entry_error``).  If the certificate fails, ACA steps on
+    until the step count doubles; at min(M_i, M_j) steps every row or column
+    is interpolated.  Returns U, V, the largest entry error and the steps.
+    """
+    m, n = x.size, y.size
+    last = min(m, n)
+    # |x - y| is monotone in each node across disjoint grids, so the extremes
+    # of |C| sit at corner pairs.
+    corners = np.abs(x[[0, -1], None] - y[[0, -1]])
+    bound = LOW_RANK_TOL * max(1.0, float(np.abs(np.log(corners)).max()))
+    ut, vt = np.empty((min(16, last), m)), np.empty((min(16, last), n))
+    free = np.ones(m, dtype=bool)
+    i = steps = target = 0
+    frob2 = 0.0
     while True:
-        q, _ = np.linalg.qr(c @ rng.standard_normal((m, k)))
-        ub, s, vt = np.linalg.svd(q.T @ c, full_matrices=False)
+        while steps < last and free.any():
+            free[i] = False
+            row = -np.log(np.abs(x[i] - y)) - ut[:steps, i] @ vt[:steps]
+            j = int(np.argmax(np.abs(row)))
+            if row[j] == 0.0:  # row i is already exact
+                i = int(np.argmax(free))
+                continue
+            v = row / row[j]
+            u = -np.log(np.abs(x - y[j])) - vt[:steps, j] @ ut[:steps]
+            uu, vv = float(u @ u), float(v @ v)
+            frob2 += 2.0 * float((ut[:steps] @ u) @ (vt[:steps] @ v)) + uu * vv
+            if steps == len(ut):
+                grow = min(steps, last - steps)
+                ut = np.concatenate((ut, np.empty((grow, m))))
+                vt = np.concatenate((vt, np.empty((grow, n))))
+            ut[steps], vt[steps] = u, v
+            steps += 1
+            i = int(np.argmax(np.where(free, np.abs(u), -1.0)))
+            if steps >= target and uu * vv <= ACA_STOP**2 * frob2:
+                break
+        qu, ru = np.linalg.qr(ut[:steps].T)
+        qv, rv = np.linalg.qr(vt[:steps].T)
+        w, s, zt = np.linalg.svd(ru @ rv.T)
         r = int(np.count_nonzero(s > SINGULAR_CUTOFF * s[0]))
-        u = q @ (ub[:, :r] * s[:r])
-        v = vt[:r].T.copy()
-        err = 0.0
-        for i in range(0, c.shape[0], CERTIFY_ROWS):
-            diff = u[i : i + CERTIFY_ROWS] @ v.T
-            diff -= c[i : i + CERTIFY_ROWS]
-            err = max(err, float(np.abs(diff, out=diff).max()))
-        if err <= bound and (k - r >= SPARE_COLUMNS or k == m):
-            return u, v, err, k
-        if k == m:
+        u = qu @ (w[:, :r] * s[:r])
+        v = qv @ zt[:r].T
+        err = _entry_error(x, y, u, v)
+        if err <= bound:
+            return u, v, err, steps
+        if steps == last or not free.any():
             raise AngelescoError(
-                f"cross block not certified at full sketch: error {err:.3e} "
-                f"above {bound:.3e}"
+                f"cross block not certified after {steps} ACA steps: error "
+                f"{err:.3e} above {bound:.3e}"
             )
-        k = min(2 * k, m)
+        target = min(2 * steps, last)
 
 
 class KernelOperator:
@@ -288,13 +336,16 @@ class KernelOperator:
     Self block i is the symmetric Toeplitz matrix with first column
     CELL_SELF_ENERGY - log h_i, -log(h_i), -log(2 h_i), ...; it is applied
     through the FFT of its 2M circulant embedding.  Cross block i<j,
-    -log|x - y| between two disjoint intervals, is smooth and kept as
-    certified low-rank factors U V' (``_low_rank``).
+    -log|x - y| between two disjoint intervals, is analytic and kept as
+    low-rank factors U V' built by adaptive cross approximation from
+    O(M k) of its entries; every entry of U V' is certified against the
+    block, recomputed in row chunks and never stored (``_cross_factors``).
+    No M x M array is formed.
 
     ``apply(w)`` gives the partial potentials at all nodes,
     u_i = T_i w_i + (1/2) sum_{j != i} C_ij w_j, for weights stacked by
     interval; ``energy_terms(w)`` gives w_i' T_i w_i and w_i' C_ij w_j.
-    ``certificates`` maps (i, j) to (rank, entry error, sketch size).
+    ``certificates`` maps (i, j) to (rank, entry error, ACA steps).
     """
 
     def __init__(self, system, cells):
@@ -315,13 +366,11 @@ class KernelOperator:
         self.certificates = {}
         for i in range(self.p):
             for j in range(i + 1, self.p):
-                u, v, err, k = _low_rank(
-                    kernel_matrix(uniform[i], uniform[j]), min(cells, FIRST_SKETCH)
-                )
+                u, v, err, steps = _cross_factors(uniform[i].nodes, uniform[j].nodes)
                 u.setflags(write=False)
                 v.setflags(write=False)
                 self._factors[i, j] = (u, v)
-                self.certificates[i, j] = (u.shape[1], err, k)
+                self.certificates[i, j] = (u.shape[1], err, steps)
 
     def _toeplitz(self, wb):
         m = self.cells

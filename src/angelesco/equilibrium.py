@@ -27,8 +27,9 @@ search still moves.  The projection onto the product of scaled simplices
 and the KKT residual are each computed for all components at once.
 
 Every kernel product goes through the cached ``energy.system_kernel``
-operator: FFT-applied Toeplitz self blocks and certified low-rank cross
-blocks, O(pM log M + p^2 M r) per apply, with no (pM)^2 array.  The final
+operator: FFT-applied Toeplitz self blocks and low-rank cross blocks built
+by adaptive cross approximation and certified entry by entry, O(pM log M +
+p^2 M r) per apply, with no M x M array in assembly or apply.  The final
 energy report is taken from the same operator.
 """
 

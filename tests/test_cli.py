@@ -86,10 +86,13 @@ class TestConfigValidation:
             ("sample", {"sample": {"d": True}}, "d"),
             ("eqm", {"eqm": {"tol": True}}, "tol"),
             ("bm", {"bm": {"degrees": [4, 8.5]}}, "degrees"),
+            # int("2") would succeed.
+            ("sample", {"sample": {"d": "2"}}, "d"),
         ],
         ids=["eqm_tol_null", "mop_z_points_scalar", "masses_scalar",
              "sample_n_samples_string", "bm_degree_null", "sequence_start_list",
-             "sample_d_float", "sample_d_bool", "eqm_tol_bool", "bm_degree_float"],
+             "sample_d_float", "sample_d_bool", "eqm_tol_bool", "bm_degree_float",
+             "sample_d_numeric_string"],
     )
     def test_wrongly_typed_value_exits_1(
         self, tmp_path, capsys, command, overrides, key
@@ -108,8 +111,10 @@ class TestConfigValidation:
              "invalid explicit sequence: 1.5 is not an integer"),
             ("eqm", {"intervals": [[False, True]], "masses": [1.0]},
              "'intervals' entries must be [a, b] number pairs"),
+            ("eqm", {"intervals": [["-2", -1.0], [1.0, 2.0]]},
+             "'intervals' entries must be [a, b] number pairs"),
         ],
-        ids=["sequence_index_float", "interval_bool"],
+        ids=["sequence_index_float", "interval_bool", "interval_numeric_string"],
     )
     def test_wrongly_typed_list_entry_exits_1(
         self, tmp_path, capsys, command, overrides, message

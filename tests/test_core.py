@@ -297,6 +297,22 @@ def test_write_csv_text(tmp_path):
     )
 
 
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(3)
+    values = [7, -2**70, True, 0.1, -1e300, float("nan"), np.float64(1 / 3),
+              np.float64(-0.0), "abc", np.int64(5), np.float32(0.1)]
+    rows = [tuple(values[k] for k in rng.integers(len(values), size=4))
+            for _ in range(200)]
+    rows += [(1, 0.5, "x"), (np.float64(2.5), 3, 1e-320)]
+    write_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), rows)
+    per_value = "".join(
+        ",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row)
+        + "\n"
+        for row in rows
+    )
+    assert (tmp_path / "t.csv").read_text() == "a,b,c,d\n" + per_value
+
+
 def test_write_json_text(tmp_path):
     write_json(tmp_path / "t.json", {"b": 1, "a": [0.5]})
     assert (tmp_path / "t.json").read_text() == (

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,11 +17,12 @@ from angelesco import (
     total_energy,
     weighted_energy,
 )
+from angelesco import energy
 from angelesco.energy import (
     CELL_SELF_ENERGY,
     LOW_RANK_TOL,
-    SPARE_COLUMNS,
-    _low_rank,
+    SINGULAR_CUTOFF,
+    _cross_factors,
     as_field,
     kernel_matrix,
     system_kernel,
@@ -90,20 +93,56 @@ class TestKernelOperator:
             dense = dense_apply(system, cells, w)
             assert np.abs(kernel.apply(w) - dense).max() <= 1e-13 * np.abs(dense).max()
         assert len(kernel.certificates) == system.p * (system.p - 1) // 2
-        for rank, _, sketch in kernel.certificates.values():
-            assert sketch == cells or sketch - rank >= SPARE_COLUMNS
+        for rank, _, steps in kernel.certificates.values():
+            assert steps >= rank
 
-    def test_small_sketch_doubles_until_certified(self):
-        system = OPERATOR_SYSTEMS[2]
-        grids = VectorMeasure.uniform(system, 400)
-        c = kernel_matrix(grids[0], grids[1])
-        u, v, err, sketch = _low_rank(c, 2)
-        rank = u.shape[1]
-        assert sketch > 2 and sketch & (sketch - 1) == 0  # 2, doubled
-        assert sketch - rank >= SPARE_COLUMNS
-        assert rank > 2
-        assert err == np.abs(c - u @ v.T).max()
-        assert err <= LOW_RANK_TOL * max(1.0, np.abs(c).max())
+    @pytest.mark.parametrize("cells", [64, 400])
+    @pytest.mark.parametrize("system", OPERATOR_SYSTEMS[1:])
+    def test_rank_matches_dense_svd(self, system, cells):
+        grids = VectorMeasure.uniform(system, cells)
+        for i in range(system.p):
+            for j in range(i + 1, system.p):
+                c = kernel_matrix(grids[i], grids[j])
+                s = np.linalg.svd(c, compute_uv=False)
+                u, v, err, steps = _cross_factors(grids[i].nodes, grids[j].nodes)
+                assert u.shape[1] == np.count_nonzero(s > SINGULAR_CUTOFF * s[0])
+                assert steps >= u.shape[1]
+                exact = np.abs(c - u @ v.T).max()
+                assert err == pytest.approx(exact, rel=1e-3, abs=1e-16)
+                assert err <= LOW_RANK_TOL * max(1.0, np.abs(c).max())
+
+    def test_early_stop_steps_on_until_certified(self, monkeypatch):
+        grids = VectorMeasure.uniform(OPERATOR_SYSTEMS[2], 400)
+        x, y = grids[0].nodes, grids[1].nodes
+        bound = LOW_RANK_TOL * max(1.0, np.abs(kernel_matrix(grids[0], grids[1])).max())
+        errors = []
+        plain = energy._entry_error
+
+        def recorded(*args):
+            errors.append(plain(*args))
+            return errors[-1]
+
+        monkeypatch.setattr(energy, "ACA_STOP", 1e-3)
+        monkeypatch.setattr(energy, "_entry_error", recorded)
+        u, v, err, steps = _cross_factors(x, y)
+        assert len(errors) >= 2
+        assert errors[0] > bound  # the loose stop left too few steps
+        assert err == errors[-1] <= bound
+        monkeypatch.undo()
+        assert u.shape[1] == _cross_factors(x, y)[0].shape[1]
+
+    def test_assembly_holds_no_square_array(self):
+        system = OPERATOR_SYSTEMS[1]
+        peaks = {}
+        for cells in (1600, 3200):
+            tracemalloc.start()
+            try:
+                system_kernel.__wrapped__(system, cells)  # past the cache
+                peaks[cells] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3200] < 8 * 3200**2 / 8  # an eighth of one dense block
+        assert peaks[3200] <= 2.2 * peaks[1600]
 
 
 class TestEnergies:
