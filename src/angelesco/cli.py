@@ -5,7 +5,8 @@ rejected so a typo cannot silently change an experiment.  Every command writes
 a manifest carrying the resolved config, its hash, and the seed; identical
 (config, seed) runs produce byte-identical CSV numeric content.
 
-Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 acceptance failure.
+Exit codes: 0 ok, 1 config error (``ConfigError`` only), 2 any other failure
+inside the library, 3 acceptance failure.
 """
 
 import argparse
@@ -49,33 +50,43 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- config
 
-_TOP_KEYS = {
-    "schema_version",
-    "intervals",
-    "masses",
-    "fields",
-    "base_measures",
-    "sequence",
-    "grid",
-    "seed",
-    "eqm",
-    "fekete",
-    "sample",
-    "mop",
-    "zconst",
-    "ldp",
-    "bm",
+# Every key with a fixed default: section -> key -> (kind, default, check).  The
+# section "" is the top level.  kind is "integer", "number", a list of either
+# ("integers", "numbers") or "string"; check is the least allowed number (of
+# every entry, for a list), the allowed strings, or None.  Numbers are finite
+# JSON numbers, never a bool or a string.
+_TABLE = {
+    "": {"seed": ("integer", 0, 0), "grid": ("integer", 400, 2)},
+    "eqm": {"tol": ("number", 1e-4, 0), "max_iter": ("integer", 20000, 1)},
+    "fekete": {
+        "d_max": ("integer", 3, 1),
+        "n_starts": ("integer", 4, 1),
+        "tol": ("number", 1e-10, 0),
+    },
+    "sample": {
+        "d": ("integer", 1, 1),
+        "n_samples": ("integer", 100, 0),
+        "burn_in": ("integer", 50, 0),
+        "thin": ("integer", 5, 0),
+    },
+    "mop": {
+        "d": ("integer", 1, 1),
+        "z_points": ("numbers", [0.0], None),
+        "mode": ("string", "auto", ("auto", "quadrature", "mc")),
+    },
+    "zconst": {
+        "d_list": ("integers", [1], 1),
+        "epsilon": ("number", 0.05, 0),
+        "n_starts": ("integer", 2, 1),
+    },
+    "ldp": {"n_list": ("integers", [50, 100, 200], 1), "n_configs": ("integer", 100, 0)},
+    "bm": {"degrees": ("integers", [4, 8, 16], 0)},
 }
 
-_SECTION_KEYS = {
-    "eqm": {"tol", "max_iter"},
-    "fekete": {"d_max", "n_starts", "tol"},
-    "sample": {"d", "n_samples", "burn_in", "thin"},
-    "mop": {"d", "z_points", "mode"},
-    "zconst": {"d_list", "epsilon", "n_starts"},
-    "ldp": {"n_list", "n_configs"},
-    "bm": {"degrees"},
-}
+_TOP_KEYS = {
+    "schema_version", "intervals", "masses", "fields", "base_measures",
+    "sequence", *_TABLE[""], *_TABLE,
+} - {""}
 
 
 def _check_keys(mapping, allowed, where):
@@ -87,6 +98,8 @@ def _check_keys(mapping, allowed, where):
 
 
 def load_config(path):
+    """The config at ``path`` as given; ConfigError unless every key is known
+    and every ``_TABLE`` key converts and passes its check."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -102,45 +115,67 @@ def load_config(path):
             % (SCHEMA_VERSION, cfg.get("schema_version"))
         )
     _check_keys(cfg, _TOP_KEYS, "config")
-    for name, allowed in _SECTION_KEYS.items():
-        if name in cfg:
-            if not isinstance(cfg[name], dict):
-                raise ConfigError("section %r must be an object" % name)
-            _check_keys(cfg[name], allowed, "section %r" % name)
+    for name in _TABLE:
+        _section(cfg, name)
     if "intervals" not in cfg:
         raise ConfigError("config needs 'intervals'")
     return cfg
 
 
-_KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers")}
+def _section(cfg, name):
+    """Section ``name`` of ``cfg`` ("" for the top level) as a dict of every
+    ``_TABLE[name]`` key, converted and checked; absent keys at their default."""
+    table = _TABLE[name]
+    sec = cfg.get(name, {}) if name else cfg
+    if not isinstance(sec, dict):
+        raise ConfigError("section %r must be an object" % name)
+    if name:
+        _check_keys(sec, set(table), "section %r" % name)
+    return {
+        key: _checked(key, sec.get(key, default), kind, check)
+        for key, (kind, default, check) in table.items()
+    }
 
 
 def _number(value, kind):
     """``kind(value)`` for a JSON number of that kind (an int, or for a float
-    an int or a float), else TypeError: a string (``int("2")`` succeeds), a
-    bool (true is 1 to Python) and a float given as an int (``int`` would
-    truncate 1.9 to 1) are refused."""
-    kinds = (int,) if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError("%r is not %s" % (value, _KIND_NAMES[kind][0]))
+    a finite int or float), else TypeError: a string (``int("2")`` succeeds),
+    a bool (true is 1 to Python), a float given as an int (``int`` would
+    truncate 1.9 to 1), NaN and infinity (``json`` reads ``NaN`` and
+    ``Infinity``, and ``1e400`` as inf) are refused."""
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
+    if not ok:
+        raise TypeError("%r is not %s" % (
+            value, "an integer" if kind is int else "a finite number"))
     return kind(value)
 
 
-def _typed(cfg, key, default, kind, listed=False):
-    """``kind(cfg[key])``, or a list of those if ``listed``; else ConfigError.
-
-    An absent key gives ``default``, converted the same way (``_number``).
-    """
-    value = cfg.get(key, default)
+def _checked(key, value, kind, check):
+    """``value`` as a ``_TABLE`` entry of ``kind`` that passes ``check``;
+    else ConfigError naming ``key``."""
+    if kind == "string":
+        if isinstance(value, str) and value in check:
+            return value
+        raise ConfigError(
+            "%r must be one of %s, got %r" % (key, ", ".join(check), value)
+        )
+    listed = kind.endswith("s")
+    entries = value if listed else [value]
     try:
-        if not listed:
-            return _number(value, kind)
-        if isinstance(value, list):
-            return [_number(v, kind) for v in value]
-    except (TypeError, ValueError, OverflowError):
+        if isinstance(entries, list):
+            out = [_number(v, int if kind.startswith("integer") else float)
+                   for v in entries]
+            if check is None or all(v >= check for v in out):
+                return out if listed else out[0]
+    except TypeError:
         pass
-    one, many = _KIND_NAMES[kind]
-    what = "a list of " + many if listed else one
+    what = ("a list of " if listed else "an " if kind == "integer" else "a ") + kind
+    if check is not None:
+        what += " >= %s" % check
     raise ConfigError("%r must be %s, got %r" % (key, what, value))
 
 
@@ -155,11 +190,12 @@ def build_system(cfg):
     masses = cfg.get("masses")
     if masses is None:
         masses = [1.0 / len(pairs)] * len(pairs)
-    if not isinstance(masses, list) or len(masses) != len(pairs):
+    masses = _checked("masses", masses, "numbers", None)
+    if len(masses) != len(pairs):
         raise ConfigError("'masses' must be a list as long as 'intervals'")
     try:
-        return IntervalSystem(pairs, tuple(_number(r, float) for r in masses))
-    except (TypeError, ValueError) as exc:
+        return IntervalSystem(pairs, tuple(masses))
+    except ValueError as exc:
         raise ConfigError("invalid interval system: %s" % exc)
 
 
@@ -200,8 +236,8 @@ def _one_field(entry):
     args = _call_args(entry, "quadratic")
     if args is not None:
         try:
-            center, scale = (float(a) for a in args)
-        except ValueError:
+            center, scale = (_number(float(a), float) for a in args)
+        except (TypeError, ValueError):
             raise ConfigError("field %r wants quadratic(center,scale)" % entry)
         return lambda x, c=center, s=scale: s * (np.asarray(x, float) - c) ** 2
     if isinstance(entry, dict):
@@ -234,7 +270,13 @@ def _one_base(entry, system, i, cells):
 
 def build_base(cfg, system, cells):
     entries = _per_interval(cfg, "base_measures", "lebesgue", system.p)
-    return tuple(_one_base(e, system, i, cells) for i, e in enumerate(entries))
+    try:
+        return tuple(_one_base(e, system, i, cells) for i, e in enumerate(entries))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        # BaseMeasure's own checks: power(1) on [-2, -1] is negative.
+        raise ConfigError("invalid base measure: %s" % exc)
 
 
 def build_sequence(cfg, system):
@@ -244,14 +286,11 @@ def build_sequence(cfg, system):
     kind = rule.get("rule")
     if kind == "proportional":
         _check_keys(rule, {"rule", "start", "step"}, "sequence")
-        start = _typed(rule, "start", system.p, int)
-        step = _typed(rule, "step", system.p, int)
-        try:
-            return MultiIndexSequence.proportional(
-                system.r, start=start, step=step
-            )
-        except ValueError as exc:
-            raise ConfigError("invalid proportional sequence: %s" % exc)
+        return MultiIndexSequence.proportional(
+            system.r,
+            start=_checked("start", rule.get("start", system.p), "integer", system.p),
+            step=_checked("step", rule.get("step", system.p), "integer", 1),
+        )
     if kind == "explicit":
         _check_keys(rule, {"rule", "indices"}, "sequence")
         indices = rule.get("indices")
@@ -277,11 +316,13 @@ def build_spec(cfg, cells):
         raise ConfigError("inconsistent ensemble description: %s" % exc)
 
 
-def _resolved(cfg, seed, cells):
-    out = dict(cfg)
-    out["seed"] = seed
-    out["grid"] = cells
-    return out
+def _within(seq, key, *ds):
+    """ConfigError unless the sequence defines every step in ``ds``."""
+    for d in ds:
+        try:
+            seq(d)
+        except ValueError as exc:
+            raise ConfigError("%r must lie within the sequence: %s" % (key, exc))
 
 
 def config_digest(cfg):
@@ -308,14 +349,7 @@ def write_manifest(out_dir, command, cfg, seed, files):
 def cmd_eqm(cfg, seed, cells, out_dir):
     system = build_system(cfg)
     field = build_field(cfg, system)
-    sec = cfg.get("eqm", {})
-    sol = solve_equilibrium(
-        system,
-        field=field,
-        cells=cells,
-        tol=_typed(sec, "tol", 1e-4, float),
-        max_iter=_typed(sec, "max_iter", 20000, int),
-    )
+    sol = solve_equilibrium(system, field=field, cells=cells, **_section(cfg, "eqm"))
     csv_path = _write_csv(
         Path(out_dir) / "eqm.csv",
         ("interval_index", "node", "weight", "density"),
@@ -342,19 +376,10 @@ def cmd_fekete(cfg, seed, cells, out_dir):
     system = build_system(cfg)
     field = build_field(cfg, system)
     seq = build_sequence(cfg, system)
-    sec = cfg.get("fekete", {})
-    d_max = _typed(sec, "d_max", 3, int)
-    n_starts = _typed(sec, "n_starts", 4, int)
-    tol = _typed(sec, "tol", 1e-10, float)
+    sec = _section(cfg, "fekete")
+    _within(seq, "d_max", sec["d_max"])
     rows, results = fekete_asymptotics(
-        system,
-        seq,
-        d_max,
-        field=field,
-        cells=cells,
-        n_starts=n_starts,
-        tol=tol,
-        seed=seed,
+        system, seq, field=field, cells=cells, seed=seed, **sec
     )
     trend_path = _write_csv(
         Path(out_dir) / "fekete.csv",
@@ -374,7 +399,7 @@ def cmd_fekete(cfg, seed, cells, out_dir):
     report = _write_json(
         Path(out_dir) / "fekete.report.json",
         {
-            "d_max": d_max,
+            "d_max": sec["d_max"],
             "log_weight": best.log_boltzmann,
             "normalized": best.normalized,
             "starts_used": best.starts_used,
@@ -386,16 +411,9 @@ def cmd_fekete(cfg, seed, cells, out_dir):
 
 def cmd_sample(cfg, seed, cells, out_dir):
     spec = build_spec(cfg, cells)
-    sec = cfg.get("sample", {})
-    d = _typed(sec, "d", 1, int)
-    batch = gibbs_sample(
-        spec,
-        d,
-        _typed(sec, "n_samples", 100, int),
-        burn_in=_typed(sec, "burn_in", 50, int),
-        thin=_typed(sec, "thin", 5, int),
-        seed=seed,
-    )
+    sec = _section(cfg, "sample")
+    _within(spec.seq, "d", sec["d"])
+    batch = gibbs_sample(spec, seed=seed, **sec)
     csv_path = _write_csv(
         Path(out_dir) / "sample.csv",
         ("sample_id", "block", "index", "value"),
@@ -405,7 +423,7 @@ def cmd_sample(cfg, seed, cells, out_dir):
     report = _write_json(
         Path(out_dir) / "sample.report.json",
         {
-            "d": d,
+            "d": batch.d,
             "index": list(batch.index.counts),
             "n_samples": len(batch.configurations),
             "burn_in": batch.burn_in,
@@ -417,13 +435,11 @@ def cmd_sample(cfg, seed, cells, out_dir):
 
 def cmd_mop(cfg, seed, cells, out_dir):
     spec = build_spec(cfg, cells)
-    sec = cfg.get("mop", {})
-    d = _typed(sec, "d", 1, int)
-    z_points = _typed(sec, "z_points", [0.0], float, listed=True)
+    sec = _section(cfg, "mop")
+    d = sec["d"]
+    _within(spec.seq, "d", d)
     poly = solve_mop(spec, spec.index(d))
-    rows = _identity_rows(
-        spec, d, poly, z_points, mode=str(sec.get("mode", "auto")), seed=seed
-    )
+    rows = _identity_rows(spec, d, poly, sec["z_points"], mode=sec["mode"], seed=seed)
     csv_path = _write_csv(
         Path(out_dir) / "mop.csv",
         ("z", "polynomial", "expectation", "stderr"),
@@ -443,25 +459,18 @@ def cmd_mop(cfg, seed, cells, out_dir):
 
 def cmd_zconst(cfg, seed, cells, out_dir):
     spec = build_spec(cfg, cells)
-    sec = cfg.get("zconst", {})
-    d_list = _typed(sec, "d_list", [1], int, listed=True)
-    epsilon = _typed(sec, "epsilon", 0.05, float)
-    n_starts = _typed(sec, "n_starts", 2, int)
+    sec = _section(cfg, "zconst")
+    d_list, epsilon = sec["d_list"], sec["epsilon"]
+    _within(spec.seq, "d_list", *d_list)
     rows = []
     for d in d_list:
         m = spec.index(d)
         log_z = _log_partition(spec, d)
         fek = fekete_points(
-            spec.system,
-            m,
-            field=spec.field,
-            n_starts=n_starts,
-            seed=seed,
+            spec.system, m, field=spec.field, n_starts=sec["n_starts"], seed=seed
         )
         lo, up = partition_function_bounds(spec, d, fek, epsilon=epsilon)
-        rows.append(
-            (d, m.total, log_z, _log_sector_factor(m), lo, up)
-        )
+        rows.append((d, m.total, log_z, _log_sector_factor(m), lo, up))
     csv_path = _write_csv(
         Path(out_dir) / "zconst.csv",
         ("d", "total", "log_z", "log_sector_factor", "lower", "upper"),
@@ -477,9 +486,11 @@ def cmd_zconst(cfg, seed, cells, out_dir):
 def cmd_ldp(cfg, seed, cells, out_dir):
     system = build_system(cfg)
     field = build_field(cfg, system)
-    sec = cfg.get("ldp", {})
-    n_list = _typed(sec, "n_list", [50, 100, 200], int, listed=True)
-    n_configs = _typed(sec, "n_configs", 100, int)
+    sec = _section(cfg, "ldp")
+    # Every probe places at least one point on each interval.
+    n_list = _checked("n_list", sec["n_list"], "integers", system.p)
+    n_configs = sec["n_configs"]
+    seq = build_sequence(cfg, system)
     eq = solve_equilibrium(system, field=field, cells=cells)
     rate = rate_function(eq.measure, field=field, equilibrium=eq)
     probe = quantile_energy_probe(eq.measure, n_list, field=field)
@@ -487,15 +498,12 @@ def cmd_ldp(cfg, seed, cells, out_dir):
     shift_field = field if field is not None else ExternalField.quadratic(
         system.p, scale=0.25
     )
-    seq = build_sequence(cfg, system)
     indices = []
     for d in range(1, 5):
         try:
             indices.append(seq(d))
         except ValueError:
             break
-    if not indices:
-        raise ConfigError("sequence yields no usable multi-index")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for j in range(n_configs):
@@ -521,8 +529,7 @@ def cmd_ldp(cfg, seed, cells, out_dir):
 def cmd_bm(cfg, seed, cells, out_dir):
     system = build_system(cfg)
     base = build_base(cfg, system, cells)
-    sec = cfg.get("bm", {})
-    degrees = _typed(sec, "degrees", [4, 8, 16], int, listed=True)
+    degrees = _section(cfg, "bm")["degrees"]
     rows = []
     for i, tau in enumerate(base):
         for n in degrees:
@@ -581,39 +588,28 @@ def run(argv=None):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.command == "verify":
-        try:
+    try:
+        if args.command == "verify":
             _, ok = cmd_verify(None, None, None, out_dir)
-        except Exception as exc:
-            print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-            return 2
-        return 0 if ok else 3
-
-    if not args.config:
-        print("error: --config is required for %s" % args.command,
-              file=sys.stderr)
-        return 1
-    try:
+            return 0 if ok else 3
+        if not args.config:
+            raise ConfigError("--config is required for %s" % args.command)
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else _typed(cfg, "seed", 0, int)
-        cells = args.grid if args.grid is not None else _typed(cfg, "grid", 400, int)
-        if cells < 2:
-            raise ConfigError("grid must be at least 2")
+        # The flags override the file and pass the same checks; the manifest
+        # keeps the file as given plus the seed and grid used.
+        for key in ("seed", "grid"):
+            if getattr(args, key) is not None:
+                cfg[key] = getattr(args, key)
+        cfg.update(_section(cfg, ""))
+        files = _COMMANDS[args.command](cfg, cfg["seed"], cfg["grid"], out_dir)
+        files.append(write_manifest(out_dir, args.command, cfg, cfg["seed"], files))
     except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    resolved = _resolved(cfg, seed, cells)
-    try:
-        files = _COMMANDS[args.command](resolved, seed, cells, out_dir)
-    except (ConfigError, ValueError) as exc:
-        # bad d, inconsistent masses, malformed entries: all config-class
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:
         # AngelescoError and anything else raised inside the library
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
-    files.append(write_manifest(out_dir, args.command, resolved, seed, files))
     for f in files:
         print(f)
     return 0

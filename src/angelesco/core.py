@@ -51,6 +51,9 @@ class IntervalSystem:
             raise ValueError("need at least one interval")
         if len(r) != len(ivs):
             raise ValueError("mass vector length must match interval count")
+        if not (np.all(np.isfinite(ivs)) and np.all(np.isfinite(r))):
+            # NaN would pass every comparison below.
+            raise ValueError("endpoints and masses must be finite")
         for a, b in ivs:
             if not a < b:
                 raise ValueError(f"degenerate interval ({a}, {b})")

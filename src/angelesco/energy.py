@@ -50,13 +50,15 @@ CERTIFY_ROWS = 64
 
 def interpolant(xs, ys):
     """x -> np.interp(x, xs, ys); ValueError unless xs increases strictly
-    and xs, ys are 1-d, of one length, at least 2 long."""
+    and xs, ys are finite, 1-d, of one length, at least 2 long."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
         raise ValueError("samples need matching 1-d x and y, at least 2 long")
     if not np.all(np.diff(xs) > 0):
         raise ValueError("sample x values must be strictly increasing")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("samples must be finite")
     return lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)
 
 

@@ -67,6 +67,8 @@ class BaseMeasure:
         object.__setattr__(self, "total_mass", float(self.total_mass))
         if nodes.shape != values.shape or nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("need matching 1-d node/value arrays")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("density samples must be finite")
         if values.min() < 0:
             raise ValueError("density samples must be nonnegative")
         if values.max() == 0:

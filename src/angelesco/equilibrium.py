@@ -143,6 +143,8 @@ def solve_equilibrium(
         raise InfeasibleMasses(f"bad mass vector {system.r}")
     if cells < 1:
         raise ValueError(f"cells must be at least 1, got {cells}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if initial is not None:
         _check_initial(initial, system, cells)
 
@@ -152,6 +154,8 @@ def solve_equilibrium(
     q = np.concatenate(
         [field(i, system.grid_nodes(i, cells)) for i in range(p)]
     )
+    if not np.all(np.isfinite(q)):
+        raise ValueError("the field is not finite at every grid node")
 
     def energy_of(w, u):
         return float(w @ u + 2.0 * (q @ w))

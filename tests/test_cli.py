@@ -1,11 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from angelesco import BaseMeasure, ExternalField, IntervalSystem, solve_equilibrium
-from angelesco.cli import config_digest, run
+from angelesco.cli import _TABLE, config_digest, run
 from angelesco.energy import interpolant
 from angelesco.ldp import bm_constant
 
@@ -88,11 +89,22 @@ class TestConfigValidation:
             ("bm", {"bm": {"degrees": [4, 8.5]}}, "degrees"),
             # int("2") would succeed.
             ("sample", {"sample": {"d": "2"}}, "d"),
+            # In range of their kind, out of range of the key.
+            ("fekete", {"fekete": {"d_max": 0}}, "d_max"),
+            ("fekete", {"fekete": {"n_starts": 0}}, "n_starts"),
+            ("bm", {"bm": {"degrees": [-1]}}, "degrees"),
+            ("eqm", {"eqm": {"max_iter": 0}}, "max_iter"),
+            ("eqm", {"eqm": {"tol": float("nan")}}, "tol"),
+            ("eqm", {"seed": -5}, "seed"),
+            # Fewer points than intervals.
+            ("ldp", {"ldp": {"n_list": [1]}}, "n_list"),
         ],
         ids=["eqm_tol_null", "mop_z_points_scalar", "masses_scalar",
              "sample_n_samples_string", "bm_degree_null", "sequence_start_list",
              "sample_d_float", "sample_d_bool", "eqm_tol_bool", "bm_degree_float",
-             "sample_d_numeric_string"],
+             "sample_d_numeric_string", "fekete_d_max_zero",
+             "fekete_n_starts_zero", "bm_degree_negative", "eqm_max_iter_zero",
+             "eqm_tol_nan", "seed_negative", "ldp_n_below_p"],
     )
     def test_wrongly_typed_value_exits_1(
         self, tmp_path, capsys, command, overrides, key
@@ -113,8 +125,11 @@ class TestConfigValidation:
              "'intervals' entries must be [a, b] number pairs"),
             ("eqm", {"intervals": [["-2", -1.0], [1.0, 2.0]]},
              "'intervals' entries must be [a, b] number pairs"),
+            ("eqm", {"masses": [0.5, float("nan")]},
+             "'masses' must be a list of numbers, got [0.5, nan]"),
         ],
-        ids=["sequence_index_float", "interval_bool", "interval_numeric_string"],
+        ids=["sequence_index_float", "interval_bool", "interval_numeric_string",
+             "masses_nan"],
     )
     def test_wrongly_typed_list_entry_exits_1(
         self, tmp_path, capsys, command, overrides, message
@@ -123,12 +138,31 @@ class TestConfigValidation:
         assert run([command, "--config", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: %s\n" % message
 
+    def test_every_section_is_checked_at_load(self, tmp_path, capsys):
+        path = write_config(tmp_path, fekete={"n_starts": "two"})
+        out = tmp_path / "out"
+        assert run(["eqm", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: 'n_starts' must be")
+        assert not (out / "eqm.csv").exists()
+
     def test_digest_is_order_insensitive(self):
         a = {"schema_version": 1, "intervals": [[0.0, 1.0]]}
         b = {"intervals": [[0.0, 1.0]], "schema_version": 1}
         assert config_digest(a) == config_digest(b)
         c = {"schema_version": 1, "intervals": [[0.0, 2.0]]}
         assert config_digest(a) != config_digest(c)
+
+
+def test_readme_lists_every_config_key():
+    # README's config table: one row per key of cli._TABLE, with its default.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {line.split("|")[1].strip(): line
+            for line in readme.splitlines() if line.startswith("| `")}
+    for section, keys in _TABLE.items():
+        for key, (kind, default, check) in keys.items():
+            name = "`%s`" % (section + "." + key if section else key)
+            assert name in rows, "README has no row for %s" % name
+            assert "| `%s` |" % json.dumps(default) in rows[name], name
 
 
 class TestCommands:
@@ -323,16 +357,21 @@ def test_solver_failure_exits_2(tmp_path, capsys):
     assert "MaxIterationsExceeded" in capsys.readouterr().err
 
 
-def test_unexpected_library_error_exits_2(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "error", [ZeroDivisionError, ValueError, np.linalg.LinAlgError]
+)
+def test_unexpected_library_error_exits_2(tmp_path, monkeypatch, capsys, error):
+    # Only a ConfigError is a config problem: numpy's LinAlgError is a
+    # ValueError, and so is any check inside the library.
     import angelesco.cli as cli
 
     def broken(cfg, seed, cells, out_dir):
-        return 1 / 0
+        raise error("inside the library")
 
     monkeypatch.setitem(cli._COMMANDS, "eqm", broken)
     cfg = write_config(tmp_path)
     assert run(["eqm", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert "ZeroDivisionError" in capsys.readouterr().err
+    assert error.__name__ in capsys.readouterr().err
 
 
 def test_d_beyond_explicit_sequence_exits_1(tmp_path, capsys):
@@ -431,8 +470,10 @@ def test_sampled_entries_match_the_python_api(tmp_path):
         {"type": "samples", "x": [0.5], "y": [1.0]},
         {"type": "samples", "x": [0.0, 0.5, 1.0], "y": [1.0, 1.0]},
         {"type": "samples", "x": [0.0, 0.5, 0.5], "y": [1.0, 1.0, 1.0]},
+        {"type": "samples", "x": [0.0, 0.5, 1.0], "y": [1.0, float("nan"), 1.0]},
     ],
-    ids=["type", "unknown_key", "one_sample", "lengths", "non_increasing"],
+    ids=["type", "unknown_key", "one_sample", "lengths", "non_increasing",
+         "non_finite"],
 )
 @pytest.mark.parametrize("command, key", [("eqm", "fields"), ("bm", "base_measures")])
 def test_bad_sampled_entry_exits_1(tmp_path, capsys, command, key, bad):

@@ -41,6 +41,14 @@ class TestIntervalSystem:
         with pytest.raises(ValueError):
             IntervalSystem(((0.0, 1.0),), (0.9,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_numbers(self, bad):
+        # NaN passes both the positivity and the sum check by comparison.
+        with pytest.raises(ValueError, match="finite"):
+            IntervalSystem(((0.0, 1.0), (2.0, 3.0)), (0.5, bad))
+        with pytest.raises(ValueError, match="finite"):
+            IntervalSystem(((0.0, 1.0), (2.0, bad)), (0.5, 0.5))
+
     def test_grid_geometry(self, two):
         assert two.p == 2
         assert two.length(0) == 1.0

@@ -179,6 +179,18 @@ class TestBadInput:
         with pytest.raises(ValueError, match="cells"):
             solve_equilibrium(two, cells=cells)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_iterations(self, two, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_equilibrium(two, cells=50, max_iter=max_iter)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_field_not_finite_on_the_grid(self, two, bad):
+        # Without the check the solve "converges" to all-NaN weights.
+        field = ExternalField.quadratic(2, center=bad)
+        with pytest.raises(ValueError, match="not finite"):
+            solve_equilibrium(two, field=field, cells=50)
+
 
 def test_tight_tolerance_converges_on_unequal_intervals():
     # A monotone Armijo search stalls here: every trial step halves to
