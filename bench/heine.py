@@ -2,8 +2,7 @@
 
     python3 bench/heine.py --before OLD/src --after src --out BENCH_11.json
 
-Each source tree is measured in fresh interpreters, alternating the two trees
-so that both see the same machine drift.  One measurement records:
+One measurement records:
 
 - ``cases``: ``expectation_identity_check(..., mode="quadrature")`` with
   its default settings for six multi-indices: (1, 1), (2, 1)
@@ -23,19 +22,19 @@ so that both see the same machine drift.  One measurement records:
 The parent process computes, per case and z, each tree's relative error
 against P(z) (the discretization of the grid the check sums over, where it
 is not P's own, or the Gibbs sampling error) and the relative difference
-between the two trees' quadrature estimates.  The file keeps every repeat
-and the median time per tree.
+between the two trees' quadrature estimates.  The driver and the report
+layout are described in ``_driver.py``.
 """
 
-import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+
+import _driver
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG = os.path.join(ROOT, "configs", "two_interval.json")
@@ -55,7 +54,6 @@ AUTO_Z = (-3.0, 0.0, 0.5, 2.5)
 
 
 def measure(src):
-    sys.path.insert(0, os.path.abspath(src))
     from angelesco import (
         BaseMeasure,
         EnsembleSpec,
@@ -125,105 +123,35 @@ def measure(src):
     return out
 
 
-def child(src):
-    out = subprocess.run([sys.executable, __file__, "--measure", src],
-                         check=True, capture_output=True, text=True)
-    return json.loads(out.stdout.splitlines()[-1])
-
-
 def rel(a, b):
     return [abs(x - y) / abs(y) for x, y in zip(a, b)]
 
 
-def summary(runs):
-    """Median times per tree, and the values of its first run."""
-    first = runs[0]
+def derive(runs):
+    """Errors against P of each tree's first run, and the after/before
+    difference of the quadrature estimates."""
+    first = {label: r[0] for label, r in runs.items()}
+
+    def per_tree(part, fn):
+        return {label: {k: fn(c) for k, c in r[part].items()} for label, r in first.items()}
+
     return {
-        "case_s": {k: statistics.median(r["cases"][k]["s"] for r in runs) for k in CASES},
-        "mop_cold_s": statistics.median(r["mop"]["cold_s"] for r in runs),
-        "mop_warm_s": statistics.median(r["mop"]["warm_s"] for r in runs),
-        "mop_warm_33_s": statistics.median(r["mop"]["warm_33_s"] for r in runs),
-        "auto_s": {k: statistics.median(r["auto"][k]["s"] for r in runs)
-                   for k in first["auto"]},
-        "auto_rel_err_vs_P": {k: rel(c["estimate"], c["polynomial"])
-                              for k, c in first["auto"].items()},
-        "auto_max_stderr": {k: max(c["stderr"]) for k, c in first["auto"].items()},
-        "criterion_7_s": statistics.median(r["criterion_7"]["s"] for r in runs),
-        "criterion_7_identity_err": first["criterion_7"]["identity_err"],
-        "criterion_7_passed": first["criterion_7"]["passed"],
-        "rel_err_vs_P": {k: rel(c["estimate"], c["polynomial"])
-                         for k, c in first["cases"].items()},
-    }
-
-
-def git_sha(path):
-    out = subprocess.run(["git", "-C", path, "rev-parse", "HEAD"],
-                         capture_output=True, text=True)
-    return out.stdout.strip() or None
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--measure", help=argparse.SUPPRESS)
-    ap.add_argument("--before")
-    ap.add_argument("--after")
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default="BENCH.json")
-    args = ap.parse_args()
-    if args.measure:
-        print(json.dumps(measure(args.measure)))
-        return
-    if not (args.before and args.after):
-        ap.error("--before and --after are required")
-    trees = {"before": args.before, "after": args.after}
-    runs = {label: [] for label in trees}
-    for rep in range(args.repeats):
-        order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
-        for label in order:
-            runs[label].append(child(trees[label]))
-            print(label, rep, flush=True)
-    before, after = (summary(runs[label]) for label in trees)
-    report = {
-        "what": "Heine's identity check: quadrature mode (n <= 4) and auto mode "
-                "(n = 6..16) time and error against P per case, the before/after "
-                "difference of the quadrature estimates, mop on "
-                "configs/two_interval.json and at (3, 3), criterion_7",
-        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                    "platform": platform.platform()},
-        "repeats": args.repeats,
-        "head_sha": git_sha(ROOT),
-        "median_s": {
-            "case": {k: {"before": before["case_s"][k], "after": after["case_s"][k]}
-                     for k in CASES},
-            "mop_cold": {"before": before["mop_cold_s"], "after": after["mop_cold_s"]},
-            "mop_warm": {"before": before["mop_warm_s"], "after": after["mop_warm_s"]},
-            "mop_warm_33": {"before": before["mop_warm_33_s"],
-                            "after": after["mop_warm_33_s"]},
-            "auto": {k: {"before": before["auto_s"][k], "after": after["auto_s"][k]}
-                     for k in before["auto_s"]},
-            "criterion_7": {"before": before["criterion_7_s"],
-                            "after": after["criterion_7_s"]},
-        },
-        "criterion_7_identity_err": {"before": before["criterion_7_identity_err"],
-                                     "after": after["criterion_7_identity_err"]},
-        "criterion_7_passed": {"before": before["criterion_7_passed"],
-                               "after": after["criterion_7_passed"]},
-        "rel_err_vs_P": {"before": before["rel_err_vs_P"], "after": after["rel_err_vs_P"]},
-        "auto_rel_err_vs_P": {"before": before["auto_rel_err_vs_P"],
-                              "after": after["auto_rel_err_vs_P"]},
-        "auto_max_stderr": {"before": before["auto_max_stderr"],
-                            "after": after["auto_max_stderr"]},
+        "rel_err_vs_P": per_tree("cases", lambda c: rel(c["estimate"], c["polynomial"])),
+        "auto_rel_err_vs_P": per_tree("auto", lambda c: rel(c["estimate"], c["polynomial"])),
+        "auto_max_stderr": per_tree("auto", lambda c: max(c["stderr"])),
         "after_vs_before_rel": {
-            k: rel(runs["after"][0]["cases"][k]["estimate"],
-                   runs["before"][0]["cases"][k]["estimate"])
+            k: rel(first["after"]["cases"][k]["estimate"],
+                   first["before"]["cases"][k]["estimate"])
             for k in CASES
         },
-        "runs": runs,
     }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
 
 
 if __name__ == "__main__":
-    main()
+    _driver.main(
+        measure,
+        "Heine's identity check: quadrature mode (n <= 4) and auto mode (n = 6..16) "
+        "time and error against P per case, the before/after difference of the "
+        "quadrature estimates, mop on configs/two_interval.json and at (3, 3), criterion_7",
+        derive,
+    )

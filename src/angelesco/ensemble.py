@@ -528,12 +528,15 @@ def johansson_probability(
 
     The deviation set is the event that the n^2-th root of the interaction
     weight is at most delta - eta, with delta the exponential of minus the
-    equilibrium energy.  Quadrature for totals <= 4, Monte Carlo over Gibbs
-    samples otherwise (or on request).  The report carries the probability,
-    the product bound (1 - eta/2delta)^(n^2), and whether the n^2-th root of
-    the sector partition integral clears delta - eta/4 (only checkable by
-    quadrature; None under Monte Carlo).
+    equilibrium energy.  ``mode`` "auto" takes quadrature for totals <= 4
+    and Monte Carlo over Gibbs samples otherwise; "quadrature" and "mc"
+    force one; any other mode raises ValueError.  The report carries the
+    probability, the product bound (1 - eta/2delta)^(n^2), and whether the
+    n^2-th root of the sector partition integral clears delta - eta/4 (only
+    checkable by quadrature; None under Monte Carlo).
     """
+    if mode not in ("auto", "quadrature", "mc"):
+        raise ValueError(f"mode must be auto, quadrature or mc, got {mode!r}")
     m = spec.index(d)
     n = m.total
     if equilibrium is None:

@@ -632,6 +632,13 @@ class TestDeviationProbability:
         )
         assert auto_small.mode == "quadrature"
 
+    @pytest.mark.parametrize("mode", ["quadratur", "MC", None])
+    def test_unknown_mode_raises(self, growing_spec, two_equilibrium, mode):
+        with pytest.raises(ValueError, match="mode"):
+            johansson_probability(
+                growing_spec, 5, 0.1, mode=mode, samples=2, equilibrium=two_equilibrium
+            )
+
 
 def test_convergence_experiment_csv(tmp_path, two, coarse_spec):
     eq = solve_equilibrium(two, cells=200)
