@@ -8,6 +8,7 @@ trends, and the algebraic property suite.  ``run_all`` prints one PASS/FAIL
 line per check and writes a JSON report.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -53,14 +54,27 @@ class CriterionResult:
     seconds: float = 0.0
 
 
-def _result(name, t0, passed, details, **metrics):
-    return CriterionResult(
-        name=name,
-        passed=bool(passed),
-        details=details,
-        metrics={k: float(v) for k, v in metrics.items()},
-        seconds=time.perf_counter() - t0,
-    )
+def _criterion(budget):
+    """A check that returns (passed, details, metrics) becomes a criterion of
+    its own name, timed, that fails when it takes ``budget`` seconds or more."""
+
+    def wrap(check):
+        @functools.wraps(check)
+        def criterion():
+            start = time.perf_counter()
+            passed, details, metrics = check()
+            seconds = time.perf_counter() - start
+            return CriterionResult(
+                name=check.__name__,
+                passed=bool(passed and seconds < budget),
+                details=details,
+                metrics={k: float(v) for k, v in metrics.items()},
+                seconds=seconds,
+            )
+
+        return criterion
+
+    return wrap
 
 
 def _two_interval():
@@ -86,9 +100,9 @@ def _arcsine_measure(cells=400):
     return system, VectorMeasure((comp,))
 
 
+@_criterion(60.0)
 def criterion_1():
     """Quadratic field on one interval reproduces the semicircle density."""
-    t0 = time.perf_counter()
     system = IntervalSystem(((-2.0, 2.0),), (1.0,))
     fld = ExternalField.quadratic(1, scale=0.5)
     sol = solve_equilibrium(system, field=fld, cells=800, tol=1e-4)
@@ -96,37 +110,31 @@ def criterion_1():
     x = g.nodes
     ref = np.sqrt(np.maximum(2.0 - x * x, 0.0)) / np.pi
     l1 = float(np.sum(np.abs(g.density() - ref)) * g.cell_width)
-    elapsed = time.perf_counter() - t0
-    ok = l1 <= 0.02 and elapsed < 60.0
-    return _result(
-        "criterion_1",
-        t0,
+    ok = l1 <= 0.02
+    return (
         ok,
         "L1 distance to semicircle %.3g (limit 0.02)" % l1,
-        l1_distance=l1,
+        dict(l1_distance=l1),
     )
 
 
+@_criterion(60.0)
 def criterion_2():
     """Unweighted single-interval equilibrium is the arcsine law, E = log 2."""
-    t0 = time.perf_counter()
     system, arc = _arcsine_measure(cells=800)
     sol = solve_equilibrium(system, cells=800, tol=1e-4)
     e_gap = abs(sol.energy.total - float(np.log(2.0)))
     cdf_gap = weak_star_distance(sol.measure, arc)
-    elapsed = time.perf_counter() - t0
-    ok = e_gap <= 2e-3 and cdf_gap <= 0.01 and elapsed < 60.0
-    return _result(
-        "criterion_2",
-        t0,
+    ok = e_gap <= 2e-3 and cdf_gap <= 0.01
+    return (
         ok,
         "energy gap %.3g (limit 2e-3), sup-CDF gap %.3g (limit 0.01)"
         % (e_gap, cdf_gap),
-        energy_gap=e_gap,
-        cdf_gap=cdf_gap,
+        dict(energy_gap=e_gap, cdf_gap=cdf_gap),
     )
 
 
+@_criterion(300.0)
 def criterion_3():
     """Normalized extremal log weight vs minus the equilibrium energy.
 
@@ -135,7 +143,6 @@ def criterion_3():
     exceeds 0.07 at n=80.  The check is run exactly as stated and reports
     honestly; the monotone-approach half passes, the 0.02 half fails.
     """
-    t0 = time.perf_counter()
     system = _two_interval()
     eq = solve_equilibrium(system, cells=400, tol=1e-4)
     target = -eq.energy.total
@@ -150,24 +157,18 @@ def criterion_3():
         gaps.append(abs(res.normalized - target))
     monotone = gaps[0] > gaps[1] > gaps[2]
     close = gaps[2] <= 0.02
-    elapsed = time.perf_counter() - t0
-    ok = monotone and close and elapsed < 300.0
-    return _result(
-        "criterion_3",
-        t0,
+    ok = monotone and close
+    return (
         ok,
         "gaps to -E at n=20/40/80: %.4f/%.4f/%.4f; monotone=%s, "
         "final<=0.02=%s" % (gaps[0], gaps[1], gaps[2], monotone, close),
-        gap_20=gaps[0],
-        gap_40=gaps[1],
-        gap_80=gaps[2],
-        target=target,
+        dict(gap_20=gaps[0], gap_40=gaps[1], gap_80=gaps[2], target=target),
     )
 
 
+@_criterion(30.0)
 def criterion_4():
     """Exact small-n normalizing constants and the extremal sandwich."""
-    t0 = time.perf_counter()
     spec2 = _two_interval_spec()
     log_z2 = partition_function_quadrature(spec2, 1)
     err2 = abs(np.exp(log_z2) - 3.0)
@@ -184,22 +185,18 @@ def criterion_4():
     lo1, up1 = partition_function_bounds(spec1, 2, fek1)
 
     sandwich = (lo2 <= log_z2 <= up2) and (lo1 <= log_z1 <= up1)
-    elapsed = time.perf_counter() - t0
-    ok = err2 <= 1e-4 and err1 <= 1e-4 and sandwich and elapsed < 30.0
-    return _result(
-        "criterion_4",
-        t0,
+    ok = err2 <= 1e-4 and err1 <= 1e-4 and sandwich
+    return (
         ok,
         "Z errors %.2g and %.2g (limit 1e-4); sandwich holds: %s"
         % (err2, err1, sandwich),
-        z_error_pair=err2,
-        z_error_single=err1,
+        dict(z_error_pair=err2, z_error_single=err1),
     )
 
 
+@_criterion(120.0)
 def criterion_5():
     """Deviation-set probability versus its product bound at exact scale."""
-    t0 = time.perf_counter()
     spec = _two_interval_spec(start=2, step=1)
     eq = solve_equilibrium(spec.system, cells=400, tol=1e-4)
     delta = float(np.exp(-eq.energy.total))
@@ -218,21 +215,17 @@ def criterion_5():
             "n=%d P=%.3g bound=%.3g premise=%s"
             % (rep.total, rep.probability, rep.bound, rep.premise_holds)
         )
-    elapsed = time.perf_counter() - t0
-    ok = holds and checked > 0 and elapsed < 120.0
-    return _result(
-        "criterion_5",
-        t0,
+    ok = holds and checked > 0
+    return (
         ok,
         "; ".join(lines),
-        checked=checked,
-        delta=delta,
+        dict(checked=checked, delta=delta),
     )
 
 
+@_criterion(600.0)
 def criterion_6():
     """Sampled counting measures drift toward the equilibrium measure."""
-    t0 = time.perf_counter()
     spec = _two_interval_spec()
     eq = solve_equilibrium(spec.system, cells=400, tol=1e-4)
     rows = convergence_experiment(
@@ -255,25 +248,20 @@ def criterion_6():
         spec_w, [64], samples_per_d=30, seed=0, equilibrium=eq_w
     )[0]
     small_w = row_w.mean_distance <= 0.06
-    elapsed = time.perf_counter() - t0
-    ok = decreasing and small and small_w and elapsed < 600.0
-    return _result(
-        "criterion_6",
-        t0,
+    ok = decreasing and small and small_w
+    return (
         ok,
         "means at n=16/32/64: %.4f/%.4f/%.4f (decreasing=%s); "
         "weighted variant at n=64: %.4f (limit 0.06)"
         % (means[0], means[1], means[2], decreasing, row_w.mean_distance),
-        mean_16=means[0],
-        mean_32=means[1],
-        mean_64=means[2],
-        mean_weighted_64=row_w.mean_distance,
+        dict(mean_16=means[0], mean_32=means[1], mean_64=means[2],
+             mean_weighted_64=row_w.mean_distance),
     )
 
 
+@_criterion(30.0)
 def criterion_7():
     """Moment-system polynomial for the symmetric pair and its expectation."""
-    t0 = time.perf_counter()
     spec = _two_interval_spec()
     poly = solve_mop(spec, spec.index(1))
     coeff_err = float(
@@ -281,22 +269,18 @@ def criterion_7():
     )
     rows = expectation_identity_check(spec, 1, (0.0, 0.5, 100.0))
     id_err = max(abs(pz - est) for _, pz, est, _ in rows)
-    elapsed = time.perf_counter() - t0
-    ok = coeff_err <= 1e-8 and id_err <= 1e-6 and elapsed < 30.0
-    return _result(
-        "criterion_7",
-        t0,
+    ok = coeff_err <= 1e-8 and id_err <= 1e-6
+    return (
         ok,
         "coefficient error %.3g (limit 1e-8); identity error %.3g "
         "(limit 1e-6)" % (coeff_err, id_err),
-        coeff_err=coeff_err,
-        identity_err=id_err,
+        dict(coeff_err=coeff_err, identity_err=id_err),
     )
 
 
+@_criterion(300.0)
 def criterion_8():
     """Rate at the minimizer, quantile probes, and the field-shift identity."""
-    t0 = time.perf_counter()
     system = _two_interval()
     eq = solve_equilibrium(system, cells=400, tol=1e-4)
     rate = rate_function(eq.measure, equilibrium=eq).rate
@@ -318,31 +302,25 @@ def criterion_8():
         X = random_configuration(system, MultiIndex((3, 2)), rng)
         lhs, rhs = field_shift_identity(X, fld)
         worst = max(worst, abs(lhs - rhs))
-    elapsed = time.perf_counter() - t0
     ok = (
         rate <= 1e-3
         and gap_arc <= 0.05
         and gap_uni <= 0.05
         and worst <= 1e-10
-        and elapsed < 300.0
     )
-    return _result(
-        "criterion_8",
-        t0,
+    return (
         ok,
         "rate %.2g (limit 1e-3); probe gaps %.4f / %.4f (limit 0.05); "
         "shift identity worst %.2g (limit 1e-10)"
         % (rate, gap_arc, gap_uni, worst),
-        rate=rate,
-        probe_gap_arcsine=gap_arc,
-        probe_gap_uniform=gap_uni,
-        shift_worst=worst,
+        dict(rate=rate, probe_gap_arcsine=gap_arc, probe_gap_uniform=gap_uni,
+             shift_worst=worst),
     )
 
 
+@_criterion(30.0)
 def criterion_9():
     """Christoffel-based growth roots: trend and the defective counterexample."""
-    t0 = time.perf_counter()
     system = IntervalSystem(((-1.0, 1.0),), (1.0,))
     tau = BaseMeasure.lebesgue(system, 0)
     roots = [bm_constant(tau, n).root for n in (4, 8, 16)]
@@ -353,19 +331,14 @@ def criterion_9():
         system, 0, lambda x: np.where(np.asarray(x) <= 0.0, 1.0, 0.0)
     )
     bad_root = bm_constant(defective, 16).root
-    elapsed = time.perf_counter() - t0
-    ok = decreasing and small and bad_root >= 1.5 and elapsed < 30.0
-    return _result(
-        "criterion_9",
-        t0,
+    ok = decreasing and small and bad_root >= 1.5
+    return (
         ok,
         "roots %.4f/%.4f/%.4f (decreasing=%s, final<=1.25=%s); "
         "defective root %.3f (limit >=1.5)"
         % (roots[0], roots[1], roots[2], decreasing, small, bad_root),
-        root_4=roots[0],
-        root_8=roots[1],
-        root_16=roots[2],
-        defective_root=bad_root,
+        dict(root_4=roots[0], root_8=roots[1], root_16=roots[2],
+             defective_root=bad_root),
     )
 
 
@@ -383,9 +356,9 @@ def _random_vector_measure(system, rng, cells):
     return VectorMeasure(tuple(comps))
 
 
+@_criterion(300.0)
 def criterion_10():
     """Property suite: difference identity, positivity, independence, seeds."""
-    t0 = time.perf_counter()
     system = _two_interval()
     fld = ExternalField.quadratic(2, scale=0.2)
     rng = np.random.default_rng(3)
@@ -429,24 +402,18 @@ def criterion_10():
         )
         for x, y in zip(b1.configurations, b2.configurations)
     )
-    elapsed = time.perf_counter() - t0
     ok = (
         identity_ok
         and positive_ok
         and start_ok
         and seeds_ok
-        and elapsed < 300.0
     )
-    return _result(
-        "criterion_10",
-        t0,
+    return (
         ok,
         "identity rel err %.2g (limit 1e-8); min quadratic term %.2g; "
         "start gap %.2g (limit 1e-3); seeds byte-equal: %s"
         % (worst_rel, min_quad, start_gap, seeds_ok),
-        identity_rel_err=worst_rel,
-        min_quadratic=min_quad,
-        start_gap=start_gap,
+        dict(identity_rel_err=worst_rel, min_quadratic=min_quad, start_gap=start_gap),
     )
 
 

@@ -316,13 +316,18 @@ def build_spec(cfg, cells):
         raise ConfigError("inconsistent ensemble description: %s" % exc)
 
 
-def _within(seq, key, *ds):
-    """ConfigError unless the sequence defines every step in ``ds``."""
-    for d in ds:
-        try:
-            seq(d)
-        except ValueError as exc:
-            raise ConfigError("%r must lie within the sequence: %s" % (key, exc))
+def _within(spec, sec):
+    """ConfigError unless every step of ``sec`` (``d``, ``d_max``, each of
+    ``d_list``) lies within the sequence and every ``n_list`` entry places at
+    least one point on each interval."""
+    length = spec.seq.length
+    for key in ("d", "d_max", "d_list"):
+        steps = sec.get(key, [])
+        if length is not None and max(np.atleast_1d(steps), default=1) > length:
+            raise ConfigError("%r must lie within the sequence: "
+                              "sequence defined for d <= %d" % (key, length))
+    if "n_list" in sec:
+        _checked("n_list", sec["n_list"], "integers", spec.system.p)
 
 
 def config_digest(cfg):
@@ -346,10 +351,8 @@ def write_manifest(out_dir, command, cfg, seed, files):
 # ---------------------------------------------------------------- commands
 
 
-def cmd_eqm(cfg, seed, cells, out_dir):
-    system = build_system(cfg)
-    field = build_field(cfg, system)
-    sol = solve_equilibrium(system, field=field, cells=cells, **_section(cfg, "eqm"))
+def cmd_eqm(spec, sec, seed, cells, out_dir):
+    sol = solve_equilibrium(spec.system, field=spec.field, cells=cells, **sec)
     csv_path = _write_csv(
         Path(out_dir) / "eqm.csv",
         ("interval_index", "node", "weight", "density"),
@@ -372,14 +375,9 @@ def cmd_eqm(cfg, seed, cells, out_dir):
     return [csv_path, report]
 
 
-def cmd_fekete(cfg, seed, cells, out_dir):
-    system = build_system(cfg)
-    field = build_field(cfg, system)
-    seq = build_sequence(cfg, system)
-    sec = _section(cfg, "fekete")
-    _within(seq, "d_max", sec["d_max"])
+def cmd_fekete(spec, sec, seed, cells, out_dir):
     rows, results = fekete_asymptotics(
-        system, seq, field=field, cells=cells, seed=seed, **sec
+        spec.system, spec.seq, field=spec.field, cells=cells, seed=seed, **sec
     )
     trend_path = _write_csv(
         Path(out_dir) / "fekete.csv",
@@ -409,10 +407,7 @@ def cmd_fekete(cfg, seed, cells, out_dir):
     return [trend_path, config_path, report]
 
 
-def cmd_sample(cfg, seed, cells, out_dir):
-    spec = build_spec(cfg, cells)
-    sec = _section(cfg, "sample")
-    _within(spec.seq, "d", sec["d"])
+def cmd_sample(spec, sec, seed, cells, out_dir):
     batch = gibbs_sample(spec, seed=seed, **sec)
     csv_path = _write_csv(
         Path(out_dir) / "sample.csv",
@@ -433,11 +428,8 @@ def cmd_sample(cfg, seed, cells, out_dir):
     return [csv_path, report]
 
 
-def cmd_mop(cfg, seed, cells, out_dir):
-    spec = build_spec(cfg, cells)
-    sec = _section(cfg, "mop")
+def cmd_mop(spec, sec, seed, cells, out_dir):
     d = sec["d"]
-    _within(spec.seq, "d", d)
     poly = solve_mop(spec, spec.index(d))
     rows = _identity_rows(spec, d, poly, sec["z_points"], mode=sec["mode"], seed=seed)
     csv_path = _write_csv(
@@ -457,11 +449,8 @@ def cmd_mop(cfg, seed, cells, out_dir):
     return [csv_path, report]
 
 
-def cmd_zconst(cfg, seed, cells, out_dir):
-    spec = build_spec(cfg, cells)
-    sec = _section(cfg, "zconst")
+def cmd_zconst(spec, sec, seed, cells, out_dir):
     d_list, epsilon = sec["d_list"], sec["epsilon"]
-    _within(spec.seq, "d_list", *d_list)
     rows = []
     for d in d_list:
         m = spec.index(d)
@@ -483,27 +472,15 @@ def cmd_zconst(cfg, seed, cells, out_dir):
     return [csv_path, report]
 
 
-def cmd_ldp(cfg, seed, cells, out_dir):
-    system = build_system(cfg)
-    field = build_field(cfg, system)
-    sec = _section(cfg, "ldp")
-    # Every probe places at least one point on each interval.
-    n_list = _checked("n_list", sec["n_list"], "integers", system.p)
-    n_configs = sec["n_configs"]
-    seq = build_sequence(cfg, system)
+def cmd_ldp(spec, sec, seed, cells, out_dir):
+    system, field, n_configs = spec.system, spec.field, sec["n_configs"]
     eq = solve_equilibrium(system, field=field, cells=cells)
     rate = rate_function(eq.measure, field=field, equilibrium=eq)
-    probe = quantile_energy_probe(eq.measure, n_list, field=field)
+    probe = quantile_energy_probe(eq.measure, sec["n_list"], field=field)
     rows = [("probe", n, v) for n, v in probe]
-    shift_field = field if field is not None else ExternalField.quadratic(
-        system.p, scale=0.25
-    )
-    indices = []
-    for d in range(1, 5):
-        try:
-            indices.append(seq(d))
-        except ValueError:
-            break
+    shift_field = (ExternalField.quadratic(system.p, scale=0.25) if field.is_zero
+                   else field)
+    indices = [spec.index(d) for d in range(1, min(4, spec.seq.length or 4) + 1)]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for j in range(n_configs):
@@ -526,13 +503,10 @@ def cmd_ldp(cfg, seed, cells, out_dir):
     return [csv_path, report]
 
 
-def cmd_bm(cfg, seed, cells, out_dir):
-    system = build_system(cfg)
-    base = build_base(cfg, system, cells)
-    degrees = _section(cfg, "bm")["degrees"]
+def cmd_bm(spec, sec, seed, cells, out_dir):
     rows = []
-    for i, tau in enumerate(base):
-        for n in degrees:
+    for i, tau in enumerate(spec.base):
+        for n in sec["degrees"]:
             est = bm_constant(tau, n)
             rows.append((i, n, est.beta, est.root))
     csv_path = _write_csv(
@@ -543,15 +517,12 @@ def cmd_bm(cfg, seed, cells, out_dir):
     return [csv_path]
 
 
-def cmd_verify(cfg, seed, cells, out_dir):
+def cmd_verify(out_dir):
     # Imported here, not at the top: without a bytecode cache, compiling
     # acceptance.py adds about 10 ms to the start of every other command.
     from .acceptance import run_all
 
-    results = run_all(report_path=Path(out_dir) / "report.json")
-    files = [str(Path(out_dir) / "report.json")]
-    ok = all(r.passed for r in results)
-    return files, ok
+    return all(r.passed for r in run_all(report_path=Path(out_dir) / "report.json"))
 
 
 _COMMANDS = {
@@ -590,8 +561,7 @@ def run(argv=None):
 
     try:
         if args.command == "verify":
-            _, ok = cmd_verify(None, None, None, out_dir)
-            return 0 if ok else 3
+            return 0 if cmd_verify(out_dir) else 3
         if not args.config:
             raise ConfigError("--config is required for %s" % args.command)
         cfg = load_config(args.config)
@@ -601,7 +571,12 @@ def run(argv=None):
             if getattr(args, key) is not None:
                 cfg[key] = getattr(args, key)
         cfg.update(_section(cfg, ""))
-        files = _COMMANDS[args.command](cfg, cfg["seed"], cfg["grid"], out_dir)
+        # Every command builds and checks the whole spec, so a config error
+        # exits 1 whichever command runs, before any numerics.
+        spec = build_spec(cfg, cfg["grid"])
+        sec = _section(cfg, args.command)
+        _within(spec, sec)
+        files = _COMMANDS[args.command](spec, sec, cfg["seed"], cfg["grid"], out_dir)
         files.append(write_manifest(out_dir, args.command, cfg, cfg["seed"], files))
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -309,10 +309,13 @@ class MultiIndexSequence:
 
     ``slack`` declares the tolerance schedule for the limit check:
     |counts_i(d)/total(d) - r_i| <= slack / total(d) for every prefix entry.
+    ``length`` is the number of steps, None for an unbounded sequence; only
+    ``explicit`` sets it.
     """
 
     fn: object
     slack: float = None  # default p + 1, set in __post_init__
+    length: int = field(default=None, init=False)
 
     def __post_init__(self):
         if self.slack is None:
@@ -322,6 +325,8 @@ class MultiIndexSequence:
         d = int(d)
         if d < 1:
             raise ValueError("d starts at 1")
+        if self.length is not None and d > self.length:
+            raise ValueError(f"sequence defined for d <= {self.length}")
         m = self.fn(d)
         if not isinstance(m, MultiIndex):
             m = MultiIndex(tuple(m))
@@ -343,15 +348,11 @@ class MultiIndexSequence:
     @classmethod
     def explicit(cls, indices, slack=None):
         ms = tuple(MultiIndex(tuple(m)) for m in indices)
-
-        def fn(d):
-            if d > len(ms):
-                raise ValueError(f"sequence defined for d <= {len(ms)}")
-            return ms[d - 1]
-
         if slack is None:
             slack = float(max(m.total for m in ms) + 1)
-        return cls(fn=fn, slack=slack)
+        seq = cls(fn=lambda d: ms[d - 1], slack=slack)
+        object.__setattr__(seq, "length", len(ms))
+        return seq
 
     def check_limit(self, r, d_range):
         """Raise if any prefix entry drifts beyond the declared schedule."""

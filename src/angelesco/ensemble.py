@@ -130,14 +130,8 @@ class EnsembleSpec:
             if b.interval_index != i or b.system != self.system:
                 raise ValueError("base measures misaligned with the system")
         # The multi-index sequence must drift toward the mass vector.
-        probe = []
-        for d in range(1, 9):
-            try:
-                self.seq(d)
-            except ValueError:
-                break
-            probe.append(d)
-        self.seq.check_limit(self.system.r, probe)
+        last = min(8, self.seq.length or 8)
+        self.seq.check_limit(self.system.r, range(1, last + 1))
 
     def index(self, d):
         return self.seq(d)

@@ -141,6 +141,12 @@ def bm_constant(tau, degree, field=None, weight_scale=0):
     diagonal of the probability-normalized measure; ``root`` its
     (2 degree)-th root.  Roots tending to 1 certify subexponential sup
     growth; roots bounded away from 1 expose a support defect.
+
+    The measure is discrete (the refined grid's nodes and weights), so at a
+    node of positive weight the diagonal is at most 1 / (that node's
+    normalized weight): 8 x cells for a Lebesgue base.  Once the degree
+    nears the grid, ``beta`` reads that cap instead of the continuous sup:
+    on [-2, -1] u [1, 2], degree 50 gives 399.4 at 50 cells, 1780.7 at 400.
     """
     sups = _kernel_profile(tau, degree, field, weight_scale)
     beta = float(sups[degree])

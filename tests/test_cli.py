@@ -351,6 +351,24 @@ def test_power_base_off_positive_axis_exits_1(tmp_path, capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"base_measures": "power(1)"}, {"sequence": {"rule": "bogus"}},
+     {"fields": "bogus"}],
+    ids=["base_negative", "sequence_rule", "field"],
+)
+@pytest.mark.parametrize(
+    "command", ["eqm", "fekete", "sample", "mop", "zconst", "ldp", "bm"]
+)
+def test_spec_error_exits_1_for_every_command(tmp_path, capsys, command, overrides):
+    # The whole spec is built and checked whichever command runs.
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(out.iterdir()) == []
+
+
 def test_solver_failure_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, eqm={"max_iter": 2, "tol": 1e-14})
     assert run(["eqm", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
@@ -365,7 +383,7 @@ def test_unexpected_library_error_exits_2(tmp_path, monkeypatch, capsys, error):
     # ValueError, and so is any check inside the library.
     import angelesco.cli as cli
 
-    def broken(cfg, seed, cells, out_dir):
+    def broken(spec, sec, seed, cells, out_dir):
         raise error("inside the library")
 
     monkeypatch.setitem(cli._COMMANDS, "eqm", broken)

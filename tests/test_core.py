@@ -200,6 +200,16 @@ class TestIndexing:
         with pytest.raises(ValueError):
             seq(3)
 
+    def test_sequence_length(self, two):
+        seq = MultiIndexSequence.explicit(((1, 1), (2, 1), (2, 2)))
+        assert seq.length == 3
+        assert seq(3).counts == (2, 2)
+        with pytest.raises(ValueError, match=r"^sequence defined for d <= 3$"):
+            seq(seq.length + 1)
+        unbounded = MultiIndexSequence.proportional(two.r, start=2, step=2)
+        assert unbounded.length is None
+        assert unbounded(1000).total == 2000
+
 
 class TestConfigurations:
     def test_blocks_are_validated(self, two):
