@@ -370,6 +370,7 @@ def cmd_eqm(spec, sec, seed, cells, out_dir):
             "modified_robin_constants": list(sol.modified_robin_constants),
             "kkt_residual": sol.kkt_residual,
             "iterations": sol.iterations,
+            "applies": sol.applies,
         },
     )
     return [csv_path, report]

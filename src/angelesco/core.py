@@ -11,6 +11,7 @@ writer of each output file kind.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,22 +286,49 @@ class MultiIndex:
         return sum(self.counts)
 
 
+def _pairwise_sum(xs):
+    """Sum of a list of floats in the order of NumPy's float64 ``sum``, so
+    bit for bit the same: one after another below 8 terms, 8 interleaved
+    partial sums up to 128, halves beyond (pairwise summation)."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    r = xs[:8]
+    whole = n - n % 8
+    for i in range(8, whole, 8):
+        for j in range(8):
+            r[j] += xs[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[whole:]:
+        total += x
+    return total
+
+
 def apportion(total, shares):
     """Largest-remainder split of ``total`` points by ``shares``, each >= 1."""
-    shares = np.asarray(shares, dtype=float)
-    p = shares.size
+    shares = [float(s) for s in shares]
+    p = len(shares)
     if total < p:
         raise ValueError(f"cannot place {total} points on {p} intervals")
-    quota = shares / shares.sum() * total
-    counts = np.floor(quota).astype(int)
-    rem = quota - counts
-    # Ties broken by lower index: stable argsort on (-remainder, index).
-    for j in np.argsort(-rem, kind="stable")[: total - counts.sum()]:
+    whole = _pairwise_sum(shares)
+    if not 0.0 < whole < math.inf:
+        raise ValueError(f"shares {shares} do not have a positive finite sum")
+    quota = [s / whole * total for s in shares]
+    counts = [math.floor(q) for q in quota]
+    rem = [q - c for q, c in zip(quota, counts)]
+    # Ties broken by lower index: a stable sort on -remainder.
+    for j in sorted(range(p), key=lambda j: -rem[j])[: total - sum(counts)]:
         counts[j] += 1
-    while counts.min() < 1:
-        counts[np.argmin(counts)] += 1
-        counts[np.argmax(counts)] -= 1
-    return MultiIndex(tuple(int(c) for c in counts))
+    while min(counts) < 1:
+        counts[counts.index(min(counts))] += 1
+        counts[counts.index(max(counts))] -= 1
+    return MultiIndex(tuple(counts))
 
 
 @dataclass(frozen=True, eq=False)

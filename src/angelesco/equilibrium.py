@@ -10,9 +10,13 @@ are the equilibrium conditions: the quantity 2(U_i + Q_i) equals a constant
 F_i on the support of component i and is >= F_i off it.
 
 The solver is spectral projected gradient (Birgin, Martinez & Raydan, SIAM
-J. Optim. 10, 2000): Barzilai-Borwein steps, backtracked along the
-projection arc until the nonmonotone Armijo rule of Grippo, Lampariello &
-Lucidi (SIAM J. Numer. Anal. 23, 1986) holds,
+J. Optim. 10, 2000) with the adaptive ABBmin step of Frassoldati, Zanni &
+Zanghirati (J. Ind. Manag. Optim. 4, 2008): of the two Barzilai-Borwein
+steps BB1 = s's / s'y and BB2 = s'y / y'y, take the smallest of the last
+ABBMIN_MEMORY = 3 BB2 values when BB2 < ABBMIN_TAU (0.5) BB1, else BB1.
+The step is backtracked along the projection arc until the nonmonotone
+Armijo rule of Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23, 1986)
+holds,
 
     E(w_new) <= max(last NONMONOTONE_MEMORY = 10 energies) + 1e-4 g'(w_new - w).
 
@@ -21,10 +25,11 @@ exact quadratic on the segment from w to the rejected point, kept in
 [0.1, 0.5] (safeguarded quadratic interpolation, as in SPG).
 
 Comparing with the recent maximum instead of the current energy lets a
-Barzilai-Borwein step raise the energy for a while, so fewer trials are
+spectral step raise the energy for a while, so fewer trials are
 rejected, and near the optimum, where energy differences are round-off, the
 search still moves.  The projection onto the product of scaled simplices
-and the KKT residual are each computed for all components at once.
+and the KKT residual are each computed for all components at once, the
+residual in one pass of segment minima and maxima.
 
 Every kernel product goes through the cached ``energy.system_kernel``
 operator: FFT-applied Toeplitz self blocks and low-rank cross blocks built
@@ -35,6 +40,7 @@ energy report is taken from the same operator.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +56,8 @@ from .errors import GridMismatch, InfeasibleMasses, MaxIterationsExceeded
 
 SUPPORT_THRESHOLD = 1e-14  # of the max weight, per component
 NONMONOTONE_MEMORY = 10  # energies the line search's reference looks back on
+ABBMIN_MEMORY = 3  # BB2 steps the ABBmin rule takes the smallest of
+ABBMIN_TAU = 0.5  # BB2 / BB1 below which the ABBmin rule takes BB2 steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +67,7 @@ class EquilibriumSolution:
     kkt_residual: float
     modified_robin_constants: tuple
     iterations: int
+    applies: int  # kernel applies, rejected line-search trials included
     energy_history: tuple = ()
 
 
@@ -70,7 +79,9 @@ def _project_rows(v, totals):
     / (k+1) and rho the last k at which the (k+1)-th largest exceeds lam_i[k].
     """
     u = np.sort(v, axis=1)[:, ::-1]
-    lam = (np.cumsum(u, axis=1) - totals[:, None]) / np.arange(1, v.shape[1] + 1)
+    lam = np.cumsum(u, axis=1)
+    lam -= totals[:, None]
+    lam /= np.arange(1, v.shape[1] + 1)
     rho = v.shape[1] - 1 - np.argmax((u > lam)[:, ::-1], axis=1)
     return np.maximum(v - lam[np.arange(v.shape[0]), rho][:, None], 0.0)
 
@@ -85,20 +96,27 @@ def _support_residual(w, g, starts):
 
     Components are the segments of the stacked ``w`` and ``g`` that begin
     at ``starts``.  A component with no positive weight has constant nan
-    and adds nothing to the residual.
+    and adds nothing to the residual.  Component i adds
+    max(F_i - min g_i, max of g_i - F_i over its support, 0): the largest
+    |g - F_i| on the support and shortfall F_i - g off it, in one pass of
+    segment minima and maxima (rounding is monotone, so these are the
+    elementwise deviations' maxima bit for bit).
     """
-    sizes = np.diff(starts, append=w.size)
+    sizes = np.concatenate((starts[1:], [w.size])) - starts
     top = np.maximum.reduceat(w, starts)
     on = w > np.repeat(SUPPORT_THRESHOLD * top, sizes)
     w_on = np.where(on, w, 0.0)
     live = top > 0.0
-    mass = np.add.reduceat(w_on, starts)
-    consts = np.full(starts.size, np.nan)
-    consts[live] = np.add.reduceat(w_on * g, starts)[live] / mass[live]
-    f = np.repeat(consts, sizes)
-    dev = np.where(on, np.abs(g - f), np.maximum(f - g, 0.0))
-    worst = np.maximum.reduceat(dev, starts)[live]
-    return float(worst.max(initial=0.0)), tuple(float(c) for c in consts)
+    consts = np.divide(
+        np.add.reduceat(w_on * g, starts),
+        np.add.reduceat(w_on, starts),
+        out=np.full(starts.size, np.nan),
+        where=live,
+    )
+    low = np.minimum.reduceat(g, starts)
+    high = np.maximum.reduceat(np.where(on, g, -np.inf), starts)
+    worst = np.maximum(np.maximum(consts - low, high - consts), 0.0)[live]
+    return float(worst.max(initial=0.0)), tuple(consts.tolist())
 
 
 def kkt_residual(mu, field=None):
@@ -128,12 +146,13 @@ def solve_equilibrium(
     """Minimize the weighted energy over the product of scaled simplices.
 
     Starts from the uniform vector measure (or ``initial``, which must live
-    on ``system``'s ``cells``-cell grids, else GridMismatch), takes
-    Barzilai-Borwein trial steps, shortens each along the projection arc
-    until its energy is at most the largest of the last NONMONOTONE_MEMORY
-    (10) energies plus the Armijo term 1e-4 g'(w_new - w), and stops when
-    the KKT residual drops below ``tol``.  ``energy_history`` can therefore
-    rise between iterations; its running 10-term maximum does not.  Raises
+    on ``system``'s ``cells``-cell grids, else GridMismatch), takes ABBmin
+    trial steps, shortens each along the projection arc until its energy is
+    at most the largest of the last NONMONOTONE_MEMORY (10) energies plus
+    the Armijo term 1e-4 g'(w_new - w), and stops when the KKT residual
+    drops below ``tol``.  ``energy_history`` can therefore rise between
+    iterations; its running 10-term maximum does not.  ``applies`` counts
+    every kernel apply, rejected trials included.  Raises
     MaxIterationsExceeded (carrying the best iterate) otherwise.
     """
     field = as_field(field, system.p)
@@ -180,7 +199,9 @@ def solve_equilibrium(
     g = 2.0 * (u + q)
     e = energy_of(w, u)
     history = [e]
+    applies = 1
     w_prev = g_prev = None
+    bb2s = deque(maxlen=ABBMIN_MEMORY)
     step = 1.0 / max(np.max(np.abs(g)), 1.0)
     best = (np.inf, None)
 
@@ -196,6 +217,7 @@ def solve_equilibrium(
                 kkt_residual=res,
                 modified_robin_constants=consts,
                 iterations=it - 1,
+                applies=applies,
                 energy_history=tuple(history),
             )
 
@@ -204,8 +226,10 @@ def solve_equilibrium(
             y = g - g_prev
             sy = float(s @ y)
             if sy > 1e-30:
-                step = float(s @ s) / sy
-        step = float(np.clip(step, 1e-14, 1e14))
+                bb1 = float(s @ s) / sy
+                bb2s.append(sy / float(y @ y))
+                step = min(bb2s) if bb2s[-1] < ABBMIN_TAU * bb1 else bb1
+        step = min(max(step, 1e-14), 1e14)
 
         w_prev, g_prev = w, g
         reference = max(history[-NONMONOTONE_MEMORY:])
@@ -213,6 +237,7 @@ def solve_equilibrium(
         for _ in range(60):
             w_new = project(w - t * g)
             u_new = kernel.apply(w_new)
+            applies += 1
             e_new = energy_of(w_new, u_new)
             gd = float(g @ (w_new - w))
             if e_new <= reference + 1e-4 * gd or t < 1e-18:
@@ -238,6 +263,7 @@ def solve_equilibrium(
             kkt_residual=res,
             modified_robin_constants=consts,
             iterations=max_iter,
+            applies=applies,
             energy_history=tuple(history),
         ),
     )

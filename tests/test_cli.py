@@ -175,6 +175,7 @@ class TestCommands:
         report = json.loads((out / "eqm.report.json").read_text())
         assert report["energy"] == pytest.approx(0.42, abs=0.02)
         assert report["kkt_residual"] < 2e-4
+        assert report["applies"] >= report["iterations"] + 1
         rows = read_csv(out / "eqm.csv")
         assert rows[0] == ["interval_index", "node", "weight", "density"]
         assert len(rows) == 1 + 2 * 200

@@ -181,6 +181,39 @@ class TestIndexing:
             assert max(counts) - min(counts) <= 1
         with pytest.raises(ValueError):
             apportion(1, (0.5, 0.5))
+        for shares in [(0.0, 0.0), (np.nan, 0.5), (np.inf, 0.5)]:
+            with pytest.raises(ValueError, match="positive finite sum"):
+                apportion(5, shares)
+
+    def test_apportion_matches_the_numpy_form(self):
+        def numpy_form(total, shares):
+            shares = np.asarray(shares, dtype=float)
+            quota = shares / shares.sum() * total
+            counts = np.floor(quota).astype(int)
+            rem = quota - counts
+            for j in np.argsort(-rem, kind="stable")[: total - counts.sum()]:
+                counts[j] += 1
+            while counts.min() < 1:
+                counts[np.argmin(counts)] += 1
+                counts[np.argmax(counts)] -= 1
+            return tuple(int(c) for c in counts)
+
+        rng = np.random.default_rng(8)
+        # 8 or more shares and 129 or more take NumPy's pairwise order.
+        for p in [*range(1, 20), 129, 140]:
+            for kind in range(40 if p < 20 else 4):
+                if kind % 4 == 0:
+                    shares = rng.random(p)
+                elif kind % 4 == 1:
+                    shares = rng.integers(1, 6, size=p) / 10.0  # ties
+                elif kind % 4 == 2:
+                    shares = np.full(p, 1.0 / p)  # all tied
+                else:
+                    shares = 10.0 ** rng.uniform(-8, 0, size=p)
+                for total in {p, p + 1, 3 * p + 1, 100 + p, 1000 + p}:
+                    want = numpy_form(total, shares)
+                    assert apportion(total, shares.tolist()).counts == want
+                    assert apportion(total, tuple(shares)).counts == want
 
     def test_proportional_sequence(self, two):
         seq = MultiIndexSequence.proportional(two.r, start=2, step=2)

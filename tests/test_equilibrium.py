@@ -81,6 +81,42 @@ def test_segment_residual_matches_a_loop_over_components():
         assert np.allclose(consts, want_consts, rtol=1e-13, atol=0.0, equal_nan=True)
 
 
+def _deviation_array_residual(w, g, starts):
+    """The residual from the array of elementwise deviations: |g - F_i| on
+    the support, max(F_i - g, 0) off it."""
+    sizes = np.diff(starts, append=w.size)
+    top = np.maximum.reduceat(w, starts)
+    on = w > np.repeat(SUPPORT_THRESHOLD * top, sizes)
+    w_on = np.where(on, w, 0.0)
+    live = top > 0.0
+    mass = np.add.reduceat(w_on, starts)
+    consts = np.full(starts.size, np.nan)
+    consts[live] = np.add.reduceat(w_on * g, starts)[live] / mass[live]
+    f = np.repeat(consts, sizes)
+    dev = np.where(on, np.abs(g - f), np.maximum(f - g, 0.0))
+    worst = np.maximum.reduceat(dev, starts)[live]
+    return float(worst.max(initial=0.0)), tuple(float(c) for c in consts)
+
+
+def test_one_pass_residual_is_the_deviation_array_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        sizes = rng.integers(1, 60, size=rng.integers(1, 5))
+        ws = [
+            np.where(rng.random(m) < 0.6, 10.0 ** rng.uniform(-20, 1, size=m), 0.0)
+            for m in sizes
+        ]
+        if trial % 3 == 0:
+            ws[trial % sizes.size][:] = 0.0  # a component with no weight
+        gs = [rng.normal(scale=10.0 ** rng.uniform(-6, 2), size=m) for m in sizes]
+        starts = np.cumsum(np.concatenate([[0], sizes[:-1]]))
+        w, g = np.concatenate(ws), np.concatenate(gs)
+        res, consts = _support_residual(w, g, starts)
+        want_res, want_consts = _deviation_array_residual(w, g, starts)
+        assert res == want_res
+        assert np.array_equal(consts, want_consts, equal_nan=True)
+
+
 class TestTwoIntervalProblem:
     def test_solution_summary(self, two_equilibrium):
         sol = two_equilibrium
@@ -209,3 +245,19 @@ def test_iteration_cap_carries_best_iterate(two):
     assert best.iterations == 3
     assert best.measure.masses == pytest.approx((0.5, 0.5))
     assert len(best.energy_history) >= 1
+
+
+@pytest.mark.parametrize(
+    "intervals, masses, applies",
+    [
+        (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5), 98),
+        (((-2.0, -1.0), (-0.99, 0.0), (0.01, 1.0)), (0.3, 0.3, 0.4), 112),
+    ],
+    ids=["two", "three_gap0.01"],
+)
+def test_solve_cost_in_kernel_applies(intervals, masses, applies):
+    # ``applies`` is deterministic: the initial apply plus one per
+    # line-search trial.  The bound is about 1.15 times the count above, so
+    # a step rule or search that costs more trials fails here.
+    sol = solve_equilibrium(IntervalSystem(intervals, masses), cells=800)
+    assert sol.iterations + 1 <= sol.applies <= round(1.15 * applies)
