@@ -21,7 +21,7 @@ from . import __version__
 from .core import IntervalSystem, MultiIndexSequence
 # perfbench/tracing.py times every write under these two names.
 from .core import write_csv as _write_csv, write_json as _write_json
-from .energy import ExternalField, interpolant
+from .energy import ExternalField, _quadratic, interpolant
 from .ensemble import (
     BaseMeasure,
     EnsembleSpec,
@@ -239,7 +239,7 @@ def _one_field(entry):
             center, scale = (_number(float(a), float) for a in args)
         except (TypeError, ValueError):
             raise ConfigError("field %r wants quadratic(center,scale)" % entry)
-        return lambda x, c=center, s=scale: s * (np.asarray(x, float) - c) ** 2
+        return _quadratic(center, scale)
     if isinstance(entry, dict):
         return _samples(entry, "field")
     raise ConfigError("unrecognized field entry %r" % (entry,))

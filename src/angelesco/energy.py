@@ -1,12 +1,8 @@
 """Discrete logarithmic energy: kernels, potentials, quadratic forms.
 
-The kernel is -log|x - y| evaluated at cell midpoints.  When both grids
-coincide, the diagonal entry is the exact cell-averaged self-interaction
-
-    (1/h^2) * int int_{cell^2} -log|x - y| dx dy = 3/2 - log h,
-
-which keeps self-energies finite and the quadratic form conditionally
-positive.  The total energy of a vector measure is
+Every kernel entry, dense or structured, comes from ``_log_kernel``: the
+one place that turns a distance between cell midpoints into an entry.  The
+total energy of a vector measure is
 
     sum_i I(mu_i, mu_i) + sum_{i<j} I(mu_i, mu_j)   (+ 2 sum_i int Q_i dmu_i),
 
@@ -62,6 +58,12 @@ def interpolant(xs, ys):
     return lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)
 
 
+def _quadratic(center, scale):
+    """x -> scale * (x - center)^2."""
+    c, s = float(center), float(scale)
+    return lambda x: s * (np.asarray(x, dtype=float) - c) ** 2
+
+
 class ExternalField:
     """Per-interval external fields Q_i, evaluated vectorized.
 
@@ -80,9 +82,7 @@ class ExternalField:
     @classmethod
     def quadratic(cls, p, center=0.0, scale=1.0):
         """Q_i(x) = scale * (x - center)^2 on every interval."""
-        c, s = float(center), float(scale)
-        return cls(tuple((lambda x, c=c, s=s: s * (np.asarray(x) - c) ** 2)
-                         for _ in range(p)))
+        return cls((_quadratic(center, scale),) * p)
 
     @classmethod
     def from_samples(cls, xs_list, ys_list):
@@ -148,8 +148,24 @@ def _same_grid(g1, g2):
     )
 
 
+def _log_kernel(d, h=None, zero=None):
+    """Kernel entries at distances d between cell midpoints, in place on d.
+
+    -log d, except at the index ``zero``, where a node of an h-wide grid
+    meets itself (d == 0) and the entry is the exact cell average
+    (1/h^2) int int_{cell^2} -log|x - y| dx dy = CELL_SELF_ENERGY - log h,
+    which keeps self-energies finite and the form conditionally positive.
+    """
+    if zero is not None:
+        d[zero] = 1.0
+    np.negative(np.log(d, out=d), out=d)
+    if zero is not None:
+        d[zero] = CELL_SELF_ENERGY - np.log(h)
+    return d
+
+
 def kernel_matrix(g1, g2):
-    """-log|x - y| between two grids; exact cell average on a shared diagonal.
+    """The kernel (``_log_kernel``) between two grids.
 
     Distinct grids with coinciding nodes raise CoincidentNodesAcrossIntervals:
     disjoint intervals cannot produce them, so the input is corrupt.
@@ -160,16 +176,13 @@ def kernel_matrix(g1, g2):
     k = g1.nodes[:, None] - g2.nodes[None, :]
     np.abs(k, out=k)
     if _same_grid(g1, g2):
-        np.fill_diagonal(k, 1.0)
-        np.negative(np.log(k, out=k), out=k)
-        np.fill_diagonal(k, CELL_SELF_ENERGY - np.log(g1.cell_width))
-        return k
+        return _log_kernel(k, g1.cell_width, np.diag_indices_from(k))
     if k.min() == 0.0:
         raise CoincidentNodesAcrossIntervals(
             f"grids on intervals {g1.interval_index} and {g2.interval_index} "
             "share a node"
         )
-    return np.negative(np.log(k, out=k), out=k)
+    return _log_kernel(k)
 
 
 def mutual_energy(alpha, beta):
@@ -185,11 +198,8 @@ def potential(alpha, y):
     """
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     d = np.abs(y_arr[:, None] - alpha.nodes[None, :])
-    hit = d < 1e-9 * alpha.cell_width
-    d = np.where(hit, 1.0, d)
-    k = -np.log(d)
-    k = np.where(hit, CELL_SELF_ENERGY - np.log(alpha.cell_width), k)
-    out = k @ alpha.weights
+    h = alpha.cell_width
+    out = _log_kernel(d, h, d < 1e-9 * h) @ alpha.weights
     return float(out[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
 
 
@@ -248,30 +258,27 @@ def difference_energy(nu, mu):
 
 
 def _entry_error(x, y, u, v):
-    """max |U V' - C| over every entry of C = -log|x - y|.
-
-    C is recomputed CERTIFY_ROWS rows at a time into one buffer (subtract,
-    abs, log: it holds -C), U V' of those rows goes into a second, and the
-    sum of the two is U V' - C; C itself is never stored.
+    """max |U V' - C| over the cross block C between grid x and grid y to
+    its right.  C is recomputed CERTIFY_ROWS rows at a time into one buffer
+    (y - x, then ``_log_kernel``), U V' of those rows goes into a second,
+    and their difference is taken there; C itself is never stored.
     """
     chunk = min(x.size, CERTIFY_ROWS)
-    logs, diff = np.empty((chunk, y.size)), np.empty((chunk, y.size))
+    block, diff = np.empty((chunk, y.size)), np.empty((chunk, y.size))
     err = 0.0
     for a in range(0, x.size, chunk):
         b = min(a + chunk, x.size)
-        lg, df = logs[: b - a], diff[: b - a]
-        np.subtract(x[a:b, None], y, out=lg)
-        np.log(np.abs(lg, out=lg), out=lg)
-        np.matmul(u[a:b], v.T, out=df)
-        df += lg
+        c = _log_kernel(np.subtract(y, x[a:b, None], out=block[: b - a]))
+        df = np.matmul(u[a:b], v.T, out=diff[: b - a])
+        df -= c
         err = max(err, float(df.max()), -float(df.min()))
     return err
 
 
 def _cross_factors(x, y):
-    """Certified factors U, V of the cross block C = -log|x - y| between two
-    disjoint grids: every entry of U V' lies within LOW_RANK_TOL * max(1,
-    max|C|) of C.
+    """Certified factors U, V of the cross block C between the grid x and
+    the disjoint grid y to its right (entries ``_log_kernel(y - x)``): every
+    entry of U V' lies within LOW_RANK_TOL * max(1, max|C|) of C.
 
     Partially pivoted adaptive cross approximation (Bebendorf, Numer. Math.
     86, 2000): each step evaluates one row and one column of C minus the
@@ -285,10 +292,10 @@ def _cross_factors(x, y):
     """
     m, n = x.size, y.size
     last = min(m, n)
-    # |x - y| is monotone in each node across disjoint grids, so the extremes
-    # of |C| sit at corner pairs.
-    corners = np.abs(x[[0, -1], None] - y[[0, -1]])
-    bound = LOW_RANK_TOL * max(1.0, float(np.abs(np.log(corners)).max()))
+    # y - x is monotone in each node, so the extremes of |C| sit at corner
+    # pairs.
+    corners = _log_kernel(y[[0, -1]] - x[[0, -1], None])
+    bound = LOW_RANK_TOL * max(1.0, float(np.abs(corners).max()))
     ut, vt = np.empty((min(16, last), m)), np.empty((min(16, last), n))
     free = np.ones(m, dtype=bool)
     i = steps = target = 0
@@ -296,13 +303,13 @@ def _cross_factors(x, y):
     while True:
         while steps < last and free.any():
             free[i] = False
-            row = -np.log(np.abs(x[i] - y)) - ut[:steps, i] @ vt[:steps]
+            row = _log_kernel(y - x[i]) - ut[:steps, i] @ vt[:steps]
             j = int(np.argmax(np.abs(row)))
             if row[j] == 0.0:  # row i is already exact
                 i = int(np.argmax(free))
                 continue
             v = row / row[j]
-            u = -np.log(np.abs(x - y[j])) - vt[:steps, j] @ ut[:steps]
+            u = _log_kernel(y[j] - x) - vt[:steps, j] @ ut[:steps]
             uu, vv = float(u @ u), float(v @ v)
             frob2 += 2.0 * float((ut[:steps] @ u) @ (vt[:steps] @ v)) + uu * vv
             if steps == len(ut):
@@ -335,10 +342,10 @@ class KernelOperator:
     """The kernel of the standard grids of one system, applied without the
     dense (p*cells)^2 matrix.  Read-only.
 
-    Self block i is the symmetric Toeplitz matrix with first column
-    CELL_SELF_ENERGY - log h_i, -log(h_i), -log(2 h_i), ...; it is applied
-    through the FFT of its 2M circulant embedding.  Cross block i<j,
-    -log|x - y| between two disjoint intervals, is analytic and kept as
+    Entries come from ``_log_kernel``.  Self block i is the symmetric
+    Toeplitz matrix with first column the entries at distances 0, h_i,
+    2 h_i, ...; it is applied through the FFT of its 2M circulant embedding.
+    Cross block i<j, between two disjoint intervals, is analytic and kept as
     low-rank factors U V' built by adaptive cross approximation from
     O(M k) of its entries; every entry of U V' is certified against the
     block, recomputed in row chunks and never stored (``_cross_factors``).
@@ -356,11 +363,9 @@ class KernelOperator:
         cols = np.empty((self.p, 2 * cells))
         for i in range(self.p):
             h = system.cell_width(i, cells)
-            col = cols[i, :cells]
-            col[0] = CELL_SELF_ENERGY - np.log(h)
-            col[1:] = -np.log(h * np.arange(1, cells))
+            cols[i, :cells] = _log_kernel(h * np.arange(cells), h, 0)
             cols[i, cells] = 0.0
-            cols[i, cells + 1 :] = col[:0:-1]
+            cols[i, cells + 1 :] = cols[i, cells - 1 : 0 : -1]
         self._symbols = np.fft.rfft(cols)
         self._symbols.setflags(write=False)
         uniform = VectorMeasure.uniform(system, cells)
@@ -400,6 +405,6 @@ class KernelOperator:
 @lru_cache(maxsize=16)
 def system_kernel(system, cells=DEFAULT_CELLS):
     """The kernel of the standard grids as a ``KernelOperator``, cached per
-    (system, cells).  Self blocks carry the cell-averaged diagonal.
+    (system, cells).
     """
     return KernelOperator(system, cells)

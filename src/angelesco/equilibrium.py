@@ -34,8 +34,9 @@ residual in one pass of segment minima and maxima.
 Every kernel product goes through the cached ``energy.system_kernel``
 operator: FFT-applied Toeplitz self blocks and low-rank cross blocks built
 by adaptive cross approximation and certified entry by entry, O(pM log M +
-p^2 M r) per apply, with no M x M array in assembly or apply.  The final
-energy report is taken from the same operator.
+p^2 M r) per apply, with no M x M array in assembly or apply.  Both exits,
+success and MaxIterationsExceeded, take the energy report from the same
+operator, with the field terms of ``energy.weighted_energy``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import numpy as np
 from .core import DEFAULT_CELLS, GridMeasure, VectorMeasure
 from .energy import (
     EnergyReport,
+    _field_integrals,
     as_field,
     partial_potentials,
     system_kernel,
@@ -169,7 +171,6 @@ def solve_equilibrium(
 
     kernel = system_kernel(system, cells)
     n = cells
-    blocks = [slice(i * n, (i + 1) * n) for i in range(p)]
     q = np.concatenate(
         [field(i, system.grid_nodes(i, cells)) for i in range(p)]
     )
@@ -179,11 +180,14 @@ def solve_equilibrium(
     def energy_of(w, u):
         return float(w @ u + 2.0 * (q @ w))
 
-    def report(measure):
-        w = np.concatenate([g.weights for g in measure])
-        selfs, crosses = kernel.energy_terms(w)
-        fields = [2.0 * float(w[b] @ q[b]) for b in blocks]
-        return EnergyReport.build(selfs, crosses, fields)
+    def solution(w, res, consts, iterations):
+        measure = _as_measure(system, cells, w)
+        weights = np.concatenate([g.weights for g in measure])
+        fields = _field_integrals(measure, field)
+        energy = EnergyReport.build(*kernel.energy_terms(weights), fields)
+        return EquilibriumSolution(
+            measure, energy, res, consts, iterations, applies, tuple(history)
+        )
 
     starts = np.arange(0, p * n, n)
 
@@ -203,23 +207,14 @@ def solve_equilibrium(
     w_prev = g_prev = None
     bb2s = deque(maxlen=ABBMIN_MEMORY)
     step = 1.0 / max(np.max(np.abs(g)), 1.0)
-    best = (np.inf, None)
+    best = (np.inf, None, None)
 
     for it in range(1, max_iter + 1):
         res, consts = _support_residual(w, g, starts)
         if res < best[0]:
-            best = (res, (w.copy(), e, consts, it))
+            best = (res, w.copy(), consts)
         if res <= tol:
-            measure = _as_measure(system, cells, w)
-            return EquilibriumSolution(
-                measure=measure,
-                energy=report(measure),
-                kkt_residual=res,
-                modified_robin_constants=consts,
-                iterations=it - 1,
-                applies=applies,
-                energy_history=tuple(history),
-            )
+            return solution(w, res, consts, it - 1)
 
         if w_prev is not None:
             s = w - w_prev
@@ -251,21 +246,11 @@ def solve_equilibrium(
         g = 2.0 * (u + q)
         history.append(e)
 
-    res, payload = best
-    w_best, e_best, consts, it_best = payload
-    measure = _as_measure(system, cells, w_best)
+    res, w_best, consts = best
     raise MaxIterationsExceeded(
         f"no convergence to {tol} in {max_iter} iterations "
         f"(best residual {res:.3e})",
-        solution=EquilibriumSolution(
-            measure=measure,
-            energy=report(measure),
-            kkt_residual=res,
-            modified_robin_constants=consts,
-            iterations=max_iter,
-            applies=applies,
-            energy_history=tuple(history),
-        ),
+        solution=solution(w_best, res, consts, max_iter),
     )
 
 

@@ -131,6 +131,22 @@ class TestKernelOperator:
         monkeypatch.undo()
         assert u.shape[1] == _cross_factors(x, y)[0].shape[1]
 
+    def test_every_kernel_takes_its_entries_from_one_rule(self, monkeypatch):
+        # Shift every entry by 0.25: the structured operator, the dense
+        # blocks and the potential must all see the shifted kernel.
+        plain = energy._log_kernel
+        monkeypatch.setattr(energy, "_log_kernel", lambda *a: plain(*a) + 0.25)
+        system, cells = OPERATOR_SYSTEMS[4], 64
+        kernel = system_kernel.__wrapped__(system, cells)  # past the cache
+        w = np.random.default_rng(3).random(system.p * cells)
+        dense = dense_apply(system, cells, w)
+        assert np.abs(kernel.apply(w) - dense).max() <= 1e-13 * np.abs(dense).max()
+        for g in VectorMeasure.uniform(system, cells):
+            k = kernel_matrix(g, g)
+            assert np.array_equal(potential(g, g.nodes), k @ g.weights)
+            shifted = CELL_SELF_ENERGY - np.log(g.cell_width) + 0.25
+            assert np.all(np.diag(k) == shifted)
+
     def test_assembly_holds_no_square_array(self):
         system = OPERATOR_SYSTEMS[1]
         peaks = {}

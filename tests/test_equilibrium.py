@@ -243,8 +243,14 @@ def test_iteration_cap_carries_best_iterate(two):
         solve_equilibrium(two, max_iter=3, tol=1e-14)
     best = exc.value.solution
     assert best.iterations == 3
+    assert best.applies >= best.iterations + 1
     assert best.measure.masses == pytest.approx((0.5, 0.5))
     assert len(best.energy_history) >= 1
+    # The failure exit reports the energy of the iterate it carries.
+    dense = weighted_energy(best.measure)
+    for name in ("self_terms", "cross_terms", "field_terms"):
+        got, want = getattr(best.energy, name), getattr(dense, name)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
