@@ -15,9 +15,17 @@ per interval:
   median of 21 after a warm-up;
 - ``solve_s``: ``solve_equilibrium`` on an empty cache, assembly included,
   with its iteration count, energy, kernel applies (``KernelOperator.apply``
-  counted) and line-search trials per iteration, (applies - 1) / iterations;
+  counted), line-search trials per iteration, (applies - 1) / iterations,
+  and, on a tree with the active-set solver, its outer ``rounds``, its
+  ``pcg_steps`` (``equilibrium._pcg`` counted) and whether the SPG
+  ``fallback`` ran (null on a tree without them);
 - ``certificates``: rank, largest entry error and ACA ``steps`` of each
   low-rank cross block.
+
+The same solve row is recorded at every M for two problems with a partial
+support: the pushing case [-1, -0.01] u [0.01, 3] with masses (0.3, 0.7),
+and [-2, -1] u [1, 2] under the field ``quadratic`` with scale 1
+(``pushing_M<m>`` and ``two_quadratic_M<m>`` rows).
 
 At M = 400 it also solves to ``tol`` 1e-6 and 1e-8 with ``max_iter`` 2000
 on [-2, -1] u [1, 2] and on [-1, -0.01] u [0.01, 3] with masses (0.3, 0.7)
@@ -44,6 +52,10 @@ LAYOUTS = {
     "two": (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5)),
     "three_gap0.01": (((-2.0, -1.0), (-0.99, 0.0), (0.01, 1.0)), (0.3, 0.3, 0.4)),
 }
+PARTIAL = {
+    "pushing": (((-1.0, -0.01), (0.01, 3.0)), (0.3, 0.7), None),
+    "two_quadratic": (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5), 1.0),
+}
 TIGHT = {
     "two": LAYOUTS["two"],
     "uneven": (((-1.0, -0.01), (0.01, 3.0)), (0.3, 0.7)),
@@ -61,8 +73,8 @@ CONTENTION = (
 def measure(src):
     import numpy as np
 
-    from angelesco import IntervalSystem, solve_equilibrium
-    from angelesco import energy
+    from angelesco import ExternalField, IntervalSystem, solve_equilibrium
+    from angelesco import energy, equilibrium
     from angelesco.energy import system_kernel
     from angelesco.errors import MaxIterationsExceeded
 
@@ -73,11 +85,21 @@ def measure(src):
         applies[0] += 1
         return plain_apply(self, w)
 
+    pcg_steps = [0]
+    plain_pcg = getattr(equilibrium, "_pcg", None)
+
+    def counted_pcg(*args):
+        out = plain_pcg(*args)
+        pcg_steps[0] += out[-1]
+        return out
+
     def solve(system, cells, **kwargs):
         """A solve on an empty cache: its row, with the applies it made."""
         system_kernel.cache_clear()
-        applies[0] = 0
+        applies[0] = pcg_steps[0] = 0
         energy.KernelOperator.apply = counted_apply
+        if plain_pcg:
+            equilibrium._pcg = counted_pcg
         t0 = time.perf_counter()
         try:
             sol, capped = solve_equilibrium(system, cells=cells, **kwargs), False
@@ -86,6 +108,8 @@ def measure(src):
         finally:
             seconds = time.perf_counter() - t0
             energy.KernelOperator.apply = plain_apply
+            if plain_pcg:
+                equilibrium._pcg = plain_pcg
         system_kernel.cache_clear()
         n = applies[0]
         return {
@@ -93,6 +117,9 @@ def measure(src):
             "kkt_residual": sol.kkt_residual, "energy": sol.energy.total,
             "applies": n,
             "trials_per_iteration": (n - 1) / sol.iterations if n and sol.iterations else None,
+            "rounds": getattr(sol, "rounds", None),
+            "pcg_steps": pcg_steps[0] if plain_pcg else None,
+            "fallback": getattr(sol, "fallback", None),
         }
 
     factors = energy._cross_factors
@@ -153,6 +180,11 @@ def measure(src):
                 "apply_s": statistics.median(ticks),
                 **solve(system, m), "certificates": certificates,
             }
+    for name, (intervals, masses, scale) in PARTIAL.items():
+        system = IntervalSystem(intervals, masses)
+        field = None if scale is None else ExternalField.quadratic(system.p, scale=scale)
+        for m in SIZES:
+            out["%s_M%d" % (name, m)] = solve(system, m, field=field)
     for tol in TIGHT_TOLS:
         for name, (intervals, masses) in TIGHT.items():
             out["tol%g_%s" % (tol, name)] = solve(
@@ -181,7 +213,8 @@ def measure(src):
 if __name__ == "__main__":
     _driver.main(
         measure,
-        "equilibrium kernel assembly, one apply, solve time, iterations, applies and "
-        "trials per iteration; tight-tolerance solves; cross-block certificates; "
+        "equilibrium kernel assembly, one apply, solve time, iterations, applies, "
+        "trials per iteration, active-set rounds, PCG steps and fallback; partial-support "
+        "and tight-tolerance solves; cross-block certificates; "
         "three grid-400 solves quiet and beside a busy process",
     )

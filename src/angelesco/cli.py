@@ -371,6 +371,8 @@ def cmd_eqm(spec, sec, seed, cells, out_dir):
             "kkt_residual": sol.kkt_residual,
             "iterations": sol.iterations,
             "applies": sol.applies,
+            "rounds": sol.rounds,
+            "fallback": sol.fallback,
         },
     )
     return [csv_path, report]
@@ -510,6 +512,10 @@ def cmd_bm(spec, sec, seed, cells, out_dir):
         for n in sec["degrees"]:
             est = bm_constant(tau, n)
             rows.append((i, n, est.beta, est.root))
+            if est.saturated:
+                print("bm: interval %d degree %d: beta %.6g is within 1 %% of the "
+                      "grid's discrete cap; a finer grid is needed" % (i, n, est.beta),
+                      file=sys.stderr)
     csv_path = _write_csv(
         Path(out_dir) / "bm.csv",
         ("interval_index", "degree", "beta", "root"),

@@ -69,11 +69,13 @@ class ExternalField:
 
     Built from callables or from sample arrays (linear interpolation).
     ``None`` entries and the ``zero`` constructor mean Q_i == 0, in which
-    case field integrals are exactly 0.0.
+    case field integrals are exactly 0.0.  ``_knots`` keeps a sampled
+    field's abscissae, where its kinks are (empty on other intervals).
     """
 
     def __init__(self, funcs):
         self._funcs = tuple(funcs)
+        self._knots = (np.empty(0),) * len(self._funcs)
 
     @classmethod
     def zero(cls, p):
@@ -87,10 +89,12 @@ class ExternalField:
     @classmethod
     def from_samples(cls, xs_list, ys_list):
         """Q_i = interpolant(xs_i, ys_i); an ``xs_i`` of None means Q_i == 0."""
-        return cls(tuple(
-            None if xs is None else interpolant(xs, ys)
-            for xs, ys in zip(xs_list, ys_list)
-        ))
+        pairs = tuple(zip(xs_list, ys_list))
+        field = cls(None if xs is None else interpolant(xs, ys) for xs, ys in pairs)
+        field._knots = tuple(
+            np.asarray(() if xs is None else xs, dtype=float) for xs, _ in pairs
+        )
+        return field
 
     @property
     def p(self):
@@ -354,7 +358,8 @@ class KernelOperator:
     ``apply(w)`` gives the partial potentials at all nodes,
     u_i = T_i w_i + (1/2) sum_{j != i} C_ij w_j, for weights stacked by
     interval; ``energy_terms(w)`` gives w_i' T_i w_i and w_i' C_ij w_j.
-    ``certificates`` maps (i, j) to (rank, entry error, ACA steps).
+    ``certificates`` maps (i, j) to (rank, entry error, ACA steps), and
+    ``columns[i]`` is the first column of self block i.
     """
 
     def __init__(self, system, cells):
@@ -368,6 +373,8 @@ class KernelOperator:
             cols[i, cells + 1 :] = cols[i, cells - 1 : 0 : -1]
         self._symbols = np.fft.rfft(cols)
         self._symbols.setflags(write=False)
+        self.columns = cols[:, :cells]
+        self.columns.setflags(write=False)
         uniform = VectorMeasure.uniform(system, cells)
         self._factors = {}
         self.certificates = {}

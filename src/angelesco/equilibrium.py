@@ -9,34 +9,30 @@ over weight vectors with w_i >= 0 and sum(w_i) = r_i.  The gradient is
 are the equilibrium conditions: the quantity 2(U_i + Q_i) equals a constant
 F_i on the support of component i and is >= F_i off it.
 
-The solver is spectral projected gradient (Birgin, Martinez & Raydan, SIAM
-J. Optim. 10, 2000) with the adaptive ABBmin step of Frassoldati, Zanni &
-Zanghirati (J. Ind. Manag. Optim. 4, 2008): of the two Barzilai-Borwein
-steps BB1 = s's / s'y and BB2 = s'y / y'y, take the smallest of the last
-ABBMIN_MEMORY = 3 BB2 values when BB2 < ABBMIN_TAU (0.5) BB1, else BB1.
-The step is backtracked along the projection arc until the nonmonotone
-Armijo rule of Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23, 1986)
-holds,
+The solver is a primal-dual active-set loop (Hintermuller, Ito & Kunisch,
+SIAM J. Optim. 13, 2002).  On a fixed support the conditions are linear:
+each round minimizes the energy there with the masses fixed and no sign
+constraint, by projected CG preconditioned with the Strang circulant of each
+Toeplitz self block, so the steps barely grow with M (Chan & Ng, SIAM Review
+38, 1996).  The next support keeps the nodes of positive weight and adds
+those where the gradient is below the component's constant.
 
-    E(w_new) <= max(last NONMONOTONE_MEMORY = 10 energies) + 1e-4 g'(w_new - w).
+If a support repeats, or MAX_ROUNDS rounds pass, the best feasible iterate
+goes to the safeguard: spectral projected gradient (Birgin, Martinez &
+Raydan, SIAM J. Optim. 10, 2000) with ABBmin steps (Frassoldati, Zanni &
+Zanghirati, J. Ind. Manag. Optim. 4, 2008), backtracked along the
+projection arc until the nonmonotone Armijo rule of Grippo, Lampariello &
+Lucidi (SIAM J. Numer. Anal. 23, 1986) holds,
 
-A rejected step length t is multiplied by the minimizer of the energy's
-exact quadratic on the segment from w to the rejected point, kept in
-[0.1, 0.5] (safeguarded quadratic interpolation, as in SPG).
+    E(w_new) <= max(last NONMONOTONE_MEMORY = 10 energies) + 1e-4 g'(w_new - w),
 
-Comparing with the recent maximum instead of the current energy lets a
-spectral step raise the energy for a while, so fewer trials are
-rejected, and near the optimum, where energy differences are round-off, the
-search still moves.  The projection onto the product of scaled simplices
-and the KKT residual are each computed for all components at once, the
-residual in one pass of segment minima and maxima.
+each rejected step shrunk by the minimizer of the energy's exact quadratic
+on its segment, kept in [0.1, 0.5].
 
 Every kernel product goes through the cached ``energy.system_kernel``
-operator: FFT-applied Toeplitz self blocks and low-rank cross blocks built
-by adaptive cross approximation and certified entry by entry, O(pM log M +
-p^2 M r) per apply, with no M x M array in assembly or apply.  Both exits,
-success and MaxIterationsExceeded, take the energy report from the same
-operator, with the field terms of ``energy.weighted_energy``.
+operator, with no M x M array.  Both exits, success and
+MaxIterationsExceeded, take the energy report from it, with the field terms
+of ``energy.weighted_energy``.
 """
 
 from __future__ import annotations
@@ -60,6 +56,8 @@ SUPPORT_THRESHOLD = 1e-14  # of the max weight, per component
 NONMONOTONE_MEMORY = 10  # energies the line search's reference looks back on
 ABBMIN_MEMORY = 3  # BB2 steps the ABBmin rule takes the smallest of
 ABBMIN_TAU = 0.5  # BB2 / BB1 below which the ABBmin rule takes BB2 steps
+LOOSE = 1e-2  # residual reduction at which a round checks its support
+MAX_ROUNDS = 30  # active-set rounds before the SPG safeguard takes over
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +69,8 @@ class EquilibriumSolution:
     iterations: int
     applies: int  # kernel applies, rejected line-search trials included
     energy_history: tuple = ()
+    rounds: int = 0  # active-set rounds
+    fallback: bool = False  # whether the SPG safeguard ran
 
 
 def _project_rows(v, totals):
@@ -137,6 +137,111 @@ def kkt_residual(mu, field=None):
     return _support_residual(w, grad, starts)
 
 
+def _centred(v, on):
+    """Rows of v on the support ``on``, each moved to zero sum there."""
+    v = np.where(on, v, 0.0)
+    return np.where(on, v - (v.sum(axis=1) / on.sum(axis=1))[:, None], 0.0)
+
+
+def _strang(columns, on):
+    """The PCG preconditioner on the support ``on``: per row, the inverse of
+    the Strang circulant of the self block (first column ``columns[i]``) on
+    the hull of the row's support, by FFT.  The zero-frequency eigenvalue
+    goes negative on long intervals; it acts only on the constant, which
+    ``_centred`` removes, so the next eigenvalue takes its place.
+    """
+    hulls = []
+    for col, row in zip(columns, on):
+        a, b = np.flatnonzero(row)[[0, -1]]
+        length, c = b + 1 - a, col[: b + 1 - a]
+        circulant = np.r_[c[: length // 2 + 1], c[(length + 1) // 2 - 1 : 0 : -1]]
+        eig = np.fft.rfft(circulant).real
+        eig[0] = eig[1] if length > 1 else 1.0
+        hulls.append((slice(a, a + length), length, eig))
+
+    def solve(r):
+        z = np.zeros_like(r)
+        for zi, ri, (hull, length, eig) in zip(z, r, hulls):
+            zi[hull] = np.fft.irfft(np.fft.rfft(ri[hull]) / eig, length)
+        return _centred(z, on)
+
+    return solve
+
+
+def _runs(mask):
+    """(start, stop) of each run of True in the 1-d boolean ``mask``."""
+    flips = np.flatnonzero(np.diff(mask, prepend=False, append=False)).tolist()
+    return zip(flips[::2], flips[1::2])
+
+
+def _next_support(on, w, v, newton=True):
+    """``on`` less its nodes of weight w <= 0, plus those off it where v
+    (half the gradient) is below its mean on ``on``.  With ``newton``, edge
+    runs move as Newton steps on a square-root edge: m negative weights at
+    an edge are half the way to the true edge, so m more nodes go; a run
+    added beside the support is twice the way, so its ceil(m/2) nearest
+    nodes come, unless it reaches the interval's end (a hard edge).  A row
+    keeps at least one node."""
+    mean = np.where(on, v, 0.0).sum(axis=1) / on.sum(axis=1)
+    drop, add = on & (w <= 0.0), ~on & (v < mean[:, None])
+    new = (on & ~drop) | add
+    if not newton:
+        return new
+    n = on.shape[1]
+    for row, row_drop, row_add, row_on in zip(new, drop, add, on):
+        step = row.copy()
+        for a, b in _runs(row_drop):
+            out_left, out_right = a == 0 or not row_on[a - 1], b == n or not row_on[b]
+            if out_left and not out_right:
+                step[b : 2 * b - a] = False
+            elif out_right and not out_left:
+                step[max(2 * a - b, 0) : a] = False
+        for a, b in _runs(row_add):
+            if 0 < a and b < n and (row_on[a - 1] or row_on[b]):
+                half = (b - a + 1) // 2
+                step[a:b] = False
+                step[a : a + half] = row_on[a - 1]
+                step[b - half : b] |= row_on[b]
+        if step.any():
+            row[:] = step
+    return new
+
+
+def _pcg(kernel, x, u, q, on, stop, budget, newton):
+    """Projected PCG for min x'Ax + 2q'x with the row sums of x fixed and x
+    zero off ``on``, from x with u = Ax; returns x, u and the steps (one
+    kernel apply each).  The residual and each A d are re-centred every
+    step (Gould, Hribar & Nocedal, SIAM J. Sci. Comput. 23, 2001), or
+    round-off along the kernel's nearly null constant direction makes CG
+    diverge.  Stops at 2 max|residual| <= ``stop``, after ``budget`` steps,
+    at no curvature or residual left, or once the residual is LOOSE times
+    its start if the support (``_next_support``) is about to change.
+    """
+    shape, precondition = on.shape, _strang(kernel.columns, on)
+    r = _centred((u + q).reshape(shape), on)
+    z = precondition(r)
+    d, rz = -z, float(np.vdot(r, z))
+    steps, check = 0, LOOSE * np.abs(r).max()
+    while steps < budget and rz > 0.0 and 2.0 * np.abs(r).max() > stop:
+        if np.abs(r).max() <= check:
+            ahead = _next_support(on, x.reshape(shape), (u + q).reshape(shape), newton)
+            if not np.array_equal(ahead, on):
+                break
+            check = -1.0
+        ad = kernel.apply(d.ravel())
+        steps += 1
+        curv = float(d.ravel() @ ad)
+        if not curv > 0.0:
+            break
+        x = x + (rz / curv) * d.ravel()
+        u = u + (rz / curv) * ad
+        r = _centred(r + (rz / curv) * ad.reshape(shape), on)
+        z = precondition(r)
+        rz, rz_old = float(np.vdot(r, z)), rz
+        d = (rz / rz_old) * d - z
+    return x, u, steps
+
+
 def solve_equilibrium(
     system,
     field=None,
@@ -147,15 +252,17 @@ def solve_equilibrium(
 ):
     """Minimize the weighted energy over the product of scaled simplices.
 
-    Starts from the uniform vector measure (or ``initial``, which must live
-    on ``system``'s ``cells``-cell grids, else GridMismatch), takes ABBmin
-    trial steps, shortens each along the projection arc until its energy is
-    at most the largest of the last NONMONOTONE_MEMORY (10) energies plus
-    the Armijo term 1e-4 g'(w_new - w), and stops when the KKT residual
-    drops below ``tol``.  ``energy_history`` can therefore rise between
-    iterations; its running 10-term maximum does not.  ``applies`` counts
-    every kernel apply, rejected trials included.  Raises
-    MaxIterationsExceeded (carrying the best iterate) otherwise.
+    Active-set rounds from the uniform vector measure (or ``initial``, which
+    must live on ``system``'s ``cells``-cell grids, else GridMismatch) and
+    its support, until the weights are nonnegative with KKT residual at most
+    ``tol``; if a support repeats or MAX_ROUNDS rounds pass, SPG from the
+    best feasible iterate to the same stop.  ``iterations`` counts PCG steps
+    plus SPG iterations (``max_iter`` caps the total); ``applies`` every
+    kernel apply (one per PCG step, per round and per SPG trial); ``rounds``
+    the rounds; ``fallback`` says whether SPG ran.  ``energy_history`` holds
+    the energy before and after each round and at each SPG iterate, where
+    its running 10-term maximum does not rise.  Raises MaxIterationsExceeded
+    (carrying the best feasible iterate) otherwise.
     """
     field = as_field(field, system.p)
     p = system.p
@@ -186,7 +293,8 @@ def solve_equilibrium(
         fields = _field_integrals(measure, field)
         energy = EnergyReport.build(*kernel.energy_terms(weights), fields)
         return EquilibriumSolution(
-            measure, energy, res, consts, iterations, applies, tuple(history)
+            measure, energy, res, consts, iterations, applies, tuple(history),
+            rounds, fallback,
         )
 
     starts = np.arange(0, p * n, n)
@@ -199,20 +307,58 @@ def solve_equilibrium(
     else:
         w = project(np.concatenate([g.weights for g in initial]))
 
-    u = kernel.apply(w)
+    history = []
+    applies = iterations = rounds = 0
+    fallback = repeated = False
+    best = (np.inf, None, None, None)
+    on = (w > 0.0).reshape(p, n)
+    seen, newton = {on.tobytes()}, True
+
+    while True:
+        u = kernel.apply(w)
+        applies += 1
+        history.append(energy_of(w, u))
+        if w.min() >= 0.0:
+            res, consts = _support_residual(w, 2.0 * (u + q), starts)
+            if res < best[0]:
+                best = (res, w.copy(), consts, u)
+            if res <= tol:
+                return solution(w, res, consts, iterations)
+        if repeated or rounds == MAX_ROUNDS or iterations == max_iter:
+            break
+        rounds += 1
+        w, u, steps = _pcg(
+            kernel, w, u, q, on, 0.1 * tol, max_iter - iterations, newton
+        )
+        iterations += steps
+        applies += steps
+        wb, v = w.reshape(p, n), (u + q).reshape(p, n)
+        new = _next_support(on, wb, v, newton)
+        if np.array_equal(new, on):
+            continue
+        if newton and new.tobytes() in seen:  # the edge steps cycle
+            newton, seen, new = False, {on.tobytes()}, _next_support(on, wb, v, False)
+        repeated = new.tobytes() in seen
+        seen.add(new.tobytes())
+        # Warm start: the iterate on the new support, shifted to the masses.
+        on = new
+        wb = np.where(on, w.reshape(p, n), 0.0)
+        shift = (r - wb.sum(axis=1)) / on.sum(axis=1)
+        w = np.where(on, wb + shift[:, None], 0.0).ravel()
+
+    fallback = iterations < max_iter
+    _, w, _, u = best
     g = 2.0 * (u + q)
     e = energy_of(w, u)
-    history = [e]
-    applies = 1
+    history.append(e)  # so the line search's reference is at least e
     w_prev = g_prev = None
     bb2s = deque(maxlen=ABBMIN_MEMORY)
     step = 1.0 / max(np.max(np.abs(g)), 1.0)
-    best = (np.inf, None, None)
 
-    for it in range(1, max_iter + 1):
+    for it in range(iterations + 1, max_iter + 1):
         res, consts = _support_residual(w, g, starts)
         if res < best[0]:
-            best = (res, w.copy(), consts)
+            best = (res, w.copy(), consts, u)
         if res <= tol:
             return solution(w, res, consts, it - 1)
 
@@ -246,7 +392,7 @@ def solve_equilibrium(
         g = 2.0 * (u + q)
         history.append(e)
 
-    res, w_best, consts = best
+    res, w_best, consts, _ = best
     raise MaxIterationsExceeded(
         f"no convergence to {tol} in {max_iter} iterations "
         f"(best residual {res:.3e})",

@@ -38,6 +38,7 @@ class BMEstimate:
     degree: int
     beta: float
     root: float  # beta ** (1 / (2 degree))
+    saturated: bool = False  # beta within 1 % of the grid's discrete cap
 
 
 def rate_function(mu, field=None, equilibrium=None, cells=None, tol=1e-4):
@@ -123,15 +124,19 @@ def _kernel_profile(tau, degree, field=None, weight_scale=0):
     Running sums of squared orthonormal polynomials of the refined,
     probability-normalized measure, maximized over the whole interval, so a
     measure that ignores part of it shows a large sup.  Weighting multiplies
-    the measure and the kernel diagonal by exp(-2 scale Q).
+    the measure and the kernel diagonal by exp(-2 scale Q).  Also returns
+    their discrete cap max(factor / nu) over the nodes of weight nu > 0.
     """
     i = tau.interval_index
     t, h, w = tau.refined()
     factor = np.exp(-2.0 * weight_scale * as_field(field, tau.system.p)(i, t))
     w = w * h * factor
+    nu = w / w.sum()
     a, b = tau.system.intervals[i]
-    vals, _, _ = _orthonormal(t, w / w.sum(), degree, 0.5 * (a + b), 0.5 * (b - a))
-    return np.max(np.cumsum(vals * vals, axis=0) * factor, axis=1)
+    vals, _, _ = _orthonormal(t, nu, degree, 0.5 * (a + b), 0.5 * (b - a))
+    live = nu > 0.0
+    cap = float(np.max(factor[live] / nu[live]))
+    return np.max(np.cumsum(vals * vals, axis=0) * factor, axis=1), cap
 
 
 def bm_constant(tau, degree, field=None, weight_scale=0):
@@ -147,11 +152,12 @@ def bm_constant(tau, degree, field=None, weight_scale=0):
     normalized weight): 8 x cells for a Lebesgue base.  Once the degree
     nears the grid, ``beta`` reads that cap instead of the continuous sup:
     on [-2, -1] u [1, 2], degree 50 gives 399.4 at 50 cells, 1780.7 at 400.
+    ``saturated`` flags a ``beta`` within 1 % of that cap.
     """
-    sups = _kernel_profile(tau, degree, field, weight_scale)
+    sups, cap = _kernel_profile(tau, degree, field, weight_scale)
     beta = float(sups[degree])
     root = float(beta ** (1.0 / (2 * degree))) if degree > 0 else 1.0
-    return BMEstimate(degree=degree, beta=beta, root=root)
+    return BMEstimate(degree, beta, root, beta >= 0.99 * cap)
 
 
 def growth_constant(base_measures, max_degree, epsilon, field=None, weight_scale=0):
@@ -163,7 +169,7 @@ def growth_constant(base_measures, max_degree, epsilon, field=None, weight_scale
     """
     c = 0.0
     for tau in base_measures:
-        sups = _kernel_profile(tau, max_degree, field, weight_scale)
+        sups, _ = _kernel_profile(tau, max_degree, field, weight_scale)
         ks = np.arange(max_degree + 1)
         c = max(
             c, float(np.max(sups / tau.total_mass / (1.0 + epsilon) ** ks))

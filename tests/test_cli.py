@@ -185,6 +185,15 @@ class TestCommands:
         assert sorted(manifest["outputs"]) == ["eqm.csv", "eqm.report.json"]
         assert manifest["config_sha256"] == config_digest(manifest["config"])
 
+    def test_eqm_report_says_how_it_solved(self, tmp_path):
+        cfg = write_config(tmp_path, grid=200)
+        out = tmp_path / "out"
+        assert run(["eqm", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "eqm.report.json").read_text())
+        assert report["rounds"] >= 1
+        assert report["fallback"] is False
+        assert report["applies"] == report["iterations"] + report["rounds"] + 1
+
     def test_eqm_csv_rows(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -341,6 +350,19 @@ class TestCommands:
         assert len(rows) == 1 + 4
         for row in rows[1:]:
             assert float(row[2]) >= 1.0 - 1e-9
+
+
+def test_bm_names_saturated_rows_on_stderr(tmp_path, capsys):
+    cfg = write_config(tmp_path, grid=50, bm={"degrees": [16, 50]})
+    out = tmp_path / "out"
+    assert run(["bm", "--config", str(cfg), "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all("degree 50" in line and "cap" in line for line in err)
+    assert [line.split()[2] for line in err] == ["0", "1"]
+    rows = read_csv(out / "bm.csv")
+    assert rows[0] == ["interval_index", "degree", "beta", "root"]
+    assert len(rows) == 1 + 4
 
 
 def test_power_base_off_positive_axis_exits_1(tmp_path, capsys):

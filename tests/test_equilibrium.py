@@ -9,6 +9,8 @@ from angelesco import (
     weak_star_distance,
     weighted_energy,
 )
+from angelesco import equilibrium
+from angelesco.energy import system_kernel
 from angelesco.equilibrium import (
     NONMONOTONE_MEMORY,
     SUPPORT_THRESHOLD,
@@ -267,3 +269,85 @@ def test_solve_cost_in_kernel_applies(intervals, masses, applies):
     # a step rule or search that costs more trials fails here.
     sol = solve_equilibrium(IntervalSystem(intervals, masses), cells=800)
     assert sol.iterations + 1 <= sol.applies <= round(1.15 * applies)
+
+
+PARTIAL_SUPPORT_CASES = {
+    "pushing": (((-1.0, -0.01), (0.01, 3.0)), (0.3, 0.7), None),
+    "two_quadratic": (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5), 1.0),
+    "semicircle": (((-2.0, 2.0),), (1.0,), 0.5),
+    "wide": (((-3.0, 3.0),), (1.0,), 0.5),
+}
+
+
+def _partial_case(name):
+    intervals, masses, scale = PARTIAL_SUPPORT_CASES[name]
+    system = IntervalSystem(intervals, masses)
+    field = None if scale is None else ExternalField.quadratic(system.p, scale=scale)
+    return system, field
+
+
+def _weights(sol):
+    return np.concatenate([g.weights for g in sol.measure])
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL_SUPPORT_CASES))
+def test_active_set_agrees_with_the_spg_loop(name, monkeypatch):
+    system, field = _partial_case(name)
+    sol = solve_equilibrium(system, field, cells=400, tol=1e-8)
+    assert not sol.fallback
+    assert sol.kkt_residual <= 1e-8
+    # With no active-set rounds allowed the solve is the SPG loop alone.
+    monkeypatch.setattr(equilibrium, "MAX_ROUNDS", 0)
+    spg = solve_equilibrium(system, field, cells=400, tol=1e-8)
+    assert spg.fallback and spg.rounds == 0
+    assert spg.kkt_residual <= 1e-8
+    assert np.abs(_weights(sol) - _weights(spg)).max() <= 1e-7
+
+
+@pytest.mark.parametrize("cells", [400, 800, 1600, 3200])
+def test_applies_flat_in_cells(cells):
+    # SPG took 181, 234, 304 and 450 applies here.
+    two = IntervalSystem(((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5))
+    sol = solve_equilibrium(two, cells=cells, tol=1e-8)
+    assert sol.kkt_residual <= 1e-8
+    assert sol.applies <= 20
+    assert sol.applies == sol.iterations + sol.rounds + 1
+
+
+@pytest.mark.parametrize(
+    "name, max_rounds", [("pushing", 0), ("two_quadratic", 1)]
+)
+def test_round_cap_hands_over_to_spg(name, max_rounds, monkeypatch):
+    system, field = _partial_case(name)
+    monkeypatch.setattr(equilibrium, "MAX_ROUNDS", max_rounds)
+    sol = solve_equilibrium(system, field, cells=400, tol=1e-8)
+    assert sol.fallback
+    assert sol.rounds == max_rounds
+    assert sol.kkt_residual <= 1e-8
+    assert sol.measure.masses == pytest.approx(system.r, abs=1e-12)
+
+
+def test_strang_preconditioner_is_positive_on_a_long_interval():
+    # On [-3, 3] the circulant's zero-frequency eigenvalue is negative; the
+    # preconditioner replaces it and stays positive definite.
+    wide = IntervalSystem(((-3.0, 3.0),), (1.0,))
+    kernel = system_kernel(wide, 400)
+    assert 2.0 * kernel.columns[0].sum() < 0.0
+    on = np.ones((1, 400), dtype=bool)
+    solve = equilibrium._strang(kernel.columns, on)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        r = equilibrium._centred(rng.normal(size=(1, 400)), on)
+        assert float(np.vdot(r, solve(r))) > 0.0
+        assert abs(solve(r).sum()) < 1e-12
+
+
+def test_initial_seeds_the_first_support():
+    # A start on the true support of the semicircle problem needs no round
+    # that changes it.
+    system, field = _partial_case("semicircle")
+    sol = solve_equilibrium(system, field, cells=400, tol=1e-8)
+    again = solve_equilibrium(system, field, cells=400, tol=1e-8, initial=sol.measure)
+    assert again.rounds <= 1
+    assert again.applies < sol.applies
+    assert np.abs(_weights(again) - _weights(sol)).max() <= 1e-7

@@ -139,6 +139,23 @@ def test_nonconvex_field_reaches_coordinate_ascent_value(two, counts, reference)
     assert res.log_boltzmann >= reference - 1e-3 * abs(reference)
 
 
+def test_scan_reaches_a_kink_of_a_sampled_field(two):
+    # The Newton stencil smooths the kink at x = 1.3, where one point of the
+    # (3, 3) maximizer sits: it stopped at 1.3000029 with the weight
+    # -6.764461 until the sample abscissae joined the scan grid.
+    res = fekete_points(two, MultiIndex((3, 3)), BUMPS, n_starts=4, seed=0)
+    assert 1.3 in res.configuration.blocks[1].tolist()
+    assert res.log_boltzmann == pytest.approx(-6.764405440893563, abs=1e-8)
+    assert res.coordinatewise_optimal
+
+
+def test_sampled_field_keeps_its_abscissae():
+    assert BUMPS._knots[1].tolist() == [1.0, 1.3, 1.6, 2.0]
+    assert [k.size for k in ExternalField.quadratic(2)._knots] == [0, 0]
+    half = ExternalField.from_samples([None, [0.0, 1.0]], [None, [1.0, 2.0]])
+    assert half._knots[0].size == 0
+
+
 def test_two_interval_trend(two, two_equilibrium):
     seq = MultiIndexSequence.proportional(two.r, start=2, step=2)
     rows, results = fekete_asymptotics(

@@ -5,6 +5,7 @@ from angelesco import (
     BaseMeasure,
     ExternalField,
     GridMeasure,
+    IntervalSystem,
     MultiIndex,
     VectorMeasure,
     bm_constant,
@@ -134,6 +135,18 @@ class TestNormRatios:
         assert bm_constant(tau, degree).beta == pytest.approx(
             float(kernel.max()), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "cells, degree, beta, saturated",
+        [(50, 50, 399.4, True), (50, 100, 400.0, True), (50, 200, 400.0, True),
+         (400, 50, 1780.7, False)],
+    )
+    def test_saturation_at_the_discrete_cap(self, cells, degree, beta, saturated):
+        # The cap is 1 / (smallest normalized node weight) = 8 x cells.
+        two = IntervalSystem(((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5))
+        est = bm_constant(BaseMeasure.lebesgue(two, 0, cells), degree)
+        assert est.beta == pytest.approx(beta, abs=0.05)
+        assert est.saturated is saturated
 
     def test_degenerate_gram(self, sym):
         vals = np.zeros(400)
