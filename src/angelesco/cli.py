@@ -513,9 +513,8 @@ def cmd_bm(spec, sec, seed, cells, out_dir):
             est = bm_constant(tau, n)
             rows.append((i, n, est.beta, est.root))
             if est.saturated:
-                print("bm: interval %d degree %d: beta %.6g is within 1 %% of the "
-                      "grid's discrete cap; a finer grid is needed" % (i, n, est.beta),
-                      file=sys.stderr)
+                print("bm: interval %d degree %d: beta %.6g is near the grid's cap; "
+                      "a finer grid is needed" % (i, n, est.beta), file=sys.stderr)
     csv_path = _write_csv(
         Path(out_dir) / "bm.csv",
         ("interval_index", "degree", "beta", "root"),

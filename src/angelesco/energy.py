@@ -45,8 +45,8 @@ CERTIFY_ROWS = 64
 
 
 def interpolant(xs, ys):
-    """x -> np.interp(x, xs, ys); ValueError unless xs increases strictly
-    and xs, ys are finite, 1-d, of one length, at least 2 long."""
+    """x -> np.interp(x, xs, ys), with its kinks xs as ``knots``; ValueError
+    unless xs increases strictly and xs, ys are finite, 1-d, of one length >= 2."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
@@ -55,7 +55,12 @@ def interpolant(xs, ys):
         raise ValueError("sample x values must be strictly increasing")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise ValueError("samples must be finite")
-    return lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)
+
+    def f(x):
+        return np.interp(np.asarray(x, dtype=float), xs, ys)
+
+    f.knots = xs
+    return f
 
 
 def _quadratic(center, scale):
@@ -69,13 +74,11 @@ class ExternalField:
 
     Built from callables or from sample arrays (linear interpolation).
     ``None`` entries and the ``zero`` constructor mean Q_i == 0, in which
-    case field integrals are exactly 0.0.  ``_knots`` keeps a sampled
-    field's abscissae, where its kinks are (empty on other intervals).
+    case field integrals are exactly 0.0.
     """
 
     def __init__(self, funcs):
         self._funcs = tuple(funcs)
-        self._knots = (np.empty(0),) * len(self._funcs)
 
     @classmethod
     def zero(cls, p):
@@ -89,12 +92,10 @@ class ExternalField:
     @classmethod
     def from_samples(cls, xs_list, ys_list):
         """Q_i = interpolant(xs_i, ys_i); an ``xs_i`` of None means Q_i == 0."""
-        pairs = tuple(zip(xs_list, ys_list))
-        field = cls(None if xs is None else interpolant(xs, ys) for xs, ys in pairs)
-        field._knots = tuple(
-            np.asarray(() if xs is None else xs, dtype=float) for xs, _ in pairs
-        )
-        return field
+        return cls(tuple(
+            None if xs is None else interpolant(xs, ys)
+            for xs, ys in zip(xs_list, ys_list)
+        ))
 
     @property
     def p(self):

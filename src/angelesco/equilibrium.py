@@ -20,19 +20,12 @@ those where the gradient is below the component's constant.
 If a support repeats, or MAX_ROUNDS rounds pass, the best feasible iterate
 goes to the safeguard: spectral projected gradient (Birgin, Martinez &
 Raydan, SIAM J. Optim. 10, 2000) with ABBmin steps (Frassoldati, Zanni &
-Zanghirati, J. Ind. Manag. Optim. 4, 2008), backtracked along the
-projection arc until the nonmonotone Armijo rule of Grippo, Lampariello &
-Lucidi (SIAM J. Numer. Anal. 23, 1986) holds,
-
-    E(w_new) <= max(last NONMONOTONE_MEMORY = 10 energies) + 1e-4 g'(w_new - w),
-
-each rejected step shrunk by the minimizer of the energy's exact quadratic
-on its segment, kept in [0.1, 0.5].
+Zanghirati, J. Ind. Manag. Optim. 4, 2008) and the nonmonotone Armijo search
+of Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23, 1986).
 
 Every kernel product goes through the cached ``energy.system_kernel``
-operator, with no M x M array.  Both exits, success and
-MaxIterationsExceeded, take the energy report from it, with the field terms
-of ``energy.weighted_energy``.
+operator, with no M x M array; both exits take the energy report from it,
+with the field terms of ``energy.weighted_energy``.
 """
 
 from __future__ import annotations
@@ -148,8 +141,7 @@ def _strang(columns, on):
     the Strang circulant of the self block (first column ``columns[i]``) on
     the hull of the row's support, by FFT.  The zero-frequency eigenvalue
     goes negative on long intervals; it acts only on the constant, which
-    ``_centred`` removes, so the next eigenvalue takes its place.
-    """
+    ``_centred`` removes, so the next eigenvalue takes its place."""
     hulls = []
     for col, row in zip(columns, on):
         a, b = np.flatnonzero(row)[[0, -1]]
@@ -174,19 +166,16 @@ def _runs(mask):
     return zip(flips[::2], flips[1::2])
 
 
-def _next_support(on, w, v, newton=True):
+def _next_support(on, w, v):
     """``on`` less its nodes of weight w <= 0, plus those off it where v
-    (half the gradient) is below its mean on ``on``.  With ``newton``, edge
-    runs move as Newton steps on a square-root edge: m negative weights at
-    an edge are half the way to the true edge, so m more nodes go; a run
-    added beside the support is twice the way, so its ceil(m/2) nearest
-    nodes come, unless it reaches the interval's end (a hard edge).  A row
-    keeps at least one node."""
+    (half the gradient) is below its mean on ``on``; edge runs move as
+    Newton steps on a square-root edge.  m negative weights at an edge are
+    half the way to it, so m more nodes go; a run added beside the support
+    is twice the way, so its ceil(m/2) nearest come, unless it reaches the
+    interval's end.  A row keeps at least one node."""
     mean = np.where(on, v, 0.0).sum(axis=1) / on.sum(axis=1)
     drop, add = on & (w <= 0.0), ~on & (v < mean[:, None])
     new = (on & ~drop) | add
-    if not newton:
-        return new
     n = on.shape[1]
     for row, row_drop, row_add, row_on in zip(new, drop, add, on):
         step = row.copy()
@@ -207,16 +196,14 @@ def _next_support(on, w, v, newton=True):
     return new
 
 
-def _pcg(kernel, x, u, q, on, stop, budget, newton):
+def _pcg(kernel, x, u, q, on, stop, budget):
     """Projected PCG for min x'Ax + 2q'x with the row sums of x fixed and x
     zero off ``on``, from x with u = Ax; returns x, u and the steps (one
-    kernel apply each).  The residual and each A d are re-centred every
-    step (Gould, Hribar & Nocedal, SIAM J. Sci. Comput. 23, 2001), or
-    round-off along the kernel's nearly null constant direction makes CG
-    diverge.  Stops at 2 max|residual| <= ``stop``, after ``budget`` steps,
-    at no curvature or residual left, or once the residual is LOOSE times
-    its start if the support (``_next_support``) is about to change.
-    """
+    apply each).  r and each A d are re-centred every step (Gould, Hribar &
+    Nocedal, SIAM J. Sci. Comput. 23, 2001), or CG diverges along the
+    kernel's nearly null constant.  Stops at 2 max|r| <= ``stop``, after
+    ``budget`` steps, at no curvature or r left, or at LOOSE times the first
+    max|r| if the support is about to change."""
     shape, precondition = on.shape, _strang(kernel.columns, on)
     r = _centred((u + q).reshape(shape), on)
     z = precondition(r)
@@ -224,7 +211,7 @@ def _pcg(kernel, x, u, q, on, stop, budget, newton):
     steps, check = 0, LOOSE * np.abs(r).max()
     while steps < budget and rz > 0.0 and 2.0 * np.abs(r).max() > stop:
         if np.abs(r).max() <= check:
-            ahead = _next_support(on, x.reshape(shape), (u + q).reshape(shape), newton)
+            ahead = _next_support(on, x.reshape(shape), (u + q).reshape(shape))
             if not np.array_equal(ahead, on):
                 break
             check = -1.0
@@ -233,8 +220,7 @@ def _pcg(kernel, x, u, q, on, stop, budget, newton):
         curv = float(d.ravel() @ ad)
         if not curv > 0.0:
             break
-        x = x + (rz / curv) * d.ravel()
-        u = u + (rz / curv) * ad
+        x, u = x + (rz / curv) * d.ravel(), u + (rz / curv) * ad
         r = _centred(r + (rz / curv) * ad.reshape(shape), on)
         z = precondition(r)
         rz, rz_old = float(np.vdot(r, z)), rz
@@ -259,10 +245,10 @@ def solve_equilibrium(
     best feasible iterate to the same stop.  ``iterations`` counts PCG steps
     plus SPG iterations (``max_iter`` caps the total); ``applies`` every
     kernel apply (one per PCG step, per round and per SPG trial); ``rounds``
-    the rounds; ``fallback`` says whether SPG ran.  ``energy_history`` holds
-    the energy before and after each round and at each SPG iterate, where
-    its running 10-term maximum does not rise.  Raises MaxIterationsExceeded
-    (carrying the best feasible iterate) otherwise.
+    the rounds; ``fallback`` says whether SPG ran.  ``energy_history`` has
+    the energy at each round and SPG iterate, with a running 10-term
+    maximum that does not rise over SPG's part.  Raises
+    MaxIterationsExceeded (carrying the best feasible iterate) otherwise.
     """
     field = as_field(field, system.p)
     p = system.p
@@ -312,7 +298,7 @@ def solve_equilibrium(
     fallback = repeated = False
     best = (np.inf, None, None, None)
     on = (w > 0.0).reshape(p, n)
-    seen, newton = {on.tobytes()}, True
+    seen = {on.tobytes()}
 
     while True:
         u = kernel.apply(w)
@@ -327,30 +313,24 @@ def solve_equilibrium(
         if repeated or rounds == MAX_ROUNDS or iterations == max_iter:
             break
         rounds += 1
-        w, u, steps = _pcg(
-            kernel, w, u, q, on, 0.1 * tol, max_iter - iterations, newton
-        )
+        w, u, steps = _pcg(kernel, w, u, q, on, 0.1 * tol, max_iter - iterations)
         iterations += steps
         applies += steps
-        wb, v = w.reshape(p, n), (u + q).reshape(p, n)
-        new = _next_support(on, wb, v, newton)
+        new = _next_support(on, w.reshape(p, n), (u + q).reshape(p, n))
         if np.array_equal(new, on):
             continue
-        if newton and new.tobytes() in seen:  # the edge steps cycle
-            newton, seen, new = False, {on.tobytes()}, _next_support(on, wb, v, False)
         repeated = new.tobytes() in seen
         seen.add(new.tobytes())
         # Warm start: the iterate on the new support, shifted to the masses.
         on = new
-        wb = np.where(on, w.reshape(p, n), 0.0)
-        shift = (r - wb.sum(axis=1)) / on.sum(axis=1)
-        w = np.where(on, wb + shift[:, None], 0.0).ravel()
+        w = (_centred(w.reshape(p, n), on) + on * (r / on.sum(axis=1))[:, None]).ravel()
 
     fallback = iterations < max_iter
     _, w, _, u = best
     g = 2.0 * (u + q)
     e = energy_of(w, u)
-    history.append(e)  # so the line search's reference is at least e
+    first = len(history)  # SPG's line search looks back on its own energies
+    history.append(e)
     w_prev = g_prev = None
     bb2s = deque(maxlen=ABBMIN_MEMORY)
     step = 1.0 / max(np.max(np.abs(g)), 1.0)
@@ -373,7 +353,7 @@ def solve_equilibrium(
         step = min(max(step, 1e-14), 1e14)
 
         w_prev, g_prev = w, g
-        reference = max(history[-NONMONOTONE_MEMORY:])
+        reference = max(history[max(first, len(history) - NONMONOTONE_MEMORY) :])
         t = step
         for _ in range(60):
             w_new = project(w - t * g)

@@ -15,9 +15,9 @@ minus the field term: concave for convex fields, with the boxes [a_i, b_i] as
 the only constraints.  Each start runs a projected Newton ascent on it, holds
 points pushed outward at a box end and backtracks every step on the exact
 weight.  For a non-convex field that finds only a local maximum, so a scan of
-every point's slice over a grid of its whole interval (plus a sampled
-field's abscissae there) follows; a point that can gain more than ``tol``
-jumps to the best node and Newton runs again.
+every point's slice over a grid of its interval and a sampled field's
+kinks follows; a point that can gain more than ``tol`` jumps to the best
+node and Newton runs again.
 ``coordinatewise_optimal`` says that the last scan found no such move.
 """
 
@@ -110,10 +110,10 @@ class _Ascent:
         self.c = np.where(block[:, None] == block[None, :], 2.0, 1.0)
         np.fill_diagonal(self.c, 0.0)
         self.lo, self.hi = np.array([system.intervals[i] for i in block]).T
-        # A sampled field's kinks, which the Newton stencil smooths, join it.
+        knots = [getattr(f, "knots", np.empty(0)) for f in field._funcs]
         self.grids = [
             np.union1d(np.linspace(a, b, SCAN_NODES), k[(k >= a) & (k <= b)])
-            for (a, b), k in zip(system.intervals, field._knots)
+            for (a, b), k in zip(system.intervals, knots)
         ]
 
     def configuration(self, x):

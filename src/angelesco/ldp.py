@@ -134,8 +134,7 @@ def _kernel_profile(tau, degree, field=None, weight_scale=0):
     nu = w / w.sum()
     a, b = tau.system.intervals[i]
     vals, _, _ = _orthonormal(t, nu, degree, 0.5 * (a + b), 0.5 * (b - a))
-    live = nu > 0.0
-    cap = float(np.max(factor[live] / nu[live]))
+    cap = float(np.max(factor[nu > 0.0] / nu[nu > 0.0]))
     return np.max(np.cumsum(vals * vals, axis=0) * factor, axis=1), cap
 
 

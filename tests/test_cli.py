@@ -503,6 +503,29 @@ def test_sampled_entries_match_the_python_api(tmp_path):
     assert np.array_equal(numbers(read_csv(out / "bm.csv")), np.array(expected))
 
 
+def test_fekete_reaches_a_kink_of_a_sampled_config_field(tmp_path):
+    # The config path builds its sampled fields apart from
+    # ExternalField.from_samples; the scan grid still takes their abscissae,
+    # so the (3, 3) maximizer's point on the kink at x = 1.3 lands on it.
+    bumps = [
+        {"type": "samples", "x": [-2.0, -1.5, -1.0], "y": [0.0, 0.8, 0.0]},
+        {"type": "samples", "x": [1.0, 1.3, 1.6, 2.0], "y": [0.5, 0.0, 0.9, 0.2]},
+    ]
+    cfg = write_config(
+        tmp_path,
+        fields=bumps,
+        sequence={"rule": "explicit", "indices": [[3, 3]]},
+        fekete={"d_max": 1, "n_starts": 4},
+    )
+    out = tmp_path / "out"
+    assert run(["fekete", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = numbers(read_csv(out / "fekete_config.csv"))
+    assert 1.3 in rows[rows[:, 0] == 1, 2].tolist()
+    report = json.loads((out / "fekete.report.json").read_text())
+    assert report["coordinatewise_optimal"]
+    assert report["log_weight"] == pytest.approx(-6.764405440893563, abs=1e-8)
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -119,6 +119,28 @@ def test_one_pass_residual_is_the_deviation_array_bit_for_bit():
         assert np.array_equal(consts, want_consts, equal_nan=True)
 
 
+@pytest.fixture(scope="module")
+def two_spg(two):
+    """The solve of ``two_equilibrium`` by the SPG safeguard alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "MAX_ROUNDS", 0)
+        return solve_equilibrium(two, cells=400)
+
+
+def _assert_nonmonotone_history(sol):
+    # The nonmonotone line search compares each trial with the largest of
+    # the last NONMONOTONE_MEMORY energies: that reference never rises,
+    # and no accepted energy exceeds the reference it was tested against.
+    hist = np.asarray(sol.energy_history)
+    m = NONMONOTONE_MEMORY
+    ref = np.array(
+        [hist[max(0, k - m + 1) : k + 1].max() for k in range(hist.size)]
+    )
+    assert np.all(np.diff(ref) <= 1e-12)
+    assert np.all(hist[1:] <= ref[:-1] + 1e-12)
+    assert hist[-1] == pytest.approx(sol.energy.total, abs=1e-12)
+
+
 class TestTwoIntervalProblem:
     def test_solution_summary(self, two_equilibrium):
         sol = two_equilibrium
@@ -135,17 +157,11 @@ class TestTwoIntervalProblem:
         assert r0 == pytest.approx(r1, abs=1e-5)
 
     def test_energy_history_decreases(self, two_equilibrium):
-        # The nonmonotone line search compares each trial with the largest of
-        # the last NONMONOTONE_MEMORY energies: that reference never rises,
-        # and no accepted energy exceeds the reference it was tested against.
-        hist = np.asarray(two_equilibrium.energy_history)
-        m = NONMONOTONE_MEMORY
-        ref = np.array(
-            [hist[max(0, k - m + 1) : k + 1].max() for k in range(hist.size)]
-        )
-        assert np.all(np.diff(ref) <= 1e-12)
-        assert np.all(hist[1:] <= ref[:-1] + 1e-12)
-        assert hist[-1] == pytest.approx(two_equilibrium.energy.total, abs=1e-12)
+        _assert_nonmonotone_history(two_equilibrium)
+
+    def test_spg_energy_history_decreases(self, two_spg):
+        assert two_spg.fallback and two_spg.rounds == 0
+        _assert_nonmonotone_history(two_spg)
 
     def test_stationarity_constants_recompute(self, two_equilibrium):
         res, consts = kkt_residual(two_equilibrium.measure)
@@ -255,20 +271,32 @@ def test_iteration_cap_carries_best_iterate(two):
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+TWO = (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5))
+THREE_GAP = (((-2.0, -1.0), (-0.99, 0.0), (0.01, 1.0)), (0.3, 0.3, 0.4))
+
+
 @pytest.mark.parametrize(
-    "intervals, masses, applies",
+    "intervals, masses, applies, max_rounds",
     [
-        (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5), 98),
-        (((-2.0, -1.0), (-0.99, 0.0), (0.01, 1.0)), (0.3, 0.3, 0.4), 112),
+        (*TWO, 98, equilibrium.MAX_ROUNDS),
+        (*THREE_GAP, 112, equilibrium.MAX_ROUNDS),
+        (*TWO, 98, 0),
+        (*THREE_GAP, 112, 0),
     ],
-    ids=["two", "three_gap0.01"],
+    ids=["two", "three_gap0.01", "two_spg", "three_gap0.01_spg"],
 )
-def test_solve_cost_in_kernel_applies(intervals, masses, applies):
-    # ``applies`` is deterministic: the initial apply plus one per
-    # line-search trial.  The bound is about 1.15 times the count above, so
-    # a step rule or search that costs more trials fails here.
+def test_solve_cost_in_kernel_applies(
+    intervals, masses, applies, max_rounds, monkeypatch
+):
+    # ``applies`` is deterministic: the initial apply plus one per PCG step
+    # and round, and one per SPG line-search trial.  The counts are the SPG
+    # loop's, which runs alone when no active-set round is allowed; the
+    # bound is about 1.15 times the count, so a step rule or search that
+    # costs more trials fails here.
+    monkeypatch.setattr(equilibrium, "MAX_ROUNDS", max_rounds)
     sol = solve_equilibrium(IntervalSystem(intervals, masses), cells=800)
     assert sol.iterations + 1 <= sol.applies <= round(1.15 * applies)
+    assert sol.fallback == (max_rounds == 0)
 
 
 PARTIAL_SUPPORT_CASES = {
@@ -324,6 +352,21 @@ def test_round_cap_hands_over_to_spg(name, max_rounds, monkeypatch):
     assert sol.fallback
     assert sol.rounds == max_rounds
     assert sol.kkt_residual <= 1e-8
+    assert sol.measure.masses == pytest.approx(system.r, abs=1e-12)
+
+
+def test_repeated_support_hands_over_to_spg():
+    # The edge steps cycle here by one node at the right edge of interval 1
+    # (714, 715, 713, 714 nodes): the support repeats before the round cap,
+    # and SPG finishes from the best feasible iterate.
+    system = IntervalSystem(
+        ((-0.287125, 0.946077), (0.958755, 2.299244)), (0.626451, 0.373549)
+    )
+    field = ExternalField.quadratic(2, center=0.593498, scale=0.342835)
+    sol = solve_equilibrium(system, field, cells=800)
+    assert sol.fallback
+    assert sol.rounds < equilibrium.MAX_ROUNDS
+    assert sol.kkt_residual <= 1e-4
     assert sol.measure.masses == pytest.approx(system.r, abs=1e-12)
 
 

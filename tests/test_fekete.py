@@ -149,13 +149,6 @@ def test_scan_reaches_a_kink_of_a_sampled_field(two):
     assert res.coordinatewise_optimal
 
 
-def test_sampled_field_keeps_its_abscissae():
-    assert BUMPS._knots[1].tolist() == [1.0, 1.3, 1.6, 2.0]
-    assert [k.size for k in ExternalField.quadratic(2)._knots] == [0, 0]
-    half = ExternalField.from_samples([None, [0.0, 1.0]], [None, [1.0, 2.0]])
-    assert half._knots[0].size == 0
-
-
 def test_two_interval_trend(two, two_equilibrium):
     seq = MultiIndexSequence.proportional(two.r, start=2, step=2)
     rows, results = fekete_asymptotics(
