@@ -15,17 +15,22 @@ per interval:
   median of 21 after a warm-up;
 - ``solve_s``: ``solve_equilibrium`` on an empty cache, assembly included,
   with its iteration count, energy, kernel applies (``KernelOperator.apply``
-  counted), line-search trials per iteration, (applies - 1) / iterations,
-  and, on a tree with the active-set solver, its outer ``rounds``, its
-  ``pcg_steps`` (``equilibrium._pcg`` counted) and whether the SPG
-  ``fallback`` ran (null on a tree without them);
+  counted), ``trials_per_iteration`` = (applies - 1) / iterations (the
+  line-search trials per iteration of a tree that solves by projected
+  gradient), and, on a tree with the active-set solver, its outer
+  ``rounds`` and its ``pcg_steps`` (``equilibrium._pcg`` counted; null on
+  a tree without it);
 - ``certificates``: rank, largest entry error and ACA ``steps`` of each
   low-rank cross block.
 
 The same solve row is recorded at every M for two problems with a partial
 support: the pushing case [-1, -0.01] u [0.01, 3] with masses (0.3, 0.7),
 and [-2, -1] u [1, 2] under the field ``quadratic`` with scale 1
-(``pushing_M<m>`` and ``two_quadratic_M<m>`` rows).
+(``pushing_M<m>`` and ``two_quadratic_M<m>`` rows).  Two more problems under
+a ``quadratic`` field, where the Newton edge steps of the active-set solver
+overshoot and a support repeats, get one row each at the M where that
+happens: the eqm_sweep seed-9 system at M = 800 (``eqm_sweep_seed9_M800``)
+and a three-interval system at M = 200 (``three_quadratic_M200``).
 
 At M = 400 it also solves to ``tol`` 1e-6 and 1e-8 with ``max_iter`` 2000
 on [-2, -1] u [1, 2] and on [-1, -0.01] u [0.01, 3] with masses (0.3, 0.7)
@@ -52,9 +57,18 @@ LAYOUTS = {
     "two": (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5)),
     "three_gap0.01": (((-2.0, -1.0), (-0.99, 0.0), (0.01, 1.0)), (0.3, 0.3, 0.4)),
 }
+# name: (intervals, masses, quadratic field (centre, scale) or None, cells)
 PARTIAL = {
-    "pushing": (((-1.0, -0.01), (0.01, 3.0)), (0.3, 0.7), None),
-    "two_quadratic": (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5), 1.0),
+    "pushing": (((-1.0, -0.01), (0.01, 3.0)), (0.3, 0.7), None, SIZES),
+    "two_quadratic": (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5), (0.0, 1.0), SIZES),
+    "eqm_sweep_seed9": (
+        ((-0.287125, 0.946077), (0.958755, 2.299244)), (0.626451, 0.373549),
+        (0.593498, 0.342835), (800,),
+    ),
+    "three_quadratic": (
+        ((-1.61044, -1.159444), (-1.147925, -0.072257), (-0.050128, 0.541181)),
+        (0.255072, 0.367968, 0.37696), (0.009826, 0.193146), (200,),
+    ),
 }
 TIGHT = {
     "two": LAYOUTS["two"],
@@ -119,7 +133,6 @@ def measure(src):
             "trials_per_iteration": (n - 1) / sol.iterations if n and sol.iterations else None,
             "rounds": getattr(sol, "rounds", None),
             "pcg_steps": pcg_steps[0] if plain_pcg else None,
-            "fallback": getattr(sol, "fallback", None),
         }
 
     factors = energy._cross_factors
@@ -180,10 +193,10 @@ def measure(src):
                 "apply_s": statistics.median(ticks),
                 **solve(system, m), "certificates": certificates,
             }
-    for name, (intervals, masses, scale) in PARTIAL.items():
+    for name, (intervals, masses, quadratic, sizes) in PARTIAL.items():
         system = IntervalSystem(intervals, masses)
-        field = None if scale is None else ExternalField.quadratic(system.p, scale=scale)
-        for m in SIZES:
+        field = None if quadratic is None else ExternalField.quadratic(system.p, *quadratic)
+        for m in sizes:
             out["%s_M%d" % (name, m)] = solve(system, m, field=field)
     for tol in TIGHT_TOLS:
         for name, (intervals, masses) in TIGHT.items():
@@ -214,7 +227,7 @@ if __name__ == "__main__":
     _driver.main(
         measure,
         "equilibrium kernel assembly, one apply, solve time, iterations, applies, "
-        "trials per iteration, active-set rounds, PCG steps and fallback; partial-support "
+        "trials per iteration, active-set rounds and PCG steps; partial-support "
         "and tight-tolerance solves; cross-block certificates; "
         "three grid-400 solves quiet and beside a busy process",
     )

@@ -372,7 +372,6 @@ def cmd_eqm(spec, sec, seed, cells, out_dir):
             "iterations": sol.iterations,
             "applies": sol.applies,
             "rounds": sol.rounds,
-            "fallback": sol.fallback,
         },
     )
     return [csv_path, report]

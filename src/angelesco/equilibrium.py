@@ -15,13 +15,9 @@ each round minimizes the energy there with the masses fixed and no sign
 constraint, by projected CG preconditioned with the Strang circulant of each
 Toeplitz self block, so the steps barely grow with M (Chan & Ng, SIAM Review
 38, 1996).  The next support keeps the nodes of positive weight and adds
-those where the gradient is below the component's constant.
-
-If a support repeats, or MAX_ROUNDS rounds pass, the best feasible iterate
-goes to the safeguard: spectral projected gradient (Birgin, Martinez &
-Raydan, SIAM J. Optim. 10, 2000) with ABBmin steps (Frassoldati, Zanni &
-Zanghirati, J. Ind. Manag. Optim. 4, 2008) and the nonmonotone Armijo search
-of Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23, 1986).
+those where the gradient is below the component's constant.  Edge runs
+move as Newton steps on a square-root edge; those steps overshoot, so the
+first time a support repeats the loop switches to the plain steps above.
 
 Every kernel product goes through the cached ``energy.system_kernel``
 operator, with no M x M array; both exits take the energy report from it,
@@ -30,7 +26,6 @@ with the field terms of ``energy.weighted_energy``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +41,8 @@ from .energy import (
 from .errors import GridMismatch, InfeasibleMasses, MaxIterationsExceeded
 
 SUPPORT_THRESHOLD = 1e-14  # of the max weight, per component
-NONMONOTONE_MEMORY = 10  # energies the line search's reference looks back on
-ABBMIN_MEMORY = 3  # BB2 steps the ABBmin rule takes the smallest of
-ABBMIN_TAU = 0.5  # BB2 / BB1 below which the ABBmin rule takes BB2 steps
 LOOSE = 1e-2  # residual reduction at which a round checks its support
-MAX_ROUNDS = 30  # active-set rounds before the SPG safeguard takes over
+MAX_ROUNDS = 30  # active-set rounds before MaxIterationsExceeded
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +52,9 @@ class EquilibriumSolution:
     kkt_residual: float
     modified_robin_constants: tuple
     iterations: int
-    applies: int  # kernel applies, rejected line-search trials included
-    energy_history: tuple = ()
+    applies: int  # kernel applies: one per PCG step and one per round
+    energy_history: tuple = ()  # at the start and after each round
     rounds: int = 0  # active-set rounds
-    fallback: bool = False  # whether the SPG safeguard ran
 
 
 def _project_rows(v, totals):
@@ -166,16 +157,18 @@ def _runs(mask):
     return zip(flips[::2], flips[1::2])
 
 
-def _next_support(on, w, v):
+def _next_support(on, w, v, newton=True):
     """``on`` less its nodes of weight w <= 0, plus those off it where v
-    (half the gradient) is below its mean on ``on``; edge runs move as
-    Newton steps on a square-root edge.  m negative weights at an edge are
-    half the way to it, so m more nodes go; a run added beside the support
-    is twice the way, so its ceil(m/2) nearest come, unless it reaches the
-    interval's end.  A row keeps at least one node."""
+    (half the gradient) is below its mean on ``on``.  With ``newton``, edge
+    runs move as Newton steps on a square-root edge: m negative weights at
+    an edge are half the way to it, so m more nodes go; a run added beside
+    the support is twice the way, so its ceil(m/2) nearest come, unless it
+    reaches the interval's end.  A row keeps at least one node."""
     mean = np.where(on, v, 0.0).sum(axis=1) / on.sum(axis=1)
     drop, add = on & (w <= 0.0), ~on & (v < mean[:, None])
     new = (on & ~drop) | add
+    if not newton:
+        return new
     n = on.shape[1]
     for row, row_drop, row_add, row_on in zip(new, drop, add, on):
         step = row.copy()
@@ -238,17 +231,15 @@ def solve_equilibrium(
 ):
     """Minimize the weighted energy over the product of scaled simplices.
 
-    Active-set rounds from the uniform vector measure (or ``initial``, which
-    must live on ``system``'s ``cells``-cell grids, else GridMismatch) and
-    its support, until the weights are nonnegative with KKT residual at most
-    ``tol``; if a support repeats or MAX_ROUNDS rounds pass, SPG from the
-    best feasible iterate to the same stop.  ``iterations`` counts PCG steps
-    plus SPG iterations (``max_iter`` caps the total); ``applies`` every
-    kernel apply (one per PCG step, per round and per SPG trial); ``rounds``
-    the rounds; ``fallback`` says whether SPG ran.  ``energy_history`` has
-    the energy at each round and SPG iterate, with a running 10-term
-    maximum that does not rise over SPG's part.  Raises
-    MaxIterationsExceeded (carrying the best feasible iterate) otherwise.
+    Active-set rounds from the uniform vector measure (or ``initial``
+    projected onto the simplices; it must live on ``system``'s ``cells``-cell
+    grids, else GridMismatch) and its support, until the weights are
+    nonnegative with KKT residual at most ``tol``.  ``iterations`` counts PCG
+    steps (``max_iter`` caps them); ``applies`` every kernel apply (one per
+    PCG step and one per round, plus the first); ``rounds`` the rounds.
+    ``energy_history`` has the energy of the start and of the iterate after
+    each round.  Raises MaxIterationsExceeded, carrying the best feasible
+    iterate, when ``max_iter`` PCG steps or MAX_ROUNDS rounds are spent.
     """
     field = as_field(field, system.p)
     p = system.p
@@ -279,24 +270,19 @@ def solve_equilibrium(
         fields = _field_integrals(measure, field)
         energy = EnergyReport.build(*kernel.energy_terms(weights), fields)
         return EquilibriumSolution(
-            measure, energy, res, consts, iterations, applies, tuple(history),
-            rounds, fallback,
+            measure, energy, res, consts, iterations, applies, tuple(history), rounds
         )
 
     starts = np.arange(0, p * n, n)
-
-    def project(v):
-        return _project_rows(v.reshape(p, n), r).ravel()
-
     if initial is None:
         w = np.concatenate([np.full(n, r[i] / n) for i in range(p)])
     else:
-        w = project(np.concatenate([g.weights for g in initial]))
+        w = _project_rows(np.stack([g.weights for g in initial]), r).ravel()
 
     history = []
     applies = iterations = rounds = 0
-    fallback = repeated = False
-    best = (np.inf, None, None, None)
+    plain = False
+    best = (np.inf, None, None)
     on = (w > 0.0).reshape(p, n)
     seen = {on.tobytes()}
 
@@ -307,76 +293,30 @@ def solve_equilibrium(
         if w.min() >= 0.0:
             res, consts = _support_residual(w, 2.0 * (u + q), starts)
             if res < best[0]:
-                best = (res, w.copy(), consts, u)
+                best = (res, w.copy(), consts)
             if res <= tol:
                 return solution(w, res, consts, iterations)
-        if repeated or rounds == MAX_ROUNDS or iterations == max_iter:
+        if rounds == MAX_ROUNDS or iterations == max_iter:
             break
         rounds += 1
         w, u, steps = _pcg(kernel, w, u, q, on, 0.1 * tol, max_iter - iterations)
         iterations += steps
         applies += steps
-        new = _next_support(on, w.reshape(p, n), (u + q).reshape(p, n))
+        new = _next_support(on, w.reshape(p, n), (u + q).reshape(p, n), not plain)
         if np.array_equal(new, on):
             continue
-        repeated = new.tobytes() in seen
+        # The edge steps overshoot; once they cycle, step plainly.
+        plain = plain or new.tobytes() in seen
         seen.add(new.tobytes())
         # Warm start: the iterate on the new support, shifted to the masses.
         on = new
         w = (_centred(w.reshape(p, n), on) + on * (r / on.sum(axis=1))[:, None]).ravel()
 
-    fallback = iterations < max_iter
-    _, w, _, u = best
-    g = 2.0 * (u + q)
-    e = energy_of(w, u)
-    first = len(history)  # SPG's line search looks back on its own energies
-    history.append(e)
-    w_prev = g_prev = None
-    bb2s = deque(maxlen=ABBMIN_MEMORY)
-    step = 1.0 / max(np.max(np.abs(g)), 1.0)
-
-    for it in range(iterations + 1, max_iter + 1):
-        res, consts = _support_residual(w, g, starts)
-        if res < best[0]:
-            best = (res, w.copy(), consts, u)
-        if res <= tol:
-            return solution(w, res, consts, it - 1)
-
-        if w_prev is not None:
-            s = w - w_prev
-            y = g - g_prev
-            sy = float(s @ y)
-            if sy > 1e-30:
-                bb1 = float(s @ s) / sy
-                bb2s.append(sy / float(y @ y))
-                step = min(bb2s) if bb2s[-1] < ABBMIN_TAU * bb1 else bb1
-        step = min(max(step, 1e-14), 1e14)
-
-        w_prev, g_prev = w, g
-        reference = max(history[max(first, len(history) - NONMONOTONE_MEMORY) :])
-        t = step
-        for _ in range(60):
-            w_new = project(w - t * g)
-            u_new = kernel.apply(w_new)
-            applies += 1
-            e_new = energy_of(w_new, u_new)
-            gd = float(g @ (w_new - w))
-            if e_new <= reference + 1e-4 * gd or t < 1e-18:
-                break
-            # The energy is quadratic on the segment w -> w_new; shrink t by
-            # that quadratic's minimizer, safeguarded to [0.1, 0.5].
-            curv = e_new - e - gd
-            t *= min(max(-0.5 * gd / curv, 0.1), 0.5) if curv > 0 else 0.5
-        w, u = w_new, u_new
-        e = e_new
-        g = 2.0 * (u + q)
-        history.append(e)
-
-    res, w_best, consts, _ = best
+    res, w, consts = best
     raise MaxIterationsExceeded(
-        f"no convergence to {tol} in {max_iter} iterations "
-        f"(best residual {res:.3e})",
-        solution=solution(w_best, res, consts, max_iter),
+        f"no convergence to {tol} (best residual {res:.3e}); CG steps "
+        f"{iterations} of {max_iter}, rounds {rounds} of {MAX_ROUNDS}",
+        solution=solution(w, res, consts, iterations),
     )
 
 

@@ -191,7 +191,6 @@ class TestCommands:
         assert run(["eqm", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "eqm.report.json").read_text())
         assert report["rounds"] >= 1
-        assert report["fallback"] is False
         assert report["applies"] == report["iterations"] + report["rounds"] + 1
 
     def test_eqm_csv_rows(self, tmp_path):

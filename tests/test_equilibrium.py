@@ -10,9 +10,8 @@ from angelesco import (
     weighted_energy,
 )
 from angelesco import equilibrium
-from angelesco.energy import system_kernel
+from angelesco.energy import as_field, kernel_matrix, system_kernel
 from angelesco.equilibrium import (
-    NONMONOTONE_MEMORY,
     SUPPORT_THRESHOLD,
     _project_rows,
     _support_residual,
@@ -119,28 +118,6 @@ def test_one_pass_residual_is_the_deviation_array_bit_for_bit():
         assert np.array_equal(consts, want_consts, equal_nan=True)
 
 
-@pytest.fixture(scope="module")
-def two_spg(two):
-    """The solve of ``two_equilibrium`` by the SPG safeguard alone."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(equilibrium, "MAX_ROUNDS", 0)
-        return solve_equilibrium(two, cells=400)
-
-
-def _assert_nonmonotone_history(sol):
-    # The nonmonotone line search compares each trial with the largest of
-    # the last NONMONOTONE_MEMORY energies: that reference never rises,
-    # and no accepted energy exceeds the reference it was tested against.
-    hist = np.asarray(sol.energy_history)
-    m = NONMONOTONE_MEMORY
-    ref = np.array(
-        [hist[max(0, k - m + 1) : k + 1].max() for k in range(hist.size)]
-    )
-    assert np.all(np.diff(ref) <= 1e-12)
-    assert np.all(hist[1:] <= ref[:-1] + 1e-12)
-    assert hist[-1] == pytest.approx(sol.energy.total, abs=1e-12)
-
-
 class TestTwoIntervalProblem:
     def test_solution_summary(self, two_equilibrium):
         sol = two_equilibrium
@@ -157,11 +134,12 @@ class TestTwoIntervalProblem:
         assert r0 == pytest.approx(r1, abs=1e-5)
 
     def test_energy_history_decreases(self, two_equilibrium):
-        _assert_nonmonotone_history(two_equilibrium)
-
-    def test_spg_energy_history_decreases(self, two_spg):
-        assert two_spg.fallback and two_spg.rounds == 0
-        _assert_nonmonotone_history(two_spg)
+        # One energy at the start and one per round.  The support here is
+        # full from the start, so every round is CG descent on it.
+        hist = np.asarray(two_equilibrium.energy_history)
+        assert hist.size == two_equilibrium.rounds + 1
+        assert np.all(np.diff(hist) < 0.0)
+        assert hist[-1] == pytest.approx(two_equilibrium.energy.total, abs=1e-12)
 
     def test_stationarity_constants_recompute(self, two_equilibrium):
         res, consts = kkt_residual(two_equilibrium.measure)
@@ -276,27 +254,17 @@ THREE_GAP = (((-2.0, -1.0), (-0.99, 0.0), (0.01, 1.0)), (0.3, 0.3, 0.4))
 
 
 @pytest.mark.parametrize(
-    "intervals, masses, applies, max_rounds",
-    [
-        (*TWO, 98, equilibrium.MAX_ROUNDS),
-        (*THREE_GAP, 112, equilibrium.MAX_ROUNDS),
-        (*TWO, 98, 0),
-        (*THREE_GAP, 112, 0),
-    ],
-    ids=["two", "three_gap0.01", "two_spg", "three_gap0.01_spg"],
+    "intervals, masses, applies",
+    [(*TWO, 98), (*THREE_GAP, 112)],
+    ids=["two", "three_gap0.01"],
 )
-def test_solve_cost_in_kernel_applies(
-    intervals, masses, applies, max_rounds, monkeypatch
-):
+def test_solve_cost_in_kernel_applies(intervals, masses, applies):
     # ``applies`` is deterministic: the initial apply plus one per PCG step
-    # and round, and one per SPG line-search trial.  The counts are the SPG
-    # loop's, which runs alone when no active-set round is allowed; the
-    # bound is about 1.15 times the count, so a step rule or search that
-    # costs more trials fails here.
-    monkeypatch.setattr(equilibrium, "MAX_ROUNDS", max_rounds)
+    # and round.  The counts are those of the spectral projected gradient
+    # loop this solver replaced; the bound is about 1.15 times the count.
     sol = solve_equilibrium(IntervalSystem(intervals, masses), cells=800)
-    assert sol.iterations + 1 <= sol.applies <= round(1.15 * applies)
-    assert sol.fallback == (max_rounds == 0)
+    assert sol.applies == sol.iterations + sol.rounds + 1
+    assert sol.applies <= round(1.15 * applies)
 
 
 PARTIAL_SUPPORT_CASES = {
@@ -318,18 +286,48 @@ def _weights(sol):
     return np.concatenate([g.weights for g in sol.measure])
 
 
+def _dense_kkt_solve(sol, field):
+    """The KKT conditions on the solver's support, solved as one dense
+    linear system: returns the weights, the support and the shortfall of
+    half the gradient below its component's constant off the support.
+
+    Half the gradient is A w + q, with A's diagonal blocks the self kernels
+    and its cross blocks half the cross kernels.  On the support S, A w + q
+    equals each component's constant and the masses are fixed; off it w is
+    0.  This shares no code with the solver's FFT or low-rank operator.
+    """
+    grids = list(sol.measure)
+    a = np.block(
+        [
+            [kernel_matrix(gi, gj) * (1.0 if gi is gj else 0.5) for gj in grids]
+            for gi in grids
+        ]
+    )
+    q = np.concatenate([field(i, g.nodes) for i, g in enumerate(grids)])
+    block = np.repeat(np.arange(len(grids)), [g.weights.size for g in grids])
+    w = _weights(sol)
+    tops = np.array([g.weights.max() for g in grids])
+    on = w > SUPPORT_THRESHOLD * tops[block]
+    s = np.flatnonzero(on)
+    e = (block[s, None] == np.arange(len(grids))).astype(float)
+    lhs = np.block([[a[np.ix_(s, s)], -e], [e.T, np.zeros((len(grids),) * 2)]])
+    x = np.linalg.solve(lhs, np.concatenate([-q[s], sol.measure.system.r]))
+    dense = np.zeros_like(w)
+    dense[s] = x[: s.size]
+    consts = x[s.size :]
+    shortfall = (consts[block] - (a @ dense + q))[~on]
+    return dense, on, shortfall
+
+
 @pytest.mark.parametrize("name", sorted(PARTIAL_SUPPORT_CASES))
-def test_active_set_agrees_with_the_spg_loop(name, monkeypatch):
+def test_active_set_agrees_with_a_dense_kkt_solve(name):
     system, field = _partial_case(name)
     sol = solve_equilibrium(system, field, cells=400, tol=1e-8)
-    assert not sol.fallback
     assert sol.kkt_residual <= 1e-8
-    # With no active-set rounds allowed the solve is the SPG loop alone.
-    monkeypatch.setattr(equilibrium, "MAX_ROUNDS", 0)
-    spg = solve_equilibrium(system, field, cells=400, tol=1e-8)
-    assert spg.fallback and spg.rounds == 0
-    assert spg.kkt_residual <= 1e-8
-    assert np.abs(_weights(sol) - _weights(spg)).max() <= 1e-7
+    dense, on, shortfall = _dense_kkt_solve(sol, as_field(field, system.p))
+    assert dense[on].min() > 0.0
+    assert shortfall.max(initial=0.0) <= 0.0
+    assert np.abs(_weights(sol) - dense).max() <= 1e-7
 
 
 @pytest.mark.parametrize("cells", [400, 800, 1600, 3200])
@@ -345,29 +343,53 @@ def test_applies_flat_in_cells(cells):
 @pytest.mark.parametrize(
     "name, max_rounds", [("pushing", 0), ("two_quadratic", 1)]
 )
-def test_round_cap_hands_over_to_spg(name, max_rounds, monkeypatch):
+def test_round_cap_raises(name, max_rounds, monkeypatch):
+    # The pushing case converges in its first round, so only a cap of 0
+    # stops it.
     system, field = _partial_case(name)
     monkeypatch.setattr(equilibrium, "MAX_ROUNDS", max_rounds)
-    sol = solve_equilibrium(system, field, cells=400, tol=1e-8)
-    assert sol.fallback
-    assert sol.rounds == max_rounds
-    assert sol.kkt_residual <= 1e-8
-    assert sol.measure.masses == pytest.approx(system.r, abs=1e-12)
+    with pytest.raises(MaxIterationsExceeded) as exc:
+        solve_equilibrium(system, field, cells=400, tol=1e-8)
+    best = exc.value.solution
+    assert best.rounds == max_rounds
+    assert best.measure.masses == pytest.approx(system.r, abs=1e-12)
+    assert _weights(best).min() >= 0.0
 
 
-def test_repeated_support_hands_over_to_spg():
-    # The edge steps cycle here by one node at the right edge of interval 1
-    # (714, 715, 713, 714 nodes): the support repeats before the round cap,
-    # and SPG finishes from the best feasible iterate.
-    system = IntervalSystem(
-        ((-0.287125, 0.946077), (0.958755, 2.299244)), (0.626451, 0.373549)
-    )
-    field = ExternalField.quadratic(2, center=0.593498, scale=0.342835)
-    sol = solve_equilibrium(system, field, cells=800)
-    assert sol.fallback
+CYCLING_CASES = {
+    # The Newton edge steps overshoot here and the support swings across
+    # the true edge, so a support repeats: 714, 715, 713, 714 nodes at the
+    # right edge of interval 1 in the first case, 200, 198, 200 nodes on the
+    # middle interval in the second.  In the first and the last a support
+    # repeats twice, so a second repeat is no reason to stop.
+    "two_M800": (
+        ((-0.287125, 0.946077), (0.958755, 2.299244)),
+        (0.626451, 0.373549), 0.593498, 0.342835, 800, 1e-4,
+    ),
+    "three_M200": (
+        ((-1.61044, -1.159444), (-1.147925, -0.072257), (-0.050128, 0.541181)),
+        (0.255072, 0.367968, 0.37696), 0.009826, 0.193146, 200, 1e-4,
+    ),
+    "two_M1600": (
+        ((-1.955755, -0.687151), (0.097056, 0.872649)),
+        (0.844943, 0.155057), -1.917665, 0.118949, 1600, 1e-4,
+    ),
+    "two_M50_tol1e-8": (
+        ((-1.026709, -0.448546), (-0.388379, 2.055321)),
+        (0.745043, 0.254957), -0.721571, 0.254517, 50, 1e-8,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CYCLING_CASES))
+def test_repeated_support_steps_plainly_to_convergence(name):
+    intervals, masses, center, scale, cells, tol = CYCLING_CASES[name]
+    system = IntervalSystem(intervals, masses)
+    field = ExternalField.quadratic(system.p, center=center, scale=scale)
+    sol = solve_equilibrium(system, field, cells=cells, tol=tol)
+    assert sol.kkt_residual <= tol
     assert sol.rounds < equilibrium.MAX_ROUNDS
-    assert sol.kkt_residual <= 1e-4
-    assert sol.measure.masses == pytest.approx(system.r, abs=1e-12)
+    assert sol.measure.masses == pytest.approx(masses, abs=1e-12)
 
 
 def test_strang_preconditioner_is_positive_on_a_long_interval():
