@@ -10,7 +10,15 @@ One measurement records
 - the same on the one interval [-1, 1] at n = 40 with two starts;
 - acceptance criterion_3: wall time, the three gaps and the verdict;
 - two sampled, non-convex fields on the two intervals (two bumps per
-  interval) at 3 + 3 and 6 + 6 points, four starts, seed 0.
+  interval) at 3 + 3 and 6 + 6 points, four starts, seed 0;
+- two calls on [-0.11058, 0.997892], [1.315631, 2.488015] with zero field
+  and two starts where two points of a block once collided on a box end:
+  4 + 4 points at seed 1 and 8 + 8 at seed 6.
+
+Every ``fekete_points`` row also records ``evaluations``, the calls of the
+ascent's exact weight (counted at ``_Ascent.value``, so both trees count
+alike), and ``newton_steps`` from the result (null where a tree does not
+report it).  Both are deterministic, so the driver's repeat check pins them.
 
 The driver and the report layout are described in ``_driver.py``.
 """
@@ -21,21 +29,32 @@ import _driver
 
 SIZES = (20, 40, 80, 640)
 NONCONVEX = ((3, 3), (6, 6))
+STALLS = (((4, 4), 1), ((8, 8), 6))
 
 
 def measure(src):
     from angelesco import acceptance
     from angelesco.core import IntervalSystem, MultiIndex
     from angelesco.energy import ExternalField
-    from angelesco.fekete import fekete_points
+    from angelesco.fekete import _Ascent, fekete_points
 
     out = {}
+    calls = [0]
+    value = _Ascent.value
 
-    def timed(key, system, counts, field=None, n_starts=1):
+    def counted(self, x):
+        calls[0] += 1
+        return value(self, x)
+
+    _Ascent.value = counted
+
+    def timed(key, system, counts, field=None, n_starts=1, seed=0):
+        calls[0] = 0
         t0 = time.perf_counter()
-        res = fekete_points(system, MultiIndex(counts), field, n_starts=n_starts, seed=0)
+        res = fekete_points(system, MultiIndex(counts), field, n_starts=n_starts, seed=seed)
         out[key] = {"s": time.perf_counter() - t0, "log_weight": res.log_boltzmann,
-                    "certified": res.coordinatewise_optimal}
+                    "certified": res.coordinatewise_optimal, "evaluations": calls[0],
+                    "newton_steps": getattr(res, "newton_steps", None)}
 
     two = IntervalSystem(((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5))
     fekete_points(two, MultiIndex((2, 2)), n_starts=1, seed=0)  # first-call costs
@@ -48,6 +67,9 @@ def measure(src):
     )
     for counts in NONCONVEX:
         timed("bumps_%d_%d" % counts, two, counts, bumps, n_starts=4)
+    stall = IntervalSystem(((-0.11058, 0.997892), (1.315631, 2.488015)), (0.5, 0.5))
+    for counts, seed in STALLS:
+        timed("stall_%d_%d" % counts, stall, counts, n_starts=2, seed=seed)
     crit = acceptance.criterion_3()
     out["criterion_3"] = {"s": crit.seconds, "passed": crit.passed,
                           "gaps": [crit.metrics["gap_%d" % n] for n in (20, 40, 80)]}
@@ -55,4 +77,5 @@ def measure(src):
 
 
 if __name__ == "__main__":
-    _driver.main(measure, "fekete_points wall time, log weight and certificate; criterion_3")
+    _driver.main(measure, "fekete_points wall time, log weight, certificate and weight "
+                          "evaluations; criterion_3")

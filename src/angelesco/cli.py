@@ -404,6 +404,8 @@ def cmd_fekete(spec, sec, seed, cells, out_dir):
             "normalized": best.normalized,
             "starts_used": best.starts_used,
             "coordinatewise_optimal": best.coordinatewise_optimal,
+            "evaluations": best.evaluations,
+            "newton_steps": best.newton_steps,
         },
     )
     return [trend_path, config_path, report]

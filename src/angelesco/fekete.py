@@ -12,12 +12,19 @@ maximize it.
 
 On the ordered sector the weight is a sum of logs of positive affine forms
 minus the field term: concave for convex fields, with the boxes [a_i, b_i] as
-the only constraints.  Each start runs a projected Newton ascent on it, holds
-points pushed outward at a box end and backtracks every step on the exact
-weight.  For a non-convex field that finds only a local maximum, so a scan of
-every point's slice over a grid of its interval and a sampled field's
-kinks follows; a point that can gain more than ``tol`` jumps to the best
-node and Newton runs again.
+the only constraints.  Each start runs a projected Newton ascent on it
+(Bertsekas, SIAM J. Control Optim. 20, 1982) with the points of each block
+kept sorted.  A block's outermost point within eps of its end and pushed
+outward is held: it goes onto the end along the step, and Newton solves for
+the other points.  eps is the smaller of ``EPSILON`` of the interval and the
+largest move of a projected gradient step, so it vanishes at a maximum.  The
+Armijo backtracking on the exact weight starts at t = 1, or at ``CAP`` times
+the first t at which two neighbours of a block meet on the clipped step
+(crossing, or clipped onto one end) if that is earlier, so no trial collides.
+For a non-convex field that finds only a local maximum, so a scan of every
+point's slice over a grid of its interval and a sampled field's kinks
+follows; a point that can gain more than ``tol`` jumps to the best node and
+Newton runs again.
 ``coordinatewise_optimal`` says that the last scan found no such move.
 """
 
@@ -36,6 +43,8 @@ SCAN_NODES = 2049  # grid nodes per interval for the single-coordinate scan
 MAX_ROUNDS = 8  # Newton ascents and scans per start
 MAX_NEWTON = 200
 ARMIJO = 1e-4
+EPSILON = 3e-2  # widest active-set band, as a share of the interval
+CAP = 0.8  # first trial as a share of the step to the first meeting
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +54,8 @@ class FeketeResult:
     normalized: float  # log_boltzmann / n^2
     starts_used: int
     coordinatewise_optimal: bool
+    evaluations: int  # exact weight evaluations, summed over starts
+    newton_steps: int  # Newton systems solved, summed over starts
 
 
 @dataclass(frozen=True)
@@ -73,32 +84,37 @@ def log_boltzmann(X, field=None, index=None):
     index = X.index if index is None else index
     if tuple(index.counts) != tuple(X.index.counts):
         raise ValueError("multi-index does not match the configuration")
-    field = as_field(field, X.system.p)
-    n = X.total
+    return _log_weight(X.blocks, as_field(field, X.system.p), X.total)
+
+
+def _log_weight(blocks, field, n):
+    """The weight of blocks given in any order within each; -inf on a collision."""
     interaction = 0.0
-    for i, b in enumerate(X.blocks):
+    for i, b in enumerate(blocks):
         if b.size > 1:
             d = np.abs(b[:, None] - b[None, :])
             gaps = d[_upper_pairs(b.size)]
             if np.any(gaps == 0.0):
                 return float("-inf")
             interaction += 2.0 * float(np.sum(np.log(gaps)))  # ordered pairs
-        for j in range(i + 1, X.system.p):
-            d = np.abs(X.blocks[j][:, None] - b[None, :])
+        for j in range(i + 1, len(blocks)):
+            d = np.abs(blocks[j][:, None] - b[None, :])
             if np.any(d == 0.0):
                 return float("-inf")
             interaction += float(np.sum(np.log(d)))
     fld = 0.0
     if not field.is_zero:
-        fld = sum(float(np.sum(field(i, b))) for i, b in enumerate(X.blocks))
+        fld = sum(float(np.sum(field(i, b))) for i, b in enumerate(blocks))
     return interaction - 2.0 * n * fld
 
 
 class _Ascent:
     """The weight as a function of the flat vector of all coordinates.
 
-    Blocks are contiguous in the vector; ``c`` holds the pair coefficients
-    (2 within a block, 1 across blocks, 0 on the diagonal).
+    Blocks are contiguous in the vector and each is kept sorted, so block i
+    has its outermost points at ``first[i]`` and ``last[i]`` and every
+    neighbour pair at (k, k + 1) for k in ``pairs``.  ``c`` holds the pair
+    coefficients (2 within a block, 1 across blocks, 0 on the diagonal).
     """
 
     def __init__(self, system, field, index):
@@ -106,21 +122,23 @@ class _Ascent:
         self.n = index.total
         ends = np.cumsum((0,) + tuple(index.counts))
         self.blocks = [slice(s, e) for s, e in zip(ends[:-1], ends[1:])]
+        self.first, self.last = ends[:-1], ends[1:] - 1
+        self.pairs = np.setdiff1d(np.arange(self.n - 1), self.last)
         self.block_of = block = np.repeat(np.arange(system.p), index.counts)
         self.c = np.where(block[:, None] == block[None, :], 2.0, 1.0)
         np.fill_diagonal(self.c, 0.0)
         self.lo, self.hi = np.array([system.intervals[i] for i in block]).T
+        self.band = EPSILON * (self.hi - self.lo)
         knots = [getattr(f, "knots", np.empty(0)) for f in field._funcs]
         self.grids = [
             np.union1d(np.linspace(a, b, SCAN_NODES), k[(k >= a) & (k <= b)])
             for (a, b), k in zip(system.intervals, knots)
         ]
-
-    def configuration(self, x):
-        return Configuration(self.system, tuple(np.sort(x[s]) for s in self.blocks))
+        self.evaluations = self.newton_steps = 0  # summed over starts
 
     def value(self, x):
-        return log_boltzmann(self.configuration(x), self.field)
+        self.evaluations += 1
+        return _log_weight([x[s] for s in self.blocks], self.field, self.n)
 
     def field_slopes(self, x):
         """Q_i' and max(Q_i'', 0) at every point, by central differences.
@@ -131,6 +149,8 @@ class _Ascent:
         """
         slope = np.zeros_like(x)
         curvature = np.zeros_like(x)
+        if self.field.is_zero:
+            return slope, curvature
         for i, s in enumerate(self.blocks):
             a, b = self.system.intervals[i]
             h = 1e-5 * (b - a)
@@ -142,8 +162,10 @@ class _Ascent:
         return slope, curvature
 
     def newton(self, x, tol):
-        """Projected Newton ascent from x; returns the final point."""
+        """Projected Newton ascent from x, sorted within blocks; returns the
+        final point, which stops short of every meeting and so stays sorted."""
         value = self.value(x)
+        lo, hi, first, last = self.lo, self.hi, self.first, self.last
         for _ in range(MAX_NEWTON):
             diff = x[:, None] - x[None, :]
             np.fill_diagonal(diff, 1.0)
@@ -152,23 +174,29 @@ class _Ascent:
             slope, curvature = self.field_slopes(x)
             g = pull.sum(axis=1) - 2.0 * self.n * slope
             a = -stiff  # minus the Hessian, positive semidefinite
-            np.fill_diagonal(a, stiff.sum(axis=1) + 2.0 * self.n * curvature)
-            free = ~(((x <= self.lo) & (g < 0)) | ((x >= self.hi) & (g > 0)))
-            g_f, a_f = g[free], a[np.ix_(free, free)]
-            d_f = np.diag(a_f)
+            diag = stiff.sum(axis=1) + 2.0 * self.n * curvature
             # A zero diagonal means one point under a linear field: any
             # nonzero slope then drives it to the box end.
-            gains = 0.5 * g_f**2 / np.maximum(d_f, np.finfo(float).tiny)
-            if np.max(gains, initial=0.0) <= tol:
+            gains = 0.5 * g**2 / np.maximum(diag, np.finfo(float).tiny)
+            # The epsilon-active set; a held point reaches its end at t = 1.
+            eps = np.minimum(self.band, np.max(np.abs(x - np.clip(x + g, lo, hi))))
+            low = first[(x[first] - lo[first] <= eps[first]) & (g[first] < 0)]
+            high = last[(hi[last] - x[last] <= eps[last]) & (g[last] > 0)]
+            held = np.concatenate((low, high))
+            to_end = np.concatenate((lo[low], hi[high])) - x[held]
+            gains[held] = g[held] * to_end
+            if np.max(gains) <= tol:
                 break
+            self.newton_steps += 1
             # The shift only settles the common translation of all points,
             # along which a zero field leaves the weight flat.
-            a_f[np.diag_indices_from(a_f)] += 1e-10 * d_f + 1e-300
-            step = np.linalg.solve(a_f, g_f)
-            t = 1.0
+            np.fill_diagonal(a, diag * (1.0 + 1e-10) + 1e-300)
+            a[held], a[:, held], a[held, held] = 0.0, 0.0, 1.0
+            step = np.linalg.solve(a, g)
+            step[held] = to_end
+            t = min(1.0, CAP * self.first_meeting(x, step))
             while t > 1e-15:
-                y = x.copy()
-                y[free] = np.clip(x[free] + t * step, self.lo[free], self.hi[free])
+                y = np.clip(x + t * step, lo, hi)
                 trial = self.value(y)  # -inf on a collision
                 if trial >= value + ARMIJO * float(g @ (y - x)):
                     break
@@ -179,6 +207,24 @@ class _Ascent:
             if gained <= tol:
                 break
         return x
+
+    def first_meeting(self, x, step):
+        """First t at which two neighbours of a block meet on clip(x + t step).
+
+        For neighbours k < l the unclipped paths cross at
+        (x_l - x_k) / (step_k - step_l); before that both sit on one end once
+        k reaches the upper end or l the lower one.
+        """
+        k = self.pairs
+        l = k + 1
+        sk, sl = step[k], step[l]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            meet = np.minimum.reduce([
+                np.where(sk > sl, (x[l] - x[k]) / (sk - sl), np.inf),
+                np.where(sk > 0, (self.hi[k] - x[k]) / sk, np.inf),
+                np.where(sl < 0, (self.lo[l] - x[l]) / sl, np.inf),
+            ])
+        return float(np.min(meet, initial=np.inf))
 
     def scan(self, x):
         """Best grid position and exact gain of every single-coordinate move.
@@ -207,14 +253,16 @@ class _Ascent:
     def run(self, rng, tol):
         x = rng.uniform(self.lo, self.hi)
         for _ in range(MAX_ROUNDS):
+            for s in self.blocks:
+                x[s].sort()
             x = self.newton(x, tol)
             gains, targets = self.scan(x)
             k = int(np.argmax(gains))
             certified = bool(gains[k] <= tol)
             if certified:
                 break
-            x[k] = targets[k]
-        X = self.configuration(x)
+            x[k] = targets[k]  # may pass its neighbours: sorted again below
+        X = Configuration(self.system, tuple(np.sort(x[s]) for s in self.blocks))
         return X, log_boltzmann(X, self.field), certified
 
 
@@ -231,7 +279,10 @@ def fekete_points(system, index, field=None, n_starts=4, tol=1e-10, seed=0):
         (ascent.run(np.random.default_rng(s), tol) for s in starts),
         key=lambda r: r[1],
     )
-    return FeketeResult(X, value, value / index.total**2, n_starts, certified)
+    return FeketeResult(
+        X, value, value / index.total**2, n_starts, certified,
+        ascent.evaluations, ascent.newton_steps,
+    )
 
 
 def fekete_asymptotics(

@@ -220,6 +220,8 @@ class TestCommands:
         assert len(config_rows) == 1 + 4
         report = json.loads((out / "fekete.report.json").read_text())
         assert report["d_max"] == 2
+        # deterministic counts of the ascent at d_max, summed over its starts
+        assert report["evaluations"] >= report["newton_steps"] >= 1
 
     def test_fekete_config_csv_rows(self, tmp_path):
         cfg = write_config(

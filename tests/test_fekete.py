@@ -4,12 +4,16 @@ import pytest
 from angelesco import (
     Configuration,
     ExternalField,
+    IntervalSystem,
     MultiIndex,
     MultiIndexSequence,
+    fekete,
     fekete_asymptotics,
     fekete_points,
     log_boltzmann,
 )
+from angelesco.energy import as_field
+from angelesco.fekete import _Ascent
 from angelesco.ldp import random_configuration
 
 
@@ -149,6 +153,18 @@ def test_scan_reaches_a_kink_of_a_sampled_field(two):
     assert res.coordinatewise_optimal
 
 
+@pytest.mark.parametrize("counts, seed", [((3, 3), 4), ((6, 6), 1)])
+def test_uncertified_start_returns_a_sorted_configuration(
+    two, monkeypatch, counts, seed
+):
+    # With one round the last action is a scan jump, which here puts a point
+    # past its neighbour; the result must still come back, uncertified.
+    monkeypatch.setattr(fekete, "MAX_ROUNDS", 1)
+    res = fekete_points(two, MultiIndex(counts), BUMPS, n_starts=1, seed=seed)
+    assert not res.coordinatewise_optimal
+    assert res.log_boltzmann == pytest.approx(log_boltzmann(res.configuration, BUMPS))
+
+
 def test_two_interval_trend(two, two_equilibrium):
     seq = MultiIndexSequence.proportional(two.r, start=2, step=2)
     rows, results = fekete_asymptotics(
@@ -173,3 +189,39 @@ def test_mixed_index_beats_random_configurations(two):
     for _ in range(200):
         X = random_configuration(two, MultiIndex((3, 2)), rng)
         assert log_boltzmann(X) <= res.log_boltzmann + 1e-12
+
+
+# Two points of block 2 end 2e-4 apart just below 2.488015, and a Newton
+# step translates the block outward: clipped onto one end they collide.  A
+# line search that halves from t = 1 needed 399 and 633 weight evaluations
+# for these two calls.
+STALL = IntervalSystem(((-0.11058, 0.997892), (1.315631, 2.488015)), (0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "counts, seed, reference",
+    [((4, 4), 1, -8.053212786852935), ((8, 8), 6, -74.40787345605736)],
+)
+def test_box_end_collision_does_not_stall(counts, seed, reference):
+    res = fekete_points(STALL, MultiIndex(counts), n_starts=2, seed=seed)
+    assert res.coordinatewise_optimal
+    assert res.log_boltzmann == pytest.approx(reference, rel=1e-9)
+    assert res.evaluations <= 50
+    assert res.newton_steps <= res.evaluations
+
+
+def test_large_two_interval_ascent_takes_few_evaluations(two):
+    # 94 weight evaluations at n = 640 while every step started at t = 1
+    res = fekete_points(two, MultiIndex((320, 320)), n_starts=1, seed=0)
+    assert res.coordinatewise_optimal
+    assert res.evaluations <= 30
+
+
+def test_first_meeting_on_the_clipped_arc(sym):
+    ascent = _Ascent(sym, as_field(None, 1), MultiIndex((3,)))
+    x = np.array([-0.5, 0.9, 0.95])
+    # the last two reach the upper end at t = 0.1 and 0.05: they meet at 0.1
+    assert ascent.first_meeting(x, np.array([0.0, 1.0, 1.0])) == pytest.approx(0.1)
+    # the first two cross at t = 1.4 / 2 before either reaches an end
+    assert ascent.first_meeting(x, np.array([1.0, -1.0, 0.0])) == pytest.approx(0.7)
+    assert ascent.first_meeting(x, np.array([-1.0, 0.0, 1.0])) == np.inf
