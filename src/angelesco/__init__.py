@@ -57,6 +57,7 @@ from .ldp import (
     RateReport,
     bm_constant,
     field_shift_identity,
+    field_shift_worst,
     growth_constant,
     quantile_energy_probe,
     random_configuration,

@@ -37,9 +37,8 @@ from .ensemble import (
 from .fekete import fekete_points
 from .ldp import (
     bm_constant,
-    field_shift_identity,
+    field_shift_worst,
     quantile_energy_probe,
-    random_configuration,
     rate_function,
 )
 from .mop import expectation_identity_check, solve_mop
@@ -296,12 +295,9 @@ def criterion_8():
     gap_uni = abs(probe_uni + e_uni)
 
     fld = ExternalField.quadratic(2, scale=0.3)
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(100):
-        X = random_configuration(system, MultiIndex((3, 2)), rng)
-        lhs, rhs = field_shift_identity(X, fld)
-        worst = max(worst, abs(lhs - rhs))
+    worst = field_shift_worst(
+        system, [MultiIndex((3, 2))], fld, 100, np.random.default_rng(11)
+    )
     ok = (
         rate <= 1e-3
         and gap_arc <= 0.05

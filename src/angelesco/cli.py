@@ -34,9 +34,8 @@ from .equilibrium import solve_equilibrium
 from .fekete import fekete_asymptotics, fekete_points
 from .ldp import (
     bm_constant,
-    field_shift_identity,
+    field_shift_worst,
     quantile_energy_probe,
-    random_configuration,
     rate_function,
 )
 from .mop import _identity_rows, solve_mop
@@ -485,12 +484,9 @@ def cmd_ldp(spec, sec, seed, cells, out_dir):
     shift_field = (ExternalField.quadratic(system.p, scale=0.25) if field.is_zero
                    else field)
     indices = [spec.index(d) for d in range(1, min(4, spec.seq.length or 4) + 1)]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for j in range(n_configs):
-        X = random_configuration(system, indices[j % len(indices)], rng)
-        lhs, rhs = field_shift_identity(X, shift_field)
-        worst = max(worst, abs(lhs - rhs))
+    worst = field_shift_worst(
+        system, indices, shift_field, n_configs, np.random.default_rng(seed)
+    )
     rows.append(("field_shift_worst", n_configs, worst))
     rows.append(("rate_equilibrium", 0, rate.rate))
     csv_path = _write_csv(

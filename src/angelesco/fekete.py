@@ -84,28 +84,38 @@ def log_boltzmann(X, field=None, index=None):
     index = X.index if index is None else index
     if tuple(index.counts) != tuple(X.index.counts):
         raise ValueError("multi-index does not match the configuration")
-    return _log_weight(X.blocks, as_field(field, X.system.p), X.total)
+    interaction, fld = _log_weight(X.blocks, as_field(field, X.system.p))
+    return float(interaction - 2.0 * X.total * fld)
 
 
-def _log_weight(blocks, field, n):
-    """The weight of blocks given in any order within each; -inf on a collision."""
+def _log_weight(blocks, field):
+    """Interaction and field sum of blocks given in any order within each.
+
+    The interaction is -inf on a collision; the field sum is 0.0 for a zero
+    field.  Blocks may carry leading axes, one configuration per entry, and
+    each entry gets the bits of its own 1-d call: every sum runs along the
+    last axis of a C-contiguous array, as the flat sum of one call does.
+    """
     interaction = 0.0
-    for i, b in enumerate(blocks):
-        if b.size > 1:
-            d = np.abs(b[:, None] - b[None, :])
-            gaps = d[_upper_pairs(b.size)]
-            if np.any(gaps == 0.0):
-                return float("-inf")
-            interaction += 2.0 * float(np.sum(np.log(gaps)))  # ordered pairs
-        for j in range(i + 1, len(blocks)):
-            d = np.abs(blocks[j][:, None] - b[None, :])
-            if np.any(d == 0.0):
-                return float("-inf")
-            interaction += float(np.sum(np.log(d)))
+    with np.errstate(divide="ignore"):  # log 0 = -inf marks a collision
+        for i, b in enumerate(blocks):
+            if b.shape[-1] > 1:
+                r, c = _upper_pairs(b.shape[-1])
+                gaps = np.ascontiguousarray(b[..., c] - b[..., r])
+                interaction = interaction + 2.0 * _log_sum(gaps)  # ordered pairs
+            for other in blocks[i + 1:]:
+                d = other[..., :, None] - b[..., None, :]
+                interaction = interaction + _log_sum(d.reshape(*b.shape[:-1], -1))
     fld = 0.0
     if not field.is_zero:
-        fld = sum(float(np.sum(field(i, b))) for i, b in enumerate(blocks))
-    return interaction - 2.0 * n * fld
+        for i, b in enumerate(blocks):
+            fld = fld + field(i, b).sum(axis=-1)
+    return interaction, fld
+
+
+def _log_sum(d):
+    """Sum of log|d| along the last axis, in place on d."""
+    return np.log(np.abs(d, out=d), out=d).sum(axis=-1)
 
 
 class _Ascent:
@@ -138,7 +148,8 @@ class _Ascent:
 
     def value(self, x):
         self.evaluations += 1
-        return _log_weight([x[s] for s in self.blocks], self.field, self.n)
+        interaction, fld = _log_weight([x[s] for s in self.blocks], self.field)
+        return float(interaction - 2.0 * self.n * fld)
 
     def field_slopes(self, x):
         """Q_i' and max(Q_i'', 0) at every point, by central differences.

@@ -23,7 +23,9 @@ from .core import Configuration, apportion, quantile_configuration
 from .energy import as_field, weighted_energy
 from .equilibrium import solve_equilibrium
 from .errors import IllConditionedGram
-from .fekete import log_boltzmann
+from .fekete import _log_weight, log_boltzmann
+
+STACK_ENTRIES = 1 << 16  # point pairs per stacked chunk of field_shift_worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,13 +83,48 @@ def field_shift_identity(X, field, index=None):
     the total point count times the summed field values.
     """
     index = X.index if index is None else index
-    field = as_field(field, X.system.p)
-    lhs = log_boltzmann(X, None, index) - log_boltzmann(X, field, index)
-    n = index.total
-    rhs = 2.0 * n * sum(
-        float(np.sum(field(i, b))) for i, b in enumerate(X.blocks)
-    )
-    return float(lhs), float(rhs)
+    if tuple(index.counts) != tuple(X.index.counts):
+        raise ValueError("multi-index does not match the configuration")
+    interaction, fld = _log_weight(X.blocks, as_field(field, X.system.p))
+    rhs = 2.0 * index.total * float(fld)
+    interaction = float(interaction)
+    return interaction - (interaction - rhs), rhs
+
+
+def field_shift_worst(system, indices, field, n_configs, rng):
+    """Largest |lhs - rhs| of ``field_shift_identity`` over ``n_configs``
+    configurations, the j-th drawn by ``random_configuration`` at index
+    ``indices[j % len(indices)]``.
+
+    The same bits as that loop, from the same stream: each chunk of whole
+    cycles through ``indices`` takes one ``rng.random`` call, mapped onto
+    each block as a + (b - a) U (which is ``Generator.uniform``) and sorted,
+    and the configurations of one index are evaluated as one stack.  A
+    collision gives NaN, which is skipped as ``max`` skips it.
+    """
+    field = as_field(field, system.p)
+    starts = np.cumsum([0] + [m.total for m in indices])  # within one cycle
+    cycle = len(indices)
+    chunk = cycle * max(1, STACK_ENTRIES // sum(m.total ** 2 for m in indices))
+    worst = 0.0
+    for first in range(0, n_configs, chunk):
+        count = min(chunk, n_configs - first)
+        full, extra = divmod(count, cycle)
+        u = np.zeros((full + 1, starts[-1]))
+        rng.random(out=u.reshape(-1)[: full * starts[-1] + starts[extra]])
+        for g, m in enumerate(indices[:count]):
+            rows = u[: full + (g < extra), starts[g]: starts[g + 1]]
+            ends = np.cumsum((0,) + tuple(m.counts))
+            blocks = [
+                np.sort(a + (b - a) * rows[:, s:e], axis=-1)
+                for (a, b), s, e in zip(system.intervals, ends[:-1], ends[1:])
+            ]
+            interaction, fld = _log_weight(blocks, field)
+            rhs = 2.0 * m.total * fld
+            with np.errstate(invalid="ignore"):  # -inf - -inf on a collision
+                gap = np.abs(interaction - (interaction - rhs) - rhs)
+            worst = float(np.fmax.reduce(gap, initial=worst))
+    return worst
 
 
 def _orthonormal(t, w, degree, center, scale):

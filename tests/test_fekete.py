@@ -75,6 +75,29 @@ def test_weight_sums_every_pair_once(two):
         assert log_boltzmann(X) == within(a) + across + within(b)
 
 
+def test_stacked_weight_matches_each_configuration():
+    """A stack of configurations gets the bits of one call per configuration:
+    a 40-point block (pairwise summation past 128 terms), a one-point block,
+    and rows with a collision within a block and across blocks, which give
+    -inf without a RuntimeWarning."""
+    rng = np.random.default_rng(8)
+    blocks = [np.sort(rng.uniform(a, b, (6, n)), axis=-1)
+              for (a, b), n in (((-3.0, -2.0), 40), ((-0.5, 0.5), 1), ((1.0, 3.0), 13))]
+    blocks[0][3, 7] = blocks[0][3, 8]
+    blocks[2][4, 0] = blocks[0][4, 0]
+    fields = (ExternalField.zero(3), ExternalField.quadratic(3, center=0.2, scale=0.7),
+              ExternalField.from_samples([[-3.0, 0.0, 3.0]] * 3, [[1.0, 0.1, 2.0]] * 3))
+    for field in fields:
+        interaction, fld = fekete._log_weight(blocks, field)
+        assert interaction.shape == (6,) and np.shape(fld) in ((), (6,))
+        for k in range(6):
+            one = fekete._log_weight([b[k] for b in blocks], field)
+            assert float(interaction[k]).hex() == float(one[0]).hex()
+            assert float(np.broadcast_to(fld, (6,))[k]).hex() == float(one[1]).hex()
+        assert interaction[3] == interaction[4] == -np.inf
+        assert np.all(np.isfinite(np.delete(interaction, [3, 4])))
+
+
 def test_forty_points_reproduce_frozen_weight(sym):
     seq = MultiIndexSequence.proportional((1.0,), start=1, step=1)
     res = fekete_points(sym, seq(40), n_starts=2, seed=0)

@@ -10,12 +10,15 @@ from angelesco import (
     VectorMeasure,
     bm_constant,
     field_shift_identity,
+    field_shift_worst,
     growth_constant,
+    log_boltzmann,
     quantile_energy_probe,
     rate_function,
     solve_equilibrium,
     weighted_energy,
 )
+from angelesco import ldp
 from angelesco.ldp import random_configuration
 from angelesco.errors import IllConditionedGram
 
@@ -81,6 +84,15 @@ class TestFieldShift:
             lhs, rhs = field_shift_identity(X, field)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_identity_is_the_difference_of_two_weights(self, two):
+        field = ExternalField.quadratic(2, scale=0.25)
+        X = random_configuration(two, MultiIndex((4, 3)), np.random.default_rng(2))
+        lhs, rhs = field_shift_identity(X, field)
+        assert lhs == log_boltzmann(X) - log_boltzmann(X, field)
+        assert rhs == 2.0 * 7 * sum(float(np.sum(field(i, b))) for i, b in enumerate(X.blocks))
+        with pytest.raises(ValueError):
+            field_shift_identity(X, field, MultiIndex((3, 4)))
+
     def test_random_configuration_layout(self, two):
         X = random_configuration(two, MultiIndex((4, 3)), np.random.default_rng(0))
         assert X.index.counts == (4, 3)
@@ -88,6 +100,78 @@ class TestFieldShift:
         assert np.all((X.blocks[1] >= 1.0) & (X.blocks[1] <= 2.0))
         again = random_configuration(two, MultiIndex((4, 3)), np.random.default_rng(0))
         assert np.array_equal(X.flatten(), again.flatten())
+
+
+SHIFT_SYSTEMS = {
+    1: IntervalSystem(((-1.0, 1.0),), (1.0,)),
+    2: IntervalSystem(((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5)),
+    3: IntervalSystem(((-3.0, -2.0), (-0.5, 0.5), (1.0, 3.0)), (0.25, 0.25, 0.5)),
+}
+
+
+def _shift_field(kind, p):
+    """The field the check runs under: ``angelesco ldp`` replaces a zero
+    field by quadratic(scale 0.25)."""
+    if kind == "zero":
+        return ExternalField.quadratic(p, scale=0.25)
+    if kind == "quadratic":
+        return ExternalField.quadratic(p, center=0.3, scale=2.0)
+    return ExternalField.from_samples(
+        [[-4.0, -1.2, 0.0, 1.7, 4.0]] * p, [[1.0, 0.2, 2.0, 0.1, 3.0]] * p
+    )
+
+
+def _shift_loop(system, indices, field, n_configs, rng):
+    worst = 0.0
+    for j in range(n_configs):
+        X = random_configuration(system, indices[j % len(indices)], rng)
+        lhs, rhs = field_shift_identity(X, field)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+# Steps 1..4 of a sequence; the first has one-point blocks.
+SHIFT_INDICES = {
+    p: [MultiIndex(tuple(1 + (d - 1) * (i + 1) for i in range(p))) for d in range(1, 5)]
+    for p in SHIFT_SYSTEMS
+}
+
+
+class TestFieldShiftWorst:
+    @pytest.mark.parametrize("n_configs", [0, 1, 7, 100])
+    @pytest.mark.parametrize("kind", ["zero", "quadratic", "sampled"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_the_loop(self, p, kind, n_configs):
+        args = (SHIFT_SYSTEMS[p], SHIFT_INDICES[p], _shift_field(kind, p), n_configs)
+        loop_rng, rng = np.random.default_rng(21), np.random.default_rng(21)
+        worst = _shift_loop(*args, loop_rng)
+        assert field_shift_worst(*args, rng).hex() == worst.hex()
+        assert rng.random() == loop_rng.random()
+
+    def test_chunks_keep_the_bits(self, monkeypatch):
+        args = (SHIFT_SYSTEMS[2], SHIFT_INDICES[2], _shift_field("sampled", 2), 101)
+        whole = field_shift_worst(*args, np.random.default_rng(4))
+        monkeypatch.setattr(ldp, "STACK_ENTRIES", 1)  # one cycle per chunk
+        rng = np.random.default_rng(4)
+        assert field_shift_worst(*args, rng).hex() == whole.hex()
+        loop_rng = np.random.default_rng(4)
+        _shift_loop(*args, loop_rng)
+        assert rng.random() == loop_rng.random()
+
+    def test_collisions_are_skipped(self, two):
+        class Constant:
+            """Every draw is 0.5, so a block of two or more points collides."""
+
+            def random(self, out):
+                out[...] = 0.5
+
+            def uniform(self, low, high, size):
+                return low + (high - low) * np.full(size, 0.5)
+
+        args = (two, [MultiIndex((2, 1)), MultiIndex((1, 1))], _shift_field("zero", 2), 7)
+        worst = field_shift_worst(*args, Constant())
+        assert worst.hex() == _shift_loop(*args, Constant()).hex()
+        assert np.isfinite(worst)
 
 
 class TestNormRatios:
