@@ -6,11 +6,13 @@ One measurement records, for the zero-field problem on [-2, -1] u [1, 2] and
 on a three-interval layout with gaps 0.01, at M = 400, 800, 1600, 3200 cells
 per interval:
 
-- ``assembly_s``: ``energy.system_kernel`` on an empty cache, split into
-  ``aca_s`` (the adaptive cross approximation steps and the recompression,
-  ``energy._cross_factors``) and ``certificate_s`` (``energy._entry_error``,
-  the streamed entrywise check), summed over the cross blocks and also given
-  per block;
+- ``assembly_s``: ``energy.system_kernel`` on an empty cache, with
+  ``cross_s`` (``energy._cross_factors``), and within it ``aca_s`` (the
+  adaptive cross approximation steps and the recompression, ``energy._aca``
+  on the node block, or the whole ``_cross_factors`` on a tree that factors
+  all M rows) and ``certificate_s`` (``energy._entry_error``, the entrywise
+  check of the rows ACA factored), summed over the cross blocks and also
+  given per block;
 - ``apply_s``: one kernel apply (partial potentials at all pM nodes), the
   median of 21 after a warm-up;
 - ``solve_s``: ``solve_equilibrium`` on an empty cache, assembly included,
@@ -20,8 +22,20 @@ per interval:
   gradient), and, on a tree with the active-set solver, its outer
   ``rounds`` and its ``pcg_steps`` (``equilibrium._pcg`` counted; null on
   a tree without it);
-- ``certificates``: rank, largest entry error and ACA ``steps`` of each
-  low-rank cross block.
+- ``certificates``: per low-rank cross block, its rank, the ``bound`` its
+  certificate reports, ACA ``steps``, ``node_rows`` (the N rows ACA factored;
+  M on a tree that factors all rows), the bound's four ``terms`` (null on
+  such a tree), the ``budget`` LOW_RANK_TOL * max(1, max|C|), the
+  ``realized`` largest entry error of U V' against the whole block (computed
+  after assembly by ``_entry_error`` on all M rows; here only), and
+  ``bound_of_budget`` and ``realized_of_budget``.
+
+``perfbench_blocks`` assembles, with the same records, the kernel of every
+system with two or more intervals that seeds 1-5 of perfbench's
+``eqm_sweep`` and ``fekete_extremal`` solve on (read through
+``perfbench/workloads.runs``), and keeps the block count, the summed
+``cross_s``, the largest N and the largest two ratios; ``worst_block`` is the
+largest ratio over every block of a tree.
 
 The same solve row is recorded at every M for two problems with a partial
 support: the pushing case [-1, -0.01] u [0.01, 3] with masses (0.3, 0.7),
@@ -38,19 +52,24 @@ on [-2, -1] u [1, 2] and on [-1, -0.01] u [0.01, 3] with masses (0.3, 0.7)
 cap is kept with ``capped`` true, its best residual and its cost.
 
 It also times three grid-400 solves on three two-interval systems, first on
-a quiet machine and then beside one busy process (a pure-Python loop) that
-competes for the cores: wall time ``s`` and process CPU time ``cpu_s``.  CPU
-time well above wall time means a second BLAS thread is spinning.
+a quiet machine (after a one-second pause) and then beside one busy process
+(a pure-Python loop) that competes for the cores: wall time ``s`` and
+process CPU time ``cpu_s``.  CPU time well above wall time means a second
+BLAS thread is spinning.
 
 The driver and the report layout are described in ``_driver.py``.
 """
 
+import os
 import statistics
 import subprocess
 import sys
 import time
 
 import _driver
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+import workloads  # noqa: E402
 
 SIZES = (400, 800, 1600, 3200)
 LAYOUTS = {
@@ -77,6 +96,12 @@ TIGHT = {
 TIGHT_TOLS = (1e-6, 1e-8)
 TIGHT_CELLS = 400
 TIGHT_MAX_ITER = 2000
+# The four terms of a cross block's bound, in the order _cross_factors
+# returns them.
+TERMS = ("interpolation", "node_block", "basis_roundoff", "product_roundoff")
+# Every kernel that these perfbench measurements build (read only).
+PERFBENCH_WORKLOADS = ("eqm_sweep", "fekete_extremal")
+PERFBENCH_SEEDS = (1, 2, 3, 4, 5)
 CONTENTION = (
     (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5)),
     (((-1.0, 0.0), (0.3, 2.0)), (0.3, 0.7)),
@@ -136,36 +161,71 @@ def measure(src):
         }
 
     factors = energy._cross_factors
+    node_aca = getattr(energy, "_aca", None)  # None on a tree that factors all M rows
 
     def assemble(system, m):
-        """system_kernel on an empty cache, with (aca_s, certificate_s) per
-        cross block."""
+        """system_kernel on an empty cache, with one record per cross block:
+        its times, node rows N, bound, the bound's four terms and, computed
+        after assembly, the realized dense error and the budget."""
         system_kernel.cache_clear()
         blocks = []
         plain_error = energy._entry_error
-        checked = [0.0]
+        plain_aca = node_aca or factors
+        clock = {"check": 0.0, "aca": 0.0, "n": 0}
 
         def timed_error(*args):
             t0 = time.perf_counter()
             try:
                 return plain_error(*args)
             finally:
-                checked[0] += time.perf_counter() - t0
+                clock["check"] += time.perf_counter() - t0
 
-        def timed_factors(*args):
-            checked[0] = 0.0
+        def timed_aca(x, *args):
             t0 = time.perf_counter()
-            out = factors(*args)
-            blocks.append((time.perf_counter() - t0 - checked[0], checked[0]))
+            try:
+                return plain_aca(x, *args)
+            finally:
+                clock["aca"] += time.perf_counter() - t0
+                clock["n"] = x.size
+
+        def timed_factors(x, y):
+            clock.update(check=0.0, aca=0.0)
+            t0 = time.perf_counter()
+            out = factors(x, y) if node_aca else timed_aca(x, y)
+            blocks.append({
+                "cross_s": time.perf_counter() - t0,
+                "aca_s": clock["aca"] - clock["check"], "certificate_s": clock["check"],
+                "node_rows": clock["n"], "grids": (x, y),
+                "terms": list(out[2]) if isinstance(out[2], tuple) else None,
+            })
             return out
 
-        energy._cross_factors, energy._entry_error = timed_factors, timed_error
+        energy._entry_error, energy._cross_factors = timed_error, timed_factors
+        if node_aca:
+            energy._aca = timed_aca
         try:
             t0 = time.perf_counter()
             kernel = system_kernel(system, m)
-            return kernel, time.perf_counter() - t0, blocks
+            seconds = time.perf_counter() - t0
         finally:
             energy._cross_factors, energy._entry_error = factors, plain_error
+            if node_aca:
+                energy._aca = node_aca
+        for block, (u, v) in zip(blocks, kernel._factors.values()):
+            x, y = block.pop("grids")
+            corners = energy._log_kernel(y[[0, -1]] - x[[0, -1], None])
+            block["budget"] = energy.LOW_RANK_TOL * max(1.0, float(np.abs(corners).max()))
+            block["realized"] = plain_error(x, y, u, v)
+        return kernel, seconds, blocks
+
+    def certificate(rank, bound, steps, block):
+        terms = block.pop("terms")
+        return {
+            "rank": rank, "bound": bound, "steps": steps,
+            "terms": terms and dict(zip(TERMS, terms)), **block,
+            "bound_of_budget": bound / block["budget"],
+            "realized_of_budget": block["realized"] / block["budget"],
+        }
 
     out = {}
     solve_equilibrium(IntervalSystem(*LAYOUTS["two"]), cells=50)  # first-call costs
@@ -181,15 +241,15 @@ def measure(src):
                 kernel.apply(w)
                 ticks.append(time.perf_counter() - t0)
             certificates = {
-                "%d,%d" % key: {"rank": rank, "error": err, "steps": steps,
-                                "aca_s": aca, "certificate_s": check}
-                for (key, (rank, err, steps)), (aca, check)
+                "%d,%d" % key: certificate(rank, bound, steps, block)
+                for (key, (rank, bound, steps)), block
                 in zip(kernel.certificates.items(), blocks)
             }
             del kernel
             out["%s_M%d" % (name, m)] = {
-                "assembly_s": assembly, "aca_s": sum(b[0] for b in blocks),
-                "certificate_s": sum(b[1] for b in blocks),
+                "assembly_s": assembly,
+                **{key: sum(b[key] for b in blocks)
+                   for key in ("cross_s", "aca_s", "certificate_s")},
                 "apply_s": statistics.median(ticks),
                 **solve(system, m), "certificates": certificates,
             }
@@ -205,6 +265,27 @@ def measure(src):
                 tol=tol, max_iter=TIGHT_MAX_ITER,
             )
 
+    kernels, blocks = set(), []
+    for workload in PERFBENCH_WORKLOADS:
+        for seed in PERFBENCH_SEEDS:
+            stream = workloads.runs(workload, seed)
+            spec = workloads.WORKLOADS[workload]
+            for run in (next(stream) for _ in range(spec.cycles * spec.slots)):
+                if run.solves_equilibrium and run.p > 1 and run.kernel_key not in kernels:
+                    kernels.add(run.kernel_key)
+                    system = IntervalSystem(run.intervals, run.config["masses"])
+                    kernel, _, found = assemble(system, run.grid)
+                    blocks += [certificate(*cert, block)
+                               for cert, block in zip(kernel.certificates.values(), found)]
+    system_kernel.cache_clear()
+    out["perfbench_blocks"] = {
+        "kernels": len(kernels), "blocks": len(blocks),
+        "cross_s": sum(b["cross_s"] for b in blocks),
+        "max_node_rows": max(b["node_rows"] for b in blocks),
+        "max_bound_of_budget": max(b["bound_of_budget"] for b in blocks),
+        "max_realized_of_budget": max(b["realized_of_budget"] for b in blocks),
+    }
+
     def three_solves():
         system_kernel.cache_clear()
         t0, c0 = time.perf_counter(), time.process_time()
@@ -212,6 +293,10 @@ def measure(src):
             solve_equilibrium(IntervalSystem(intervals, masses), cells=400)
         return {"s": time.perf_counter() - t0, "cpu_s": time.process_time() - c0}
 
+    # OpenBLAS workers spin for a while after their last call; the pause lets
+    # the ones that earlier rows woke go to sleep, so cpu_s counts only what
+    # the three solves wake.
+    time.sleep(1.0)
     out["three_grid400_quiet"] = three_solves()
     busy = subprocess.Popen([sys.executable, "-c", "while True: pass"])
     try:
@@ -223,11 +308,30 @@ def measure(src):
     return out
 
 
+def derive(runs):
+    """The largest bound / budget and realized error / budget over every
+    cross block a tree built, per tree."""
+    worst = {}
+    for label, records in runs.items():
+        rows = [row for row in records[0].values() if "certificates" in row]
+        certs = [c for row in rows for c in row["certificates"].values()]
+        blocks = records[0]["perfbench_blocks"]
+        worst[label] = {
+            "max_bound_of_budget": max([c["bound_of_budget"] for c in certs]
+                                       + [blocks["max_bound_of_budget"]]),
+            "max_realized_of_budget": max([c["realized_of_budget"] for c in certs]
+                                          + [blocks["max_realized_of_budget"]]),
+        }
+    return {"worst_block": worst}
+
+
 if __name__ == "__main__":
     _driver.main(
         measure,
         "equilibrium kernel assembly, one apply, solve time, iterations, applies, "
         "trials per iteration, active-set rounds and PCG steps; partial-support "
         "and tight-tolerance solves; cross-block certificates; "
-        "three grid-400 solves quiet and beside a busy process",
+        "three grid-400 solves quiet and beside a busy process; bound and "
+        "realized error of every cross block, here and in perfbench kernels",
+        derive,
     )

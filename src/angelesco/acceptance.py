@@ -5,7 +5,10 @@ equilibrium measures, extremal-configuration asymptotics, exact small-n
 normalizing constants, the deviation-probability bound, sampler convergence,
 the moment-system polynomial, rate/probe identities, boundedness-constant
 trends, and the algebraic property suite.  ``run_all`` prints one PASS/FAIL
-line per check and writes a JSON report.
+line per check and writes a JSON report.  Criteria 1, 2, 8 and 10, which
+read the equilibrium kernel, also report each checked value over its limit
+(``<metric>_of_limit``), so a drift in the kernel shows as a lost margin
+before it flips a verdict.
 """
 
 import functools
@@ -113,7 +116,7 @@ def criterion_1():
     return (
         ok,
         "L1 distance to semicircle %.3g (limit 0.02)" % l1,
-        dict(l1_distance=l1),
+        dict(l1_distance=l1, l1_distance_of_limit=l1 / 0.02),
     )
 
 
@@ -129,7 +132,8 @@ def criterion_2():
         ok,
         "energy gap %.3g (limit 2e-3), sup-CDF gap %.3g (limit 0.01)"
         % (e_gap, cdf_gap),
-        dict(energy_gap=e_gap, cdf_gap=cdf_gap),
+        dict(energy_gap=e_gap, cdf_gap=cdf_gap, energy_gap_of_limit=e_gap / 2e-3,
+             cdf_gap_of_limit=cdf_gap / 0.01),
     )
 
 
@@ -310,7 +314,10 @@ def criterion_8():
         "shift identity worst %.2g (limit 1e-10)"
         % (rate, gap_arc, gap_uni, worst),
         dict(rate=rate, probe_gap_arcsine=gap_arc, probe_gap_uniform=gap_uni,
-             shift_worst=worst),
+             shift_worst=worst, rate_of_limit=rate / 1e-3,
+             probe_gap_arcsine_of_limit=gap_arc / 0.05,
+             probe_gap_uniform_of_limit=gap_uni / 0.05,
+             shift_worst_of_limit=worst / 1e-10),
     )
 
 
@@ -409,7 +416,9 @@ def criterion_10():
         "identity rel err %.2g (limit 1e-8); min quadratic term %.2g; "
         "start gap %.2g (limit 1e-3); seeds byte-equal: %s"
         % (worst_rel, min_quad, start_gap, seeds_ok),
-        dict(identity_rel_err=worst_rel, min_quadratic=min_quad, start_gap=start_gap),
+        dict(identity_rel_err=worst_rel, min_quadratic=min_quad, start_gap=start_gap,
+             identity_rel_err_of_limit=worst_rel / 1e-8,
+             start_gap_of_limit=start_gap / 1e-3),
     )
 
 

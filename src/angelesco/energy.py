@@ -15,9 +15,13 @@ The functions on general grids (``kernel_matrix``, ``weighted_energy``,
 grids of a system, ``system_kernel`` gives the same kernel as a structured
 operator: each self block is Toeplitz and is applied by FFT, and each cross
 block, analytic because the intervals are disjoint, is stored as low-rank
-factors built by adaptive cross approximation from a few of its rows and
-columns.  Every entry of the factors is certified against the exact block,
-which is recomputed in row chunks and never stored.
+factors.  These come from the N << M rows of the block at Chebyshev points
+of pieces of the left interval, cut geometrically toward the gap: adaptive
+cross approximation factors that node block, every entry of which is checked
+exactly, and Lagrange interpolation carries its factor to the grid.  Each
+block gets a bound on every entry, the sum of four terms (interpolation,
+node-block error, and the round-off of the basis and of the product), within
+LOW_RANK_TOL * max(1, max|C|).
 """
 
 from __future__ import annotations
@@ -33,12 +37,15 @@ from .errors import AngelescoError, CoincidentNodesAcrossIntervals
 # (1/h^2) * int int over one cell squared of -log|x-y| minus the -log h part.
 CELL_SELF_ENERGY = 1.5
 
-# Low-rank cross blocks: the entry certificate (relative to max(1, max|C|)),
-# the singular-value cut-off (relative to the largest), the ACA stop (|u| |v|
-# relative to the running Frobenius estimate), and the rows of C that the
-# certificate recomputes at a time (two buffers of that many rows, so the
-# block is never held).
+# Low-rank cross blocks: the entry budget (relative to max(1, max|C|)), the
+# shares of it left to the a priori interpolation bound and to the node
+# block's entry check (the latter divided by the Lebesgue constant), the
+# singular-value cut-off (relative to the largest), the ACA stop (|u| |v|
+# relative to the running Frobenius estimate), and the node rows that the
+# entry check recomputes at a time.
 LOW_RANK_TOL = 1e-13
+INTERPOLATION_SHARE = 0.02
+NODE_BLOCK_SHARE = 0.5
 SINGULAR_CUTOFF = 1e-15
 ACA_STOP = 1e-15
 CERTIFY_ROWS = 64
@@ -280,27 +287,23 @@ def _entry_error(x, y, u, v):
     return err
 
 
-def _cross_factors(x, y):
-    """Certified factors U, V of the cross block C between the grid x and
-    the disjoint grid y to its right (entries ``_log_kernel(y - x)``): every
-    entry of U V' lies within LOW_RANK_TOL * max(1, max|C|) of C.
+def _aca(x, y, bound):
+    """Factors U, V of the block C with entries ``_log_kernel(y - x)``
+    between the grid x and the disjoint grid y to its right, with every
+    entry of U V' within ``bound`` of C.
 
     Partially pivoted adaptive cross approximation (Bebendorf, Numer. Math.
     86, 2000): each step evaluates one row and one column of C minus the
-    steps so far, so only O((M_i + M_j) k) entries are formed.  Steps stop
-    once |u| |v| <= ACA_STOP times the running Frobenius estimate; they are
-    then recompressed (QR of both thin factors, SVD of the k x k core) to the
+    steps so far, so only O((m + n) k) entries are formed.  Steps stop once
+    |u| |v| <= ACA_STOP times the running Frobenius estimate; they are then
+    recompressed (QR of both thin factors, SVD of the k x k core) to the
     singular values above SINGULAR_CUTOFF times the largest, and every entry
     is certified (``_entry_error``).  If the certificate fails, ACA steps on
-    until the step count doubles; at min(M_i, M_j) steps every row or column
-    is interpolated.  Returns U, V, the largest entry error and the steps.
+    until the step count doubles; at min(m, n) steps every row or column is
+    interpolated.  Returns U, V, the largest entry error and the steps.
     """
     m, n = x.size, y.size
     last = min(m, n)
-    # y - x is monotone in each node, so the extremes of |C| sit at corner
-    # pairs.
-    corners = _log_kernel(y[[0, -1]] - x[[0, -1], None])
-    bound = LOW_RANK_TOL * max(1.0, float(np.abs(corners).max()))
     ut, vt = np.empty((min(16, last), m)), np.empty((min(16, last), n))
     free = np.ones(m, dtype=bool)
     i = steps = target = 0
@@ -343,6 +346,130 @@ def _cross_factors(x, y):
         target = min(2 * steps, last)
 
 
+def _pieces(a, b, y0):
+    """Cut points of [a, b] toward y0 > b: each piece is as long as its
+    distance to y0, so the lengths double away from the gap."""
+    cuts = [b]
+    while cuts[-1] > a:
+        cuts.append(max(a, 2.0 * cuts[-1] - y0))
+    return np.array(cuts[::-1])
+
+
+def _degree(a, b, y0, y1, tol):
+    """(n, bound) for each piece [a_p, b_p] (arrays): the smallest degree n
+    whose a priori bound 4 B rho^-n / (rho - 1) on the Chebyshev interpolant
+    over the piece of x -> -log(y - x), for every y in [y0, y1] with y0 > b_p,
+    is at most tol (Trefethen, Approximation Theory and Approximation
+    Practice, Thm 8.2), and that bound.  rho runs over Bernstein ellipses of
+    the piece short of y0; on each, B is the larger |log| of the extreme
+    distances to y0 and y1, plus pi/2 for the argument.
+    """
+    c, r = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
+    axis = 1.0 + ((y0 - c) / r - 1.0) * np.linspace(0.05, 0.95, 19)
+    rho = axis + np.sqrt(axis * axis - 1.0)
+    big = 0.5 * np.pi + np.maximum(
+        np.abs(np.log(y0 - c - r * axis)), np.abs(np.log(y1 - c + r * axis))
+    )
+    n = np.maximum(np.ceil(np.log(4.0 * big / ((rho - 1.0) * tol)) / np.log(rho)), 1.0)
+    bound = 4.0 * big * rho**-n / (rho - 1.0)
+    best = np.arange(len(n)), np.argmin(n + 0.5 * bound / tol, axis=1)
+    return n[best].astype(int), bound[best]
+
+
+def _lagrange(t, nodes):
+    """The Lagrange basis of ``nodes`` at the points t, in modified Lagrange
+    form ell(t) w_k / (t - nodes_k) (Higham, IMA J. Numer. Anal. 24, 2004),
+    with exact identity rows where t is a node.  ell(t) takes 2n + 1
+    roundings, w_k 2n, and the quotient 3 more.  Differences are scaled by a
+    power of two, which is exact and keeps the products in range.
+    """
+    s = 2.0 ** -np.round(np.log2(nodes[-1] - nodes[0]))
+    d = (t[:, None] - nodes) * s
+    g = (nodes[:, None] - nodes) * s
+    np.fill_diagonal(g, 1.0)
+    hit = d == 0.0
+    d[hit] = 1.0
+    basis = d.prod(axis=1)[:, None] * (1.0 / g.prod(axis=1)) / d
+    rows = hit.any(axis=1)
+    basis[rows] = hit[rows]
+    return basis
+
+
+def _cross_factors(x, y):
+    """Factors U, V of the cross block C between the grid x and the
+    disjoint grid y to its right (entries ``_log_kernel(y - x)``), and a
+    bound on every entry of U V' - C within the budget
+    LOW_RANK_TOL * max(1, max|C|).
+
+    Only N << M rows of C are factored.  The hull of x is cut toward y
+    (``_pieces``); each piece gets the Chebyshev points of the degree
+    ``_degree`` gives at INTERPOLATION_SHARE of the budget, or keeps its own
+    grid points if it has no more, which makes its rows exact.  ``_aca``
+    factors the N x M block of the node rows to NODE_BLOCK_SHARE of the
+    budget over Lambda, the largest Lebesgue constant of the pieces measured
+    on the grid, and U is the Lagrange interpolant (``_lagrange``) of the
+    node factor, built piece by piece.  The bound is the sum of four terms,
+    each the largest over the pieces, with u the unit round-off:
+
+    - interpolation: (1 + Lambda) / 2 times the bound of ``_degree``
+      (Lebesgue's inequality against the Chebyshev truncation, whose bound is
+      half of it, so it holds for the rounded nodes);
+    - node block: Lambda times its certified entry error;
+    - basis round-off: ((2n + 3) + (2n + 5) Lambda) u max(1, max|C|): the
+      2n + 1 roundings of ell(t) scale a whole row, so they cost once, not
+      Lambda times; the 2n + 3 of each weight and quotient, and 2u in each
+      kernel entry, cost Lambda times;
+    - product round-off: (n + 1) u max (|L| |A|) |V|' for U = L A, with L
+      the piece's basis and A its rows of the node factor.
+
+    Returns U, V, the four terms and the ACA steps; raises AngelescoError if
+    their sum exceeds the budget.
+    """
+    # y - x is monotone in each node, so the extremes of |C| sit at corner
+    # pairs.
+    scale = max(1.0, float(np.abs(_log_kernel(y[[0, -1]] - x[[0, -1], None])).max()))
+    budget, unit = LOW_RANK_TOL * scale, 0.5 * np.finfo(float).eps
+    if x.size == 1:  # a point has no pieces: its one row is the node block
+        u, v, err, steps = _aca(x, y, NODE_BLOCK_SHARE * budget)
+        return u, v, (0.0, err, 0.0, 0.0), steps
+    cuts = _pieces(x[0], x[-1], y[0])
+    ends = np.searchsorted(x, cuts, side="right")
+    ends[0] = 0
+    degrees = _degree(cuts[:-1], cuts[1:], y[0], y[-1], INTERPOLATION_SHARE * budget)
+    pieces, interp, basis, lam = [], 0.0, 0.0, 1.0
+    for lo, hi, a, b, n, bound in zip(cuts, cuts[1:], ends, ends[1:], *degrees):
+        if b - a <= n + 1:
+            pieces.append((a, b, x[a:b], None))
+            continue
+        nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n + 1) / n)
+        nodes[[0, -1]] = lo, hi
+        lag = _lagrange(x[a:b], nodes)
+        lam_p = float(np.abs(lag).sum(axis=1).max())
+        pieces.append((a, b, nodes, lag))
+        interp = max(interp, 0.5 * (1.0 + lam_p) * bound)
+        basis = max(basis, (2 * n + 3) + (2 * n + 5) * lam_p)
+        lam = max(lam, lam_p)
+    nodes = np.concatenate([piece[2] for piece in pieces])
+    un, v, err, steps = _aca(nodes, y, NODE_BLOCK_SHARE * budget / lam)
+    vmax = np.abs(v).max(axis=0)
+    u = np.empty((x.size, v.shape[1]))
+    product, k = 0.0, 0
+    for a, b, piece, lag in pieces:
+        rows, k = un[k : k + piece.size], k + piece.size
+        if lag is None:
+            u[a:b] = rows
+            continue
+        np.matmul(lag, rows, out=u[a:b])
+        reach = float((np.abs(lag) @ np.abs(rows) @ vmax).max())
+        product = max(product, piece.size * unit * reach)
+    terms = (interp, lam * err, basis * unit * scale, product)
+    if sum(terms) > budget:
+        raise AngelescoError(
+            f"cross block not certified: bound {sum(terms):.3e} above {budget:.3e}"
+        )
+    return u, v, terms, steps
+
+
 class KernelOperator:
     """The kernel of the standard grids of one system, applied without the
     dense (p*cells)^2 matrix.  Read-only.
@@ -351,16 +478,17 @@ class KernelOperator:
     Toeplitz matrix with first column the entries at distances 0, h_i,
     2 h_i, ...; it is applied through the FFT of its 2M circulant embedding.
     Cross block i<j, between two disjoint intervals, is analytic and kept as
-    low-rank factors U V' built by adaptive cross approximation from
-    O(M k) of its entries; every entry of U V' is certified against the
-    block, recomputed in row chunks and never stored (``_cross_factors``).
-    No M x M array is formed.
+    low-rank factors U V': adaptive cross approximation factors its N x M
+    rows at Chebyshev points of interval i, checked entry by entry, and U is
+    the Lagrange interpolant of the node factor (``_cross_factors``).  No
+    M x M array is formed and no M x M entry is computed.
 
     ``apply(w)`` gives the partial potentials at all nodes,
     u_i = T_i w_i + (1/2) sum_{j != i} C_ij w_j, for weights stacked by
     interval; ``energy_terms(w)`` gives w_i' T_i w_i and w_i' C_ij w_j.
-    ``certificates`` maps (i, j) to (rank, entry error, ACA steps), and
-    ``columns[i]`` is the first column of self block i.
+    ``certificates`` maps (i, j) to (rank, bound, ACA steps), the bound being
+    the four-term bound on every entry of U V' - C_ij, and ``columns[i]`` is
+    the first column of self block i.
     """
 
     def __init__(self, system, cells):
@@ -381,11 +509,11 @@ class KernelOperator:
         self.certificates = {}
         for i in range(self.p):
             for j in range(i + 1, self.p):
-                u, v, err, steps = _cross_factors(uniform[i].nodes, uniform[j].nodes)
+                u, v, terms, steps = _cross_factors(uniform[i].nodes, uniform[j].nodes)
                 u.setflags(write=False)
                 v.setflags(write=False)
                 self._factors[i, j] = (u, v)
-                self.certificates[i, j] = (u.shape[1], err, steps)
+                self.certificates[i, j] = (u.shape[1], sum(terms), steps)
 
     def _toeplitz(self, wb):
         m = self.cells

@@ -38,6 +38,13 @@ def test_criterion_passes(verification, name):
     assert results[name].passed, results[name].details
 
 
+@pytest.mark.parametrize("name", ["criterion_%d" % i for i in (1, 2, 8, 10)])
+def test_kernel_criteria_report_their_margins(verification, name):
+    results, _, _ = verification
+    ratios = [v for k, v in results[name].metrics.items() if k.endswith("_of_limit")]
+    assert ratios and max(ratios) <= 1.0
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="finite-size gap decays like log(n)/n and is still above 0.02 at n=80",

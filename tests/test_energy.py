@@ -54,6 +54,14 @@ OPERATOR_SYSTEMS = [
     IntervalSystem(((-3.0, -1.0), (-0.995, 0.5), (0.501, 0.7)), (0.2, 0.3, 0.5)),
 ]
 
+# Cross blocks at gaps from 0.01 to 2, p = 2 and 3.
+GAP_SYSTEMS = [
+    IntervalSystem(((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5)),
+    IntervalSystem(((0.0, 1.0), (1.01, 3.0)), (0.3, 0.7)),
+    IntervalSystem(((-2.0, -1.0), (-0.8, 0.0), (0.01, 1.0)), (0.3, 0.3, 0.4)),
+    IntervalSystem(((-1.0, 0.0), (2.0, 2.5), (2.6, 4.0)), (0.4, 0.2, 0.4)),
+]
+
 
 class TestKernel:
     def test_diagonal_is_the_cell_average(self, unit):
@@ -99,35 +107,73 @@ class TestKernelOperator:
     @pytest.mark.parametrize("cells", [64, 400])
     @pytest.mark.parametrize("system", OPERATOR_SYSTEMS[1:])
     def test_rank_matches_dense_svd(self, system, cells):
+        # The node rows keep the numerical rank of the whole block.
+        grids = VectorMeasure.uniform(system, cells)
+        for i in range(system.p):
+            for j in range(i + 1, system.p):
+                s = np.linalg.svd(kernel_matrix(grids[i], grids[j]), compute_uv=False)
+                u, v, terms, steps = _cross_factors(grids[i].nodes, grids[j].nodes)
+                assert u.shape[1] == np.count_nonzero(s > SINGULAR_CUTOFF * s[0])
+                assert steps >= u.shape[1]
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 64, 400, 1600])
+    @pytest.mark.parametrize("system", GAP_SYSTEMS)
+    def test_bound_covers_the_dense_error(self, system, cells):
         grids = VectorMeasure.uniform(system, cells)
         for i in range(system.p):
             for j in range(i + 1, system.p):
                 c = kernel_matrix(grids[i], grids[j])
-                s = np.linalg.svd(c, compute_uv=False)
-                u, v, err, steps = _cross_factors(grids[i].nodes, grids[j].nodes)
-                assert u.shape[1] == np.count_nonzero(s > SINGULAR_CUTOFF * s[0])
+                u, v, terms, steps = _cross_factors(grids[i].nodes, grids[j].nodes)
                 assert steps >= u.shape[1]
-                exact = np.abs(c - u @ v.T).max()
-                assert err == pytest.approx(exact, rel=1e-3, abs=1e-16)
-                assert err <= LOW_RANK_TOL * max(1.0, np.abs(c).max())
+                exact = np.abs(u @ v.T - c).max()
+                assert exact <= sum(terms) <= LOW_RANK_TOL * max(1.0, np.abs(c).max())
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7, 1e-10])
+    def test_interpolation_bound_holds_on_one_piece(self, tol):
+        # Independent oracle: the Chebyshev interpolant in the second
+        # barycentric form with the closed-form weights (-1)^k, halved at
+        # the ends (Salzer 1972), sampled densely on the second piece from
+        # the gap of [0, 1] toward [1.01, 3].
+        y0, y1 = 1.01, 3.0
+        cuts = energy._pieces(0.0, 1.0, y0)
+        a, b = cuts[-3], cuts[-2]
+        (n,), (bound,) = energy._degree(np.array([a]), np.array([b]), y0, y1, tol)
+        assert bound <= tol
+        k = np.arange(n + 1)
+        nodes = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * k / n)
+        w = (-1.0) ** k
+        w[[0, -1]] *= 0.5
+        t = np.linspace(a, b, 10**4)
+        t = t[~np.isin(t, nodes)]  # the barycentric form is 0/0 at a node
+        for y in (y0, y1):
+            f = -np.log(y - nodes)
+            c = w / (t[:, None] - nodes)
+            p = (c @ f) / c.sum(axis=1)
+            assert np.abs(p + np.log(y - t)).max() <= bound
 
     def test_early_stop_steps_on_until_certified(self, monkeypatch):
         grids = VectorMeasure.uniform(OPERATOR_SYSTEMS[2], 400)
         x, y = grids[0].nodes, grids[1].nodes
-        bound = LOW_RANK_TOL * max(1.0, np.abs(kernel_matrix(grids[0], grids[1])).max())
-        errors = []
-        plain = energy._entry_error
+        budget = LOW_RANK_TOL * max(1.0, np.abs(kernel_matrix(grids[0], grids[1])).max())
+        errors, bounds = [], []
+        plain_error, plain_aca = energy._entry_error, energy._aca
 
-        def recorded(*args):
-            errors.append(plain(*args))
+        def recorded_error(*args):
+            errors.append(plain_error(*args))
             return errors[-1]
 
+        def recorded_aca(nodes, y, bound):
+            bounds.append(bound)
+            return plain_aca(nodes, y, bound)
+
         monkeypatch.setattr(energy, "ACA_STOP", 1e-3)
-        monkeypatch.setattr(energy, "_entry_error", recorded)
-        u, v, err, steps = _cross_factors(x, y)
-        assert len(errors) >= 2
-        assert errors[0] > bound  # the loose stop left too few steps
-        assert err == errors[-1] <= bound
+        monkeypatch.setattr(energy, "_entry_error", recorded_error)
+        monkeypatch.setattr(energy, "_aca", recorded_aca)
+        u, v, terms, steps = _cross_factors(x, y)
+        assert len(bounds) == 1 and len(errors) >= 2
+        assert errors[0] > bounds[0]  # the loose stop left too few steps
+        assert errors[-1] <= bounds[0] < budget
+        assert sum(terms) <= budget
         monkeypatch.undo()
         assert u.shape[1] == _cross_factors(x, y)[0].shape[1]
 
