@@ -11,10 +11,11 @@ drift.
 The file holds ``what``, ``machine``, ``repeats``, ``head_sha``, then
 ``median`` per tree, then any fields the script derives from the records, then
 ``runs`` (every record of every repeat).  ``median`` is the first record with
-every timing replaced by its median over the repeats.  A timing is a number
-under a key ``s``, or under a key ending in ``_s`` or ``_us``, at any depth.
-Every other field must be the same in each repeat of one tree: if one is not,
-or if the script's own check fails, the script exits 1 after writing the file.
+every measured number replaced by its median over the repeats: a timing (a
+number under a key ``s``, or under a key ending in ``_s`` or ``_us``) or a
+memory size (under a key ending in ``_mb``), at any depth.  Every other field
+must be the same in each repeat of one tree: if one is not, or if the
+script's own check fails, the script exits 1 after writing the file.
 """
 
 import argparse
@@ -26,19 +27,19 @@ import subprocess
 import sys
 
 
-def is_timing(key):
-    return key == "s" or key.endswith(("_s", "_us"))
+def is_measured(key):
+    return key == "s" or key.endswith(("_s", "_us", "_mb"))
 
 
-def summarize(runs, path, mismatches, timing=False):
-    """The first of ``runs`` with the median of every timing; the path of
-    every other field that differs between runs goes to ``mismatches``."""
+def summarize(runs, path, mismatches, measured=False):
+    """The first of ``runs`` with the median of every measured number; the
+    path of every other field that differs between runs goes to ``mismatches``."""
     first = runs[0]
     if isinstance(first, dict) and all(r.keys() == first.keys() for r in runs):
         return {key: summarize([r[key] for r in runs], path + "/" + key, mismatches,
-                               timing or is_timing(key))
+                               measured or is_measured(key))
                 for key in first}
-    if timing:
+    if measured:
         return statistics.median(runs)
     if any(json.dumps(r) != json.dumps(first) for r in runs):
         mismatches.append(path)

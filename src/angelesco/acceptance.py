@@ -5,10 +5,10 @@ equilibrium measures, extremal-configuration asymptotics, exact small-n
 normalizing constants, the deviation-probability bound, sampler convergence,
 the moment-system polynomial, rate/probe identities, boundedness-constant
 trends, and the algebraic property suite.  ``run_all`` prints one PASS/FAIL
-line per check and writes a JSON report.  Criteria 1, 2, 8 and 10, which
-read the equilibrium kernel, also report each checked value over its limit
-(``<metric>_of_limit``), so a drift in the kernel shows as a lost margin
-before it flips a verdict.
+line per check and writes a JSON report.  Every criterion but 5 also reports
+each value it checks against a numeric upper limit as that value over the
+limit (``<metric>_of_limit``), so a drift shows as a lost margin before it
+flips a verdict.
 """
 
 import functools
@@ -165,7 +165,8 @@ def criterion_3():
         ok,
         "gaps to -E at n=20/40/80: %.4f/%.4f/%.4f; monotone=%s, "
         "final<=0.02=%s" % (gaps[0], gaps[1], gaps[2], monotone, close),
-        dict(gap_20=gaps[0], gap_40=gaps[1], gap_80=gaps[2], target=target),
+        dict(gap_20=gaps[0], gap_40=gaps[1], gap_80=gaps[2], target=target,
+             gap_80_of_limit=gaps[2] / 0.02),
     )
 
 
@@ -193,7 +194,8 @@ def criterion_4():
         ok,
         "Z errors %.2g and %.2g (limit 1e-4); sandwich holds: %s"
         % (err2, err1, sandwich),
-        dict(z_error_pair=err2, z_error_single=err1),
+        dict(z_error_pair=err2, z_error_single=err1,
+             z_error_pair_of_limit=err2 / 1e-4, z_error_single_of_limit=err1 / 1e-4),
     )
 
 
@@ -258,7 +260,8 @@ def criterion_6():
         "weighted variant at n=64: %.4f (limit 0.06)"
         % (means[0], means[1], means[2], decreasing, row_w.mean_distance),
         dict(mean_16=means[0], mean_32=means[1], mean_64=means[2],
-             mean_weighted_64=row_w.mean_distance),
+             mean_weighted_64=row_w.mean_distance, mean_64_of_limit=means[2] / 0.06,
+             mean_weighted_64_of_limit=row_w.mean_distance / 0.06),
     )
 
 
@@ -277,7 +280,8 @@ def criterion_7():
         ok,
         "coefficient error %.3g (limit 1e-8); identity error %.3g "
         "(limit 1e-6)" % (coeff_err, id_err),
-        dict(coeff_err=coeff_err, identity_err=id_err),
+        dict(coeff_err=coeff_err, identity_err=id_err,
+             coeff_err_of_limit=coeff_err / 1e-8, identity_err_of_limit=id_err / 1e-6),
     )
 
 
@@ -341,7 +345,7 @@ def criterion_9():
         "defective root %.3f (limit >=1.5)"
         % (roots[0], roots[1], roots[2], decreasing, small, bad_root),
         dict(root_4=roots[0], root_8=roots[1], root_16=roots[2],
-             defective_root=bad_root),
+             defective_root=bad_root, root_16_of_limit=roots[2] / 1.25),
     )
 
 

@@ -10,18 +10,17 @@ with I the mutual energy; the partial potential of component s is
 (1/2) sum_j p_{mu_j} + (1/2) p_{mu_s}, so the gradient of the energy in the
 component-s weights is exactly 2 (partial potential + field) at the nodes.
 
-The functions on general grids (``kernel_matrix``, ``weighted_energy``,
-``difference_energy``) assemble dense blocks.  On the standard midpoint
-grids of a system, ``system_kernel`` gives the same kernel as a structured
-operator: each self block is Toeplitz and is applied by FFT, and each cross
-block, analytic because the intervals are disjoint, is stored as low-rank
-factors.  These come from the N << M rows of the block at Chebyshev points
-of pieces of the left interval, cut geometrically toward the gap: adaptive
-cross approximation factors that node block, every entry of which is checked
-exactly, and Lagrange interpolation carries its factor to the grid.  Each
-block gets a bound on every entry, the sum of four terms (interpolation,
-node-block error, and the round-off of the basis and of the product), within
-LOW_RANK_TOL * max(1, max|C|).
+``kernel_matrix``, ``mutual_energy``, ``difference_energy`` and the potentials
+are dense, on any grids: the oracle for what follows.  On the standard midpoint
+grids of a system, ``system_kernel`` gives the same kernel as an operator,
+which ``weighted_energy`` reads there.  Its self blocks are Toeplitz, applied
+by FFT.  Its cross blocks, analytic as the intervals are disjoint, are kept
+as low-rank factors from the N << M rows at Chebyshev points of pieces of
+the left interval cut geometrically toward the gap: adaptive cross
+approximation factors that node block, every entry of which is checked, and
+Lagrange interpolation carries its factor to the grid.  Each block has a
+bound on every entry, the sum of four terms (interpolation, node-block error,
+round-off of basis and product), within LOW_RANK_TOL * max(1, max|C|).
 """
 
 from __future__ import annotations
@@ -234,14 +233,26 @@ def total_energy(mu):
     return weighted_energy(mu, None)
 
 
+def _standard_cells(mu):
+    """The cells count if every grid of ``mu`` is standard (nodes and cell
+    width), else None."""
+    n, s = mu[0].cells, mu.system
+    grids = [(s.cell_width(i, n), s.grid_nodes(i, n)) for i in range(s.p)]
+    return n if all(g.cell_width == h and np.array_equal(g.nodes, x)
+                    for g, (h, x) in zip(mu, grids)) else None
+
+
 def weighted_energy(mu, field=None):
-    """Energy report including 2 sum_i int Q_i dmu_i."""
-    field = as_field(field, mu.system.p)
-    p = mu.system.p
-    selfs = [mutual_energy(mu[i], mu[i]) for i in range(p)]
-    crosses = [
-        mutual_energy(mu[i], mu[j]) for i in range(p) for j in range(i + 1, p)
-    ]
+    """Energy report including 2 sum_i int Q_i dmu_i.  The kernel terms come
+    from ``system_kernel`` on standard grids (``_standard_cells``), else from
+    dense ``mutual_energy`` sums."""
+    field, p, cells = as_field(field, mu.system.p), mu.system.p, _standard_cells(mu)
+    if cells is None:
+        selfs = [mutual_energy(g, g) for g in mu]
+        crosses = [mutual_energy(mu[i], mu[j]) for i in range(p) for j in range(i + 1, p)]
+    else:
+        w = np.concatenate([g.weights for g in mu])
+        selfs, crosses = system_kernel(mu.system, cells).energy_terms(w)
     return EnergyReport.build(selfs, crosses, _field_integrals(mu, field))
 
 

@@ -20,8 +20,8 @@ move as Newton steps on a square-root edge; those steps overshoot, so the
 first time a support repeats the loop switches to the plain steps above.
 
 Every kernel product goes through the cached ``energy.system_kernel``
-operator, with no M x M array; both exits take the energy report from it,
-with the field terms of ``energy.weighted_energy``.
+operator, with no M x M array; both exits report ``energy.weighted_energy``,
+which reads the same operator on these grids.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ import numpy as np
 
 from .core import DEFAULT_CELLS, GridMeasure, VectorMeasure
 from .energy import (
-    EnergyReport,
-    _field_integrals,
+    _standard_cells,
     as_field,
     partial_potentials,
     system_kernel,
+    weighted_energy,
 )
 from .errors import GridMismatch, InfeasibleMasses, MaxIterationsExceeded
 
@@ -266,12 +266,8 @@ def solve_equilibrium(
 
     def solution(w, res, consts, iterations):
         measure = _as_measure(system, cells, w)
-        weights = np.concatenate([g.weights for g in measure])
-        fields = _field_integrals(measure, field)
-        energy = EnergyReport.build(*kernel.energy_terms(weights), fields)
-        return EquilibriumSolution(
-            measure, energy, res, consts, iterations, applies, tuple(history), rounds
-        )
+        return EquilibriumSolution(measure, weighted_energy(measure, field), res, consts,
+                                   iterations, applies, tuple(history), rounds)
 
     starts = np.arange(0, p * n, n)
     if initial is None:
@@ -321,15 +317,8 @@ def solve_equilibrium(
 
 
 def _check_initial(initial, system, cells):
-    if initial.system != system:
-        raise GridMismatch("initial measure lives on another interval system")
-    for i, g in enumerate(initial):
-        if g.cells != cells or not np.array_equal(
-            g.nodes, system.grid_nodes(i, cells)
-        ):
-            raise GridMismatch(
-                f"initial component {i} is not on the {cells}-cell grid"
-            )
+    if initial.system != system or _standard_cells(initial) != cells:
+        raise GridMismatch(f"initial measure is not on this system's {cells}-cell grids")
 
 
 def _as_measure(system, cells, w):

@@ -43,13 +43,12 @@ class BMEstimate:
     saturated: bool = False  # beta within 1 % of the grid's discrete cap
 
 
-def rate_function(mu, field=None, equilibrium=None, cells=None, tol=1e-4):
-    """Weighted-energy excess of ``mu`` over the equilibrium measure."""
+def rate_function(mu, field=None, equilibrium=None):
+    """Weighted-energy excess of ``mu`` over the equilibrium measure, which
+    is solved on ``mu``'s grid (``mu[0].cells``) unless given."""
     field = as_field(field, mu.system.p)
     if equilibrium is None:
-        equilibrium = solve_equilibrium(
-            mu.system, field, cells=cells or mu[0].cells, tol=tol
-        )
+        equilibrium = solve_equilibrium(mu.system, field, cells=mu[0].cells)
     e_mu = weighted_energy(mu, field).total
     e_eq = equilibrium.energy.total
     return RateReport(

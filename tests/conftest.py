@@ -3,11 +3,30 @@ import decimal
 import numpy as np
 import pytest
 
-from angelesco import GridMeasure, IntervalSystem, VectorMeasure, solve_equilibrium
+from angelesco import (
+    EnergyReport,
+    GridMeasure,
+    IntervalSystem,
+    VectorMeasure,
+    mutual_energy,
+    solve_equilibrium,
+)
+from angelesco.energy import _field_integrals, as_field
 
 
 def arcsine_cdf(x):
     return 0.5 + np.arcsin(np.clip(x, -1.0, 1.0)) / np.pi
+
+
+def dense_energy(mu, field=None):
+    """The energy report of ``mu`` from dense ``mutual_energy`` sums on any
+    grids: the oracle for the kernel operator's terms."""
+    p = mu.system.p
+    return EnergyReport.build(
+        [mutual_energy(g, g) for g in mu],
+        [mutual_energy(mu[i], mu[j]) for i in range(p) for j in range(i + 1, p)],
+        _field_integrals(mu, as_field(field, p)),
+    )
 
 
 @pytest.fixture(scope="session")

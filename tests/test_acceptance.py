@@ -45,6 +45,28 @@ def test_kernel_criteria_report_their_margins(verification, name):
     assert ratios and max(ratios) <= 1.0
 
 
+# The criteria outside the kernel: each value checked against a numeric
+# upper limit, and that limit.
+LIMITS = {
+    "criterion_3": {"gap_80": 0.02},
+    "criterion_4": {"z_error_pair": 1e-4, "z_error_single": 1e-4},
+    "criterion_6": {"mean_64": 0.06, "mean_weighted_64": 0.06},
+    "criterion_7": {"coeff_err": 1e-8, "identity_err": 1e-6},
+    "criterion_9": {"root_16": 1.25},
+}
+
+
+@pytest.mark.parametrize("name", LIMITS)
+def test_numeric_limits_report_their_margins(verification, name):
+    results, _, report = verification
+    metrics = json.loads(report.read_text())[name]["metrics"]
+    ratios = {k: v for k, v in metrics.items() if k.endswith("_of_limit")}
+    limits = LIMITS[name].items()
+    assert ratios == {k + "_of_limit": metrics[k] / limit for k, limit in limits}
+    if results[name].passed:
+        assert max(ratios.values()) <= 1.0
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="finite-size gap decays like log(n)/n and is still above 0.02 at n=80",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from angelesco import BaseMeasure, ExternalField, IntervalSystem, solve_equilibrium
+from angelesco import energy
 from angelesco.cli import _TABLE, config_digest, run
 from angelesco.energy import interpolant
 from angelesco.ldp import bm_constant
@@ -351,6 +352,21 @@ class TestCommands:
         assert len(rows) == 1 + 4
         for row in rows[1:]:
             assert float(row[2]) >= 1.0 - 1e-9
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("command", ["eqm", "fekete", "sample", "ldp", "mop", "zconst", "bm"])
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_no_command_builds_a_dense_block(tmp_path, monkeypatch, config, command):
+    # The dense blocks are the oracle of the tests; every command reads the
+    # kernel operator.
+    def dense(g1, g2):
+        raise AssertionError("a dense kernel block was built")
+
+    monkeypatch.setattr(energy, "kernel_matrix", dense)
+    assert run([command, "--config", str(config), "--out", str(tmp_path)]) == 0
 
 
 def test_bm_names_saturated_rows_on_stderr(tmp_path, capsys):

@@ -14,10 +14,12 @@ from angelesco import (
     mutual_energy,
     partial_potentials,
     potential,
+    solve_equilibrium,
     total_energy,
     weighted_energy,
 )
 from angelesco import energy
+from angelesco.acceptance import _random_vector_measure
 from angelesco.energy import (
     CELL_SELF_ENERGY,
     LOW_RANK_TOL,
@@ -28,7 +30,7 @@ from angelesco.energy import (
     system_kernel,
 )
 from angelesco.errors import CoincidentNodesAcrossIntervals
-from conftest import arcsine_cdf
+from conftest import arcsine_cdf, dense_energy
 
 
 def dense_apply(system, cells, w):
@@ -265,6 +267,56 @@ class TestEnergies:
         gap = difference_energy(arcsine, uni)
         assert gap > 0.05
         assert gap == pytest.approx(difference_energy(uni, arcsine))
+
+
+def _no_dense_block(g1, g2):
+    raise AssertionError("a dense kernel block was built")
+
+
+class TestOperatorEnergy:
+    """``weighted_energy`` reads ``system_kernel`` on the standard grids of
+    one cells count; the dense ``mutual_energy`` sums are its oracle."""
+
+    @pytest.mark.parametrize("quadratic", [False, True], ids=["zero", "quadratic"])
+    @pytest.mark.parametrize("system", [OPERATOR_SYSTEMS[i] for i in (0, 1, 4)],
+                             ids=["p1", "p2", "p3"])
+    def test_standard_grids_build_no_dense_block(self, monkeypatch, system, quadratic):
+        mu = _random_vector_measure(system, np.random.default_rng(system.p), 300)
+        field = ExternalField.quadratic(system.p, 0.3, 0.4) if quadratic else None
+        want = dense_energy(mu, field)  # before the patch
+        monkeypatch.setattr(energy, "kernel_matrix", _no_dense_block)
+        got = weighted_energy(mu, field)
+        for name in ("self_terms", "cross_terms", "field_terms"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+        assert got.total == pytest.approx(want.total, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", ["mixed_cells", "custom_nodes", "custom_width"])
+    def test_other_grids_take_the_dense_sums(self, two, monkeypatch, grid):
+        first, second = (GridMeasure.uniform(two, i, 200, 0.5) for i in range(2))
+        if grid == "mixed_cells":
+            second = GridMeasure.uniform(two, 1, 400, 0.5)
+        nodes = first.nodes + (0.1 * first.cell_width if grid == "custom_nodes" else 0.0)
+        width = first.cell_width * (2.0 if grid == "custom_width" else 1.0)
+        first = GridMeasure(two, 0, nodes, width, first.weights, 0.5)
+        mu = VectorMeasure((first, second))
+        want, blocks = dense_energy(mu), []
+
+        def counted(g1, g2):
+            blocks.append((g1.cells, g2.cells))
+            return kernel_matrix(g1, g2)
+
+        monkeypatch.setattr(energy, "kernel_matrix", counted)
+        assert energy._standard_cells(mu) is None
+        assert weighted_energy(mu) == want
+        assert blocks == [(200, 200), (second.cells, second.cells), (200, second.cells)]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_solver_reports_weighted_energy_bit_for_bit(self, monkeypatch, p):
+        system = OPERATOR_SYSTEMS[4] if p == 3 else OPERATOR_SYSTEMS[1]
+        field = ExternalField.quadratic(p, 0.5, 0.3) if p == 3 else None
+        monkeypatch.setattr(energy, "kernel_matrix", _no_dense_block)
+        sol = solve_equilibrium(system, field, cells=300)
+        assert weighted_energy(sol.measure, field) == sol.energy  # every field, exactly
 
 
 class TestPotentials:

@@ -25,6 +25,7 @@ from angelesco import (
     moments,
     partition_function_bounds,
     partition_function_quadrature,
+    rate_function,
     solve_equilibrium,
     solve_mop,
     sort_into_blocks,
@@ -664,7 +665,8 @@ def test_convergence_experiment_csv(tmp_path, two, coarse_spec):
 
 
 # The refined grid, the tensor budget, the root scan and the endpoint slack
-# are module constants, not keywords.
+# are module constants, not keywords; rate_function solves on its measure's
+# own grid at the solver's default tolerance.
 REMOVED_KEYWORDS = {
     "refined_refine": lambda s: s.base[0].refined(refine=8),
     "gibbs_sample_refine": lambda s: gibbs_sample(s, 1, 1, refine=8),
@@ -680,6 +682,10 @@ REMOVED_KEYWORDS = {
     ),
     "contains_slack": lambda s: s.system.contains(0, -1.5, slack=0.1),
     "locate_slack": lambda s: s.system.locate(-1.5, slack=0.1),
+    "rate_function_cells": lambda s: rate_function(
+        VectorMeasure.uniform(s.system), cells=9
+    ),
+    "rate_function_tol": lambda s: rate_function(VectorMeasure.uniform(s.system), tol=0.1),
 }
 
 

@@ -7,7 +7,6 @@ from angelesco import (
     VectorMeasure,
     solve_equilibrium,
     weak_star_distance,
-    weighted_energy,
 )
 from angelesco import equilibrium
 from angelesco.energy import as_field, kernel_matrix, system_kernel
@@ -19,6 +18,7 @@ from angelesco.equilibrium import (
     project_simplex,
 )
 from angelesco.errors import GridMismatch, MaxIterationsExceeded
+from conftest import dense_energy
 
 
 def test_project_simplex_properties():
@@ -188,7 +188,7 @@ def test_energy_report_matches_dense_energies(p, two_equilibrium):
         )
         field = ExternalField.quadratic(3, center=0.5, scale=0.3)
         sol = solve_equilibrium(system, field, cells=300)
-    dense = weighted_energy(sol.measure, field)
+    dense = dense_energy(sol.measure, field)
     for name in ("self_terms", "cross_terms", "field_terms"):
         assert getattr(sol.energy, name) == pytest.approx(
             getattr(dense, name), rel=1e-13
@@ -243,7 +243,7 @@ def test_iteration_cap_carries_best_iterate(two):
     assert best.measure.masses == pytest.approx((0.5, 0.5))
     assert len(best.energy_history) >= 1
     # The failure exit reports the energy of the iterate it carries.
-    dense = weighted_energy(best.measure)
+    dense = dense_energy(best.measure)
     for name in ("self_terms", "cross_terms", "field_terms"):
         got, want = getattr(best.energy, name), getattr(dense, name)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
