@@ -39,7 +39,7 @@ def summarize(runs, path, mismatches, measured=False):
         return {key: summarize([r[key] for r in runs], path + "/" + key, mismatches,
                                measured or is_measured(key))
                 for key in first}
-    if measured:
+    if measured and first is not None:  # a null timing must stay null
         return statistics.median(runs)
     if any(json.dumps(r) != json.dumps(first) for r in runs):
         mismatches.append(path)

@@ -11,8 +11,9 @@ per interval:
   adaptive cross approximation steps and the recompression, ``energy._aca``
   on the node block, or the whole ``_cross_factors`` on a tree that factors
   all M rows) and ``certificate_s`` (``energy._entry_error``, the entrywise
-  check of the rows ACA factored), summed over the cross blocks and also
-  given per block;
+  check of the rows ACA factored; null on a tree without it, where the check
+  is part of ``aca_s``), summed over the cross blocks and also given per
+  block;
 - ``apply_s``: one kernel apply (partial potentials at all pM nodes), the
   median of 21 after a warm-up;
 - ``solve_s``: ``solve_equilibrium`` on an empty cache, assembly included,
@@ -27,8 +28,9 @@ per interval:
   M on a tree that factors all rows), the bound's four ``terms`` (null on
   such a tree), the ``budget`` LOW_RANK_TOL * max(1, max|C|), the
   ``realized`` largest entry error of U V' against the whole block (computed
-  after assembly by ``_entry_error`` on all M rows; here only), and
-  ``bound_of_budget`` and ``realized_of_budget``.
+  after assembly on all M rows, 64 at a time, with entries -log(y - x) taken
+  here, not from the program), and ``bound_of_budget`` and
+  ``realized_of_budget``.
 
 ``perfbench_blocks`` assembles, with the same records, the kernel of every
 system with two or more intervals that seeds 1-5 of perfbench's
@@ -36,6 +38,14 @@ system with two or more intervals that seeds 1-5 of perfbench's
 ``perfbench/workloads.runs``), and keeps the block count, the summed
 ``cross_s``, the largest N and the largest two ratios; ``worst_block`` is the
 largest ratio over every block of a tree.
+
+``census_kernels`` assembles, each on an empty cache, the 18 kernels of
+perfbench ``eqm_sweep`` seeds 1-130 on which a cross block once raised
+because ACA used every node row and its check still failed.  Per kernel it
+records ``assembles`` (true, or the error text), and per cross block the
+``ranks``, ``bound_of_budget`` and ``realized_of_budget`` (null where it
+does not assemble); ``census_assembled`` counts the kernels that assemble,
+per tree.
 
 The same solve row is recorded at every M for two problems with a partial
 support: the pushing case [-1, -0.01] u [0.01, 3] with masses (0.3, 0.7),
@@ -102,6 +112,40 @@ TERMS = ("interpolation", "node_block", "basis_roundoff", "product_roundoff")
 # Every kernel that these perfbench measurements build (read only).
 PERFBENCH_WORKLOADS = ("eqm_sweep", "fekete_extremal")
 PERFBENCH_SEEDS = (1, 2, 3, 4, 5)
+# name: (intervals, masses, cells) of each census kernel.
+CENSUS = {
+    "seed25_M1600": (((-0.404648, 0.935929), (0.96137, 2.763458)), (0.617301, 0.382699), 1600),
+    "seed31_M800": (((-1.13635, 0.481255), (1.955538, 3.393416), (3.413503, 4.223382)),
+                    (0.199555, 0.537919, 0.262526), 800),
+    "seed39_M800": (((-1.44146, -0.397582), (-0.173937, 1.769097), (1.968611, 2.474944)),
+                    (0.402898, 0.37395, 0.223152), 800),
+    "seed41_M400": (((-1.169631, -0.059535), (0.191153, 1.96488), (3.122894, 4.604347)),
+                    (0.38373, 0.271001, 0.345269), 400),
+    "seed44_M800": (((-0.091456, 1.469098), (2.786432, 4.778071), (5.088719, 6.650014)),
+                    (0.288524, 0.516617, 0.194859), 800),
+    "seed46_M1600": (((-0.112273, 1.329128), (1.354634, 2.381663)), (0.428803, 0.571197), 1600),
+    "seed49_M1600": (((-0.006835, 1.490199), (1.733774, 3.371948)), (0.56748, 0.43252), 1600),
+    "seed52_M400": (((-0.680376, 0.755637), (0.96828, 2.439266), (2.560374, 3.969171)),
+                    (0.424727, 0.294384, 0.280889), 400),
+    "seed58_M800": (((-1.337235, 0.143046), (1.377055, 3.306375), (3.640358, 5.609593)),
+                    (0.403587, 0.384587, 0.211826), 800),
+    "seed62_M800": (((-1.096583, 0.640308), (0.752223, 2.117728), (2.142441, 3.794746)),
+                    (0.503153, 0.234046, 0.262801), 800),
+    "seed87_M800": (((-0.159077, 1.411454), (2.595504, 4.024913), (5.162501, 6.877116)),
+                    (0.429868, 0.230855, 0.339277), 800),
+    "seed90_M800": (((-1.05701, 0.495709), (0.742676, 2.223417), (2.460591, 3.767658)),
+                    (0.33176, 0.326071, 0.342169), 800),
+    "seed94_M800": (((-0.309126, 1.214369), (1.280388, 3.264809)), (0.476278, 0.523722), 800),
+    "seed116_M800": (((-0.673427, 1.310107), (1.324208, 2.794188), (3.077775, 4.852149)),
+                     (0.206981, 0.427538, 0.365481), 800),
+    "seed122_M400": (((-1.416891, 0.125948), (0.429767, 2.422185), (2.686577, 4.352697)),
+                     (0.28381, 0.35792, 0.35827), 400),
+    "seed124_M800": (((-1.185414, 0.366771), (0.38018, 1.693842), (3.467568, 4.465024)),
+                     (0.271345, 0.336094, 0.392561), 800),
+    "seed129_M800": (((-0.459677, 1.491282), (1.8207, 2.360962), (2.440595, 3.442446)),
+                     (0.536618, 0.197626, 0.265756), 800),
+    "seed130_M1600": (((-0.567652, 1.285259), (1.584102, 2.755967)), (0.539707, 0.460293), 1600),
+}
 CONTENTION = (
     (((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5)),
     (((-1.0, 0.0), (0.3, 2.0)), (0.3, 0.7)),
@@ -115,7 +159,7 @@ def measure(src):
     from angelesco import ExternalField, IntervalSystem, solve_equilibrium
     from angelesco import energy, equilibrium
     from angelesco.energy import system_kernel
-    from angelesco.errors import MaxIterationsExceeded
+    from angelesco.errors import AngelescoError, MaxIterationsExceeded
 
     applies = [0]
     plain_apply = energy.KernelOperator.apply
@@ -162,6 +206,15 @@ def measure(src):
 
     factors = energy._cross_factors
     node_aca = getattr(energy, "_aca", None)  # None on a tree that factors all M rows
+    entry_error = getattr(energy, "_entry_error", None)  # None where _aca checks
+
+    def dense_error(x, y, u, v):
+        """max |U V' - C| over the cross block C = -log(y - x), 64 rows at a time."""
+        err = 0.0
+        for a in range(0, x.size, 64):
+            c = -np.log(y - x[a : a + 64, None])
+            err = max(err, float(np.abs(u[a : a + 64] @ v.T - c).max()))
+        return err
 
     def assemble(system, m):
         """system_kernel on an empty cache, with one record per cross block:
@@ -169,14 +222,13 @@ def measure(src):
         after assembly, the realized dense error and the budget."""
         system_kernel.cache_clear()
         blocks = []
-        plain_error = energy._entry_error
         plain_aca = node_aca or factors
         clock = {"check": 0.0, "aca": 0.0, "n": 0}
 
         def timed_error(*args):
             t0 = time.perf_counter()
             try:
-                return plain_error(*args)
+                return entry_error(*args)
             finally:
                 clock["check"] += time.perf_counter() - t0
 
@@ -194,13 +246,16 @@ def measure(src):
             out = factors(x, y) if node_aca else timed_aca(x, y)
             blocks.append({
                 "cross_s": time.perf_counter() - t0,
-                "aca_s": clock["aca"] - clock["check"], "certificate_s": clock["check"],
+                "aca_s": clock["aca"] - clock["check"],
+                "certificate_s": clock["check"] if entry_error else None,
                 "node_rows": clock["n"], "grids": (x, y),
                 "terms": list(out[2]) if isinstance(out[2], tuple) else None,
             })
             return out
 
-        energy._entry_error, energy._cross_factors = timed_error, timed_factors
+        energy._cross_factors = timed_factors
+        if entry_error:
+            energy._entry_error = timed_error
         if node_aca:
             energy._aca = timed_aca
         try:
@@ -208,14 +263,16 @@ def measure(src):
             kernel = system_kernel(system, m)
             seconds = time.perf_counter() - t0
         finally:
-            energy._cross_factors, energy._entry_error = factors, plain_error
+            energy._cross_factors = factors
+            if entry_error:
+                energy._entry_error = entry_error
             if node_aca:
                 energy._aca = node_aca
         for block, (u, v) in zip(blocks, kernel._factors.values()):
             x, y = block.pop("grids")
             corners = energy._log_kernel(y[[0, -1]] - x[[0, -1], None])
             block["budget"] = energy.LOW_RANK_TOL * max(1.0, float(np.abs(corners).max()))
-            block["realized"] = plain_error(x, y, u, v)
+            block["realized"] = dense_error(x, y, u, v)
         return kernel, seconds, blocks
 
     def certificate(rank, bound, steps, block):
@@ -249,7 +306,9 @@ def measure(src):
             out["%s_M%d" % (name, m)] = {
                 "assembly_s": assembly,
                 **{key: sum(b[key] for b in blocks)
-                   for key in ("cross_s", "aca_s", "certificate_s")},
+                   for key in ("cross_s", "aca_s")},
+                "certificate_s": sum(b["certificate_s"] for b in blocks)
+                if entry_error else None,
                 "apply_s": statistics.median(ticks),
                 **solve(system, m), "certificates": certificates,
             }
@@ -285,6 +344,22 @@ def measure(src):
         "max_bound_of_budget": max(b["bound_of_budget"] for b in blocks),
         "max_realized_of_budget": max(b["realized_of_budget"] for b in blocks),
     }
+
+    census = {}
+    for name, (intervals, masses, m) in CENSUS.items():
+        try:
+            kernel, _, found = assemble(IntervalSystem(intervals, masses), m)
+        except AngelescoError as exc:
+            census[name] = {"assembles": str(exc), "ranks": None,
+                            "bound_of_budget": None, "realized_of_budget": None}
+            continue
+        certs = [certificate(*cert, block)
+                 for cert, block in zip(kernel.certificates.values(), found)]
+        census[name] = {"assembles": True, "ranks": [c["rank"] for c in certs],
+                        "bound_of_budget": [c["bound_of_budget"] for c in certs],
+                        "realized_of_budget": [c["realized_of_budget"] for c in certs]}
+    system_kernel.cache_clear()
+    out["census_kernels"] = census
 
     def three_solves():
         system_kernel.cache_clear()
@@ -322,7 +397,9 @@ def derive(runs):
             "max_realized_of_budget": max([c["realized_of_budget"] for c in certs]
                                           + [blocks["max_realized_of_budget"]]),
         }
-    return {"worst_block": worst}
+    return {"worst_block": worst, "census_assembled": {
+        label: sum(k["assembles"] is True for k in records[0]["census_kernels"].values())
+        for label, records in runs.items()}}
 
 
 if __name__ == "__main__":
@@ -332,6 +409,7 @@ if __name__ == "__main__":
         "trials per iteration, active-set rounds and PCG steps; partial-support "
         "and tight-tolerance solves; cross-block certificates; "
         "three grid-400 solves quiet and beside a busy process; bound and "
-        "realized error of every cross block, here and in perfbench kernels",
+        "realized error of every cross block, here, in perfbench kernels and "
+        "in the 18 census kernels",
         derive,
     )

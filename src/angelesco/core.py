@@ -462,20 +462,17 @@ def sort_into_blocks(raw, system, index):
     return Configuration(system, tuple(blocks))
 
 
-def counting_measure(X, cells=DEFAULT_CELLS, block_normalized=True):
+def counting_measure(X, cells=DEFAULT_CELLS):
     """Bin a configuration into a VectorMeasure on the standard grids.
 
-    With ``block_normalized`` each point of block i carries mass r_i / n_i,
-    so component masses reproduce the system's mass vector exactly;
-    otherwise every point carries 1/n of the total.
+    Each point of block i carries mass r_i / n_i, so component masses
+    reproduce the system's mass vector exactly.
     """
     sys_ = X.system
-    n = X.total
-    comps = []
-    for i, b in enumerate(X.blocks):
-        pm = sys_.r[i] / b.size if block_normalized else 1.0 / n
-        comps.append(GridMeasure.binned(sys_, i, b, pm, cells))
-    return VectorMeasure(tuple(comps))
+    return VectorMeasure(tuple(
+        GridMeasure.binned(sys_, i, b, sys_.r[i] / b.size, cells)
+        for i, b in enumerate(X.blocks)
+    ))
 
 
 def quantile_configuration(mu, index):

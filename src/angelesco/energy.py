@@ -16,11 +16,13 @@ grids of a system, ``system_kernel`` gives the same kernel as an operator,
 which ``weighted_energy`` reads there.  Its self blocks are Toeplitz, applied
 by FFT.  Its cross blocks, analytic as the intervals are disjoint, are kept
 as low-rank factors from the N << M rows at Chebyshev points of pieces of
-the left interval cut geometrically toward the gap: adaptive cross
-approximation factors that node block, every entry of which is checked, and
-Lagrange interpolation carries its factor to the grid.  Each block has a
-bound on every entry, the sum of four terms (interpolation, node-block error,
-round-off of basis and product), within LOW_RANK_TOL * max(1, max|C|).
+the left interval cut geometrically toward the gap: that node block is
+formed once, adaptive cross approximation factors it and is checked against
+it entry by entry (a block it cannot certify is kept as the node block
+itself, exact), and Lagrange interpolation carries the factor to the grid.
+Each block has a bound on every entry, the sum of four terms
+(interpolation, node-block error, round-off of basis and product), within
+LOW_RANK_TOL * max(1, max|C|).
 """
 
 from __future__ import annotations
@@ -39,15 +41,13 @@ CELL_SELF_ENERGY = 1.5
 # Low-rank cross blocks: the entry budget (relative to max(1, max|C|)), the
 # shares of it left to the a priori interpolation bound and to the node
 # block's entry check (the latter divided by the Lebesgue constant), the
-# singular-value cut-off (relative to the largest), the ACA stop (|u| |v|
-# relative to the running Frobenius estimate), and the node rows that the
-# entry check recomputes at a time.
+# singular-value cut-off (relative to the largest) and the ACA stop (|u| |v|
+# relative to the running Frobenius estimate).
 LOW_RANK_TOL = 1e-13
 INTERPOLATION_SHARE = 0.02
 NODE_BLOCK_SHARE = 0.5
 SINGULAR_CUTOFF = 1e-15
 ACA_STOP = 1e-15
-CERTIFY_ROWS = 64
 
 
 def interpolant(xs, ys):
@@ -280,40 +280,24 @@ def difference_energy(nu, mu):
     return float(total)
 
 
-def _entry_error(x, y, u, v):
-    """max |U V' - C| over the cross block C between grid x and grid y to
-    its right.  C is recomputed CERTIFY_ROWS rows at a time into one buffer
-    (y - x, then ``_log_kernel``), U V' of those rows goes into a second,
-    and their difference is taken there; C itself is never stored.
-    """
-    chunk = min(x.size, CERTIFY_ROWS)
-    block, diff = np.empty((chunk, y.size)), np.empty((chunk, y.size))
-    err = 0.0
-    for a in range(0, x.size, chunk):
-        b = min(a + chunk, x.size)
-        c = _log_kernel(np.subtract(y, x[a:b, None], out=block[: b - a]))
-        df = np.matmul(u[a:b], v.T, out=diff[: b - a])
-        df -= c
-        err = max(err, float(df.max()), -float(df.min()))
-    return err
-
-
 def _aca(x, y, bound):
     """Factors U, V of the block C with entries ``_log_kernel(y - x)``
     between the grid x and the disjoint grid y to its right, with every
     entry of U V' within ``bound`` of C.
 
-    Partially pivoted adaptive cross approximation (Bebendorf, Numer. Math.
-    86, 2000): each step evaluates one row and one column of C minus the
-    steps so far, so only O((m + n) k) entries are formed.  Steps stop once
-    |u| |v| <= ACA_STOP times the running Frobenius estimate; they are then
-    recompressed (QR of both thin factors, SVD of the k x k core) to the
-    singular values above SINGULAR_CUTOFF times the largest, and every entry
-    is certified (``_entry_error``).  If the certificate fails, ACA steps on
-    until the step count doubles; at min(m, n) steps every row or column is
-    interpolated.  Returns U, V, the largest entry error and the steps.
+    C is formed once: x holds the N << M node rows.  Partially pivoted
+    adaptive cross approximation (Bebendorf, Numer. Math. 86, 2000) reads
+    one row and one column of C minus the steps so far per step.  Steps
+    stop once |u| |v| <= ACA_STOP times the running Frobenius estimate; they
+    are then recompressed (QR of both thin factors, SVD of the k x k core)
+    to the singular values above SINGULAR_CUTOFF times the largest, and
+    U V' is checked against C entry by entry.  If the check fails, ACA steps
+    on until the step count doubles.  A block that still fails once every
+    row is used is returned as itself, U = I and V = C', with error 0.
+    Returns U, V, the largest entry error and the steps.
     """
     m, n = x.size, y.size
+    c = _log_kernel(y - x[:, None])
     last = min(m, n)
     ut, vt = np.empty((min(16, last), m)), np.empty((min(16, last), n))
     free = np.ones(m, dtype=bool)
@@ -322,13 +306,13 @@ def _aca(x, y, bound):
     while True:
         while steps < last and free.any():
             free[i] = False
-            row = _log_kernel(y - x[i]) - ut[:steps, i] @ vt[:steps]
+            row = c[i] - ut[:steps, i] @ vt[:steps]
             j = int(np.argmax(np.abs(row)))
             if row[j] == 0.0:  # row i is already exact
                 i = int(np.argmax(free))
                 continue
             v = row / row[j]
-            u = _log_kernel(y[j] - x) - vt[:steps, j] @ ut[:steps]
+            u = c[:, j] - vt[:steps, j] @ ut[:steps]
             uu, vv = float(u @ u), float(v @ v)
             frob2 += 2.0 * float((ut[:steps] @ u) @ (vt[:steps] @ v)) + uu * vv
             if steps == len(ut):
@@ -346,14 +330,13 @@ def _aca(x, y, bound):
         r = int(np.count_nonzero(s > SINGULAR_CUTOFF * s[0]))
         u = qu @ (w[:, :r] * s[:r])
         v = qv @ zt[:r].T
-        err = _entry_error(x, y, u, v)
+        diff = u @ v.T
+        diff -= c
+        err = max(float(diff.max()), -float(diff.min()))
         if err <= bound:
             return u, v, err, steps
         if steps == last or not free.any():
-            raise AngelescoError(
-                f"cross block not certified after {steps} ACA steps: error "
-                f"{err:.3e} above {bound:.3e}"
-            )
+            return np.eye(m), c.T, 0.0, steps
         target = min(2 * steps, last)
 
 
@@ -489,10 +472,11 @@ class KernelOperator:
     Toeplitz matrix with first column the entries at distances 0, h_i,
     2 h_i, ...; it is applied through the FFT of its 2M circulant embedding.
     Cross block i<j, between two disjoint intervals, is analytic and kept as
-    low-rank factors U V': adaptive cross approximation factors its N x M
-    rows at Chebyshev points of interval i, checked entry by entry, and U is
-    the Lagrange interpolant of the node factor (``_cross_factors``).  No
-    M x M array is formed and no M x M entry is computed.
+    low-rank factors U V': its N x M rows at Chebyshev points of interval i
+    are formed once and factored by adaptive cross approximation, checked
+    entry by entry (a node block ACA cannot certify is kept as itself), and
+    U is the Lagrange interpolant of the node factor (``_cross_factors``).
+    No M x M array is formed and no M x M entry is computed.
 
     ``apply(w)`` gives the partial potentials at all nodes,
     u_i = T_i w_i + (1/2) sum_{j != i} C_ij w_j, for weights stacked by

@@ -27,7 +27,6 @@ from .core import (
     _readonly,
     counting_measure,
     weak_star_distance,
-    write_csv,
 )
 from .energy import ExternalField, as_field
 from .equilibrium import solve_equilibrium
@@ -585,7 +584,7 @@ class ConvergenceRow:
 
 def convergence_experiment(
     spec, d_list, samples_per_d=30, burn_in=50, thin=5, seed=0,
-    equilibrium=None, out_csv=None,
+    equilibrium=None,
 ):
     """Mean/concentration of the counting-measure distance to equilibrium.
 
@@ -613,11 +612,5 @@ def convergence_experiment(
                 d, spec.index(d).total,
                 float(dists.mean()), float(dists.std()),
             )
-        )
-    if out_csv is not None:
-        write_csv(
-            out_csv,
-            ("d", "total_points", "mean_distance", "std_distance"),
-            ((r.d, r.total, r.mean_distance, r.std_distance) for r in rows),
         )
     return rows

@@ -270,8 +270,6 @@ class TestConfigurations:
         X = sort_into_blocks([-1.9, -1.1, 1.4, 1.5, 1.6], two, MultiIndex((2, 3)))
         nu = counting_measure(X, cells=100)
         assert nu.masses == pytest.approx((0.5, 0.5))
-        plain = counting_measure(X, cells=100, block_normalized=False)
-        assert plain.masses == pytest.approx((0.4, 0.6))
 
     def test_quantiles_of_uniform_are_exact(self, unit):
         mu = VectorMeasure.uniform(unit)

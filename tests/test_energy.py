@@ -64,6 +64,25 @@ GAP_SYSTEMS = [
     IntervalSystem(((-1.0, 0.0), (2.0, 2.5), (2.6, 4.0)), (0.4, 0.2, 0.4)),
 ]
 
+# Kernels of perfbench eqm_sweep (seeds 25, 41 and 31) with a cross block
+# whose ACA factor fails its check after every node row: the block is kept
+# as the node block itself.  The masses are arbitrary; the kernel ignores them.
+EXACT_BLOCK_SYSTEMS = [
+    (IntervalSystem(((-0.404648, 0.935929), (0.96137, 2.763458)), (0.5, 0.5)), 1600),
+    (IntervalSystem(((-1.169631, -0.059535), (0.191153, 1.96488), (3.122894, 4.604347)),
+                    (0.3, 0.3, 0.4)), 400),
+    (IntervalSystem(((-1.13635, 0.481255), (1.955538, 3.393416), (3.413503, 4.223382)),
+                    (0.3, 0.3, 0.4)), 800),
+]
+
+DENSE_ERROR_CASES = [
+    pytest.param(system, cells, id=f"system{k}-{cells}")
+    for k, system in enumerate(GAP_SYSTEMS) for cells in (1, 2, 3, 64, 400, 1600)
+] + [
+    pytest.param(system, cells, id=f"exact_block{k}-{cells}")
+    for k, (system, cells) in enumerate(EXACT_BLOCK_SYSTEMS)
+]
+
 
 class TestKernel:
     def test_diagonal_is_the_cell_average(self, unit):
@@ -118,15 +137,16 @@ class TestKernelOperator:
                 assert u.shape[1] == np.count_nonzero(s > SINGULAR_CUTOFF * s[0])
                 assert steps >= u.shape[1]
 
-    @pytest.mark.parametrize("cells", [1, 2, 3, 64, 400, 1600])
-    @pytest.mark.parametrize("system", GAP_SYSTEMS)
+    @pytest.mark.parametrize("system, cells", DENSE_ERROR_CASES)
     def test_bound_covers_the_dense_error(self, system, cells):
         grids = VectorMeasure.uniform(system, cells)
         for i in range(system.p):
             for j in range(i + 1, system.p):
                 c = kernel_matrix(grids[i], grids[j])
                 u, v, terms, steps = _cross_factors(grids[i].nodes, grids[j].nodes)
-                assert steps >= u.shape[1]
+                # ACA takes a step per rank; the exact node block (no
+                # node-block error) has rank N and may take fewer.
+                assert terms[1] == 0.0 or steps >= u.shape[1]
                 exact = np.abs(u @ v.T - c).max()
                 assert exact <= sum(terms) <= LOW_RANK_TOL * max(1.0, np.abs(c).max())
 
@@ -157,27 +177,33 @@ class TestKernelOperator:
         grids = VectorMeasure.uniform(OPERATOR_SYSTEMS[2], 400)
         x, y = grids[0].nodes, grids[1].nodes
         budget = LOW_RANK_TOL * max(1.0, np.abs(kernel_matrix(grids[0], grids[1])).max())
-        errors, bounds = [], []
-        plain_error, plain_aca = energy._entry_error, energy._aca
-
-        def recorded_error(*args):
-            errors.append(plain_error(*args))
-            return errors[-1]
+        calls, plain_aca = [], energy._aca
 
         def recorded_aca(nodes, y, bound):
-            bounds.append(bound)
-            return plain_aca(nodes, y, bound)
+            calls.append((nodes, bound, plain_aca(nodes, y, bound)))
+            return calls[-1][2]
 
         monkeypatch.setattr(energy, "ACA_STOP", 1e-3)
-        monkeypatch.setattr(energy, "_entry_error", recorded_error)
         monkeypatch.setattr(energy, "_aca", recorded_aca)
         u, v, terms, steps = _cross_factors(x, y)
-        assert len(bounds) == 1 and len(errors) >= 2
-        assert errors[0] > bounds[0]  # the loose stop left too few steps
-        assert errors[-1] <= bounds[0] < budget
-        assert sum(terms) <= budget
+        ((nodes, bound, (un, _, error, _)),) = calls
+        # Under no bound the first check passes, so this is the factor the
+        # loose stop left: it fails the real bound.
+        first, _, first_error, first_steps = plain_aca(nodes, y, np.inf)
+        assert first_error > bound
+        assert steps > first_steps and un.shape[1] > first.shape[1]
+        assert 0.0 < error <= bound < budget  # certified ACA, not the node block
+        assert un.shape[1] < nodes.size and sum(terms) <= budget
         monkeypatch.undo()
         assert u.shape[1] == _cross_factors(x, y)[0].shape[1]
+
+    def test_a_block_aca_cannot_certify_is_the_node_block(self):
+        grids = VectorMeasure.uniform(OPERATOR_SYSTEMS[1], 400)
+        x, y = grids[0].nodes[::25], grids[1].nodes
+        u, v, err, steps = energy._aca(x, y, 0.0)
+        c = energy._log_kernel(y - x[:, None])
+        assert err == 0.0 and u.shape == (x.size, x.size)
+        assert np.array_equal(u @ v.T, c)
 
     def test_every_kernel_takes_its_entries_from_one_rule(self, monkeypatch):
         # Shift every entry by 0.25: the structured operator, the dense
