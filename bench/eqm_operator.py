@@ -8,11 +8,9 @@ per interval:
 
 - ``assembly_s``: ``energy.system_kernel`` on an empty cache, with
   ``cross_s`` (``energy._cross_factors``), and within it ``aca_s`` (the
-  adaptive cross approximation steps and the recompression, ``energy._aca``
-  on the node block, or the whole ``_cross_factors`` on a tree that factors
-  all M rows) and ``certificate_s`` (``energy._entry_error``, the entrywise
-  check of the rows ACA factored; null on a tree without it, where the check
-  is part of ``aca_s``), summed over the cross blocks and also given per
+  adaptive cross approximation of the node block with its recompression and
+  entrywise check, ``energy._aca``; null on a tree without it, which factors
+  a Chebyshev core instead), summed over the cross blocks and also given per
   block;
 - ``apply_s``: one kernel apply (partial potentials at all pM nodes), the
   median of 21 after a warm-up;
@@ -24,9 +22,11 @@ per interval:
   ``rounds`` and its ``pcg_steps`` (``equilibrium._pcg`` counted; null on
   a tree without it);
 - ``certificates``: per low-rank cross block, its rank, the ``bound`` its
-  certificate reports, ACA ``steps``, ``node_rows`` (the N rows ACA factored;
-  M on a tree that factors all rows), the bound's four ``terms`` (null on
-  such a tree), the ``budget`` LOW_RANK_TOL * max(1, max|C|), the
+  certificate reports, ACA ``steps`` (null on a tree without ACA),
+  ``node_rows`` (the N rows of the node block: the rows ACA factored, or
+  the core's rows, read from a certificate (rank, bound, N, N')) and
+  ``core_columns`` (the core's N' columns; null on a tree with ACA), the
+  bound's four ``terms``, the ``budget`` LOW_RANK_TOL * max(1, max|C|), the
   ``realized`` largest entry error of U V' against the whole block (computed
   after assembly on all M rows, 64 at a time, with entries -log(y - x) taken
   here, not from the program), and ``bound_of_budget`` and
@@ -36,16 +36,17 @@ per interval:
 system with two or more intervals that seeds 1-5 of perfbench's
 ``eqm_sweep`` and ``fekete_extremal`` solve on (read through
 ``perfbench/workloads.runs``), and keeps the block count, the summed
-``cross_s``, the largest N and the largest two ratios; ``worst_block`` is the
-largest ratio over every block of a tree.
+``cross_s``, the largest N, the largest rank, the count of ``node_blocks``
+(blocks kept as their node block, node-block term 0) and the largest two
+ratios; ``worst_block`` is the largest ratio over every block of a tree.
 
 ``census_kernels`` assembles, each on an empty cache, the 18 kernels of
 perfbench ``eqm_sweep`` seeds 1-130 on which a cross block once raised
 because ACA used every node row and its check still failed.  Per kernel it
 records ``assembles`` (true, or the error text), and per cross block the
-``ranks``, ``bound_of_budget`` and ``realized_of_budget`` (null where it
-does not assemble); ``census_assembled`` counts the kernels that assemble,
-per tree.
+``ranks``, ``node_rows`` (rank < N: the block is compressed),
+``bound_of_budget`` and ``realized_of_budget`` (null where it does not
+assemble); ``census_assembled`` counts the kernels that assemble, per tree.
 
 The same solve row is recorded at every M for two problems with a partial
 support: the pushing case [-1, -0.01] u [0.01, 3] with masses (0.3, 0.7),
@@ -205,8 +206,7 @@ def measure(src):
         }
 
     factors = energy._cross_factors
-    node_aca = getattr(energy, "_aca", None)  # None on a tree that factors all M rows
-    entry_error = getattr(energy, "_entry_error", None)  # None where _aca checks
+    node_aca = getattr(energy, "_aca", None)  # None on a tree that factors a core
 
     def dense_error(x, y, u, v):
         """max |U V' - C| over the cross block C = -log(y - x), 64 rows at a time."""
@@ -222,40 +222,28 @@ def measure(src):
         after assembly, the realized dense error and the budget."""
         system_kernel.cache_clear()
         blocks = []
-        plain_aca = node_aca or factors
-        clock = {"check": 0.0, "aca": 0.0, "n": 0}
-
-        def timed_error(*args):
-            t0 = time.perf_counter()
-            try:
-                return entry_error(*args)
-            finally:
-                clock["check"] += time.perf_counter() - t0
+        clock = {"aca": 0.0, "n": None}
 
         def timed_aca(x, *args):
             t0 = time.perf_counter()
             try:
-                return plain_aca(x, *args)
+                return node_aca(x, *args)
             finally:
                 clock["aca"] += time.perf_counter() - t0
                 clock["n"] = x.size
 
         def timed_factors(x, y):
-            clock.update(check=0.0, aca=0.0)
+            clock["aca"] = 0.0
             t0 = time.perf_counter()
-            out = factors(x, y) if node_aca else timed_aca(x, y)
+            out = factors(x, y)
             blocks.append({
                 "cross_s": time.perf_counter() - t0,
-                "aca_s": clock["aca"] - clock["check"],
-                "certificate_s": clock["check"] if entry_error else None,
-                "node_rows": clock["n"], "grids": (x, y),
-                "terms": list(out[2]) if isinstance(out[2], tuple) else None,
+                "aca_s": clock["aca"] if node_aca else None,
+                "node_rows": clock["n"], "grids": (x, y), "terms": list(out[2]),
             })
             return out
 
         energy._cross_factors = timed_factors
-        if entry_error:
-            energy._entry_error = timed_error
         if node_aca:
             energy._aca = timed_aca
         try:
@@ -264,8 +252,6 @@ def measure(src):
             seconds = time.perf_counter() - t0
         finally:
             energy._cross_factors = factors
-            if entry_error:
-                energy._entry_error = entry_error
             if node_aca:
                 energy._aca = node_aca
         for block, (u, v) in zip(blocks, kernel._factors.values()):
@@ -275,11 +261,16 @@ def measure(src):
             block["realized"] = dense_error(x, y, u, v)
         return kernel, seconds, blocks
 
-    def certificate(rank, bound, steps, block):
-        terms = block.pop("terms")
+    def certificate(cert, block):
+        """One block's record from its certificate: (rank, bound, ACA steps)
+        on a tree with ACA, (rank, bound, N, N') on one without."""
+        rank, bound, *rest = cert
+        if not node_aca:
+            block["node_rows"] = rest[0]
         return {
-            "rank": rank, "bound": bound, "steps": steps,
-            "terms": terms and dict(zip(TERMS, terms)), **block,
+            "rank": rank, "bound": bound, "steps": rest[0] if node_aca else None,
+            "core_columns": None if node_aca else rest[1],
+            "terms": dict(zip(TERMS, block.pop("terms"))), **block,
             "bound_of_budget": bound / block["budget"],
             "realized_of_budget": block["realized"] / block["budget"],
         }
@@ -298,17 +289,14 @@ def measure(src):
                 kernel.apply(w)
                 ticks.append(time.perf_counter() - t0)
             certificates = {
-                "%d,%d" % key: certificate(rank, bound, steps, block)
-                for (key, (rank, bound, steps)), block
-                in zip(kernel.certificates.items(), blocks)
+                "%d,%d" % key: certificate(cert, block)
+                for (key, cert), block in zip(kernel.certificates.items(), blocks)
             }
             del kernel
             out["%s_M%d" % (name, m)] = {
                 "assembly_s": assembly,
-                **{key: sum(b[key] for b in blocks)
-                   for key in ("cross_s", "aca_s")},
-                "certificate_s": sum(b["certificate_s"] for b in blocks)
-                if entry_error else None,
+                "cross_s": sum(b["cross_s"] for b in blocks),
+                "aca_s": sum(b["aca_s"] for b in blocks) if node_aca else None,
                 "apply_s": statistics.median(ticks),
                 **solve(system, m), "certificates": certificates,
             }
@@ -334,13 +322,15 @@ def measure(src):
                     kernels.add(run.kernel_key)
                     system = IntervalSystem(run.intervals, run.config["masses"])
                     kernel, _, found = assemble(system, run.grid)
-                    blocks += [certificate(*cert, block)
+                    blocks += [certificate(cert, block)
                                for cert, block in zip(kernel.certificates.values(), found)]
     system_kernel.cache_clear()
     out["perfbench_blocks"] = {
         "kernels": len(kernels), "blocks": len(blocks),
         "cross_s": sum(b["cross_s"] for b in blocks),
         "max_node_rows": max(b["node_rows"] for b in blocks),
+        "max_rank": max(b["rank"] for b in blocks),
+        "node_blocks": sum(b["terms"]["node_block"] == 0.0 for b in blocks),
         "max_bound_of_budget": max(b["bound_of_budget"] for b in blocks),
         "max_realized_of_budget": max(b["realized_of_budget"] for b in blocks),
     }
@@ -350,12 +340,13 @@ def measure(src):
         try:
             kernel, _, found = assemble(IntervalSystem(intervals, masses), m)
         except AngelescoError as exc:
-            census[name] = {"assembles": str(exc), "ranks": None,
+            census[name] = {"assembles": str(exc), "ranks": None, "node_rows": None,
                             "bound_of_budget": None, "realized_of_budget": None}
             continue
-        certs = [certificate(*cert, block)
+        certs = [certificate(cert, block)
                  for cert, block in zip(kernel.certificates.values(), found)]
         census[name] = {"assembles": True, "ranks": [c["rank"] for c in certs],
+                        "node_rows": [c["node_rows"] for c in certs],
                         "bound_of_budget": [c["bound_of_budget"] for c in certs],
                         "realized_of_budget": [c["realized_of_budget"] for c in certs]}
     system_kernel.cache_clear()

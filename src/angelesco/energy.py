@@ -14,11 +14,12 @@ component-s weights is exactly 2 (partial potential + field) at the nodes.
 are dense, on any grids: the oracle for what follows.  On the standard midpoint
 grids of a system, ``system_kernel`` gives the same kernel as an operator,
 which ``weighted_energy`` reads there.  Its self blocks are Toeplitz, applied
-by FFT.  Its cross blocks, analytic as the intervals are disjoint, are kept
-as low-rank factors from the N << M rows at Chebyshev points of pieces of
-the left interval cut geometrically toward the gap: that node block is
-formed once, adaptive cross approximation factors it and is checked against
-it entry by entry (a block it cannot certify is kept as the node block
+by FFT.  Its cross blocks, analytic in both variables as the intervals are
+disjoint, are kept as low-rank factors: both hulls are cut geometrically
+toward the gap and get Chebyshev points, the SVD of the small core of
+entries at node pairs gives the column space of the N << M rows of the
+block at x's points, that node block is formed once and checked against its
+projection entry by entry (a block that fails is kept as the node block
 itself, exact), and Lagrange interpolation carries the factor to the grid.
 Each block has a bound on every entry, the sum of four terms
 (interpolation, node-block error, round-off of basis and product), within
@@ -40,14 +41,12 @@ CELL_SELF_ENERGY = 1.5
 
 # Low-rank cross blocks: the entry budget (relative to max(1, max|C|)), the
 # shares of it left to the a priori interpolation bound and to the node
-# block's entry check (the latter divided by the Lebesgue constant), the
-# singular-value cut-off (relative to the largest) and the ACA stop (|u| |v|
-# relative to the running Frobenius estimate).
+# block's entry check (the latter divided by the Lebesgue constant), and the
+# singular-value cut-off of the Chebyshev core (relative to the largest).
 LOW_RANK_TOL = 1e-13
 INTERPOLATION_SHARE = 0.02
 NODE_BLOCK_SHARE = 0.5
 SINGULAR_CUTOFF = 1e-15
-ACA_STOP = 1e-15
 
 
 def interpolant(xs, ys):
@@ -280,66 +279,6 @@ def difference_energy(nu, mu):
     return float(total)
 
 
-def _aca(x, y, bound):
-    """Factors U, V of the block C with entries ``_log_kernel(y - x)``
-    between the grid x and the disjoint grid y to its right, with every
-    entry of U V' within ``bound`` of C.
-
-    C is formed once: x holds the N << M node rows.  Partially pivoted
-    adaptive cross approximation (Bebendorf, Numer. Math. 86, 2000) reads
-    one row and one column of C minus the steps so far per step.  Steps
-    stop once |u| |v| <= ACA_STOP times the running Frobenius estimate; they
-    are then recompressed (QR of both thin factors, SVD of the k x k core)
-    to the singular values above SINGULAR_CUTOFF times the largest, and
-    U V' is checked against C entry by entry.  If the check fails, ACA steps
-    on until the step count doubles.  A block that still fails once every
-    row is used is returned as itself, U = I and V = C', with error 0.
-    Returns U, V, the largest entry error and the steps.
-    """
-    m, n = x.size, y.size
-    c = _log_kernel(y - x[:, None])
-    last = min(m, n)
-    ut, vt = np.empty((min(16, last), m)), np.empty((min(16, last), n))
-    free = np.ones(m, dtype=bool)
-    i = steps = target = 0
-    frob2 = 0.0
-    while True:
-        while steps < last and free.any():
-            free[i] = False
-            row = c[i] - ut[:steps, i] @ vt[:steps]
-            j = int(np.argmax(np.abs(row)))
-            if row[j] == 0.0:  # row i is already exact
-                i = int(np.argmax(free))
-                continue
-            v = row / row[j]
-            u = c[:, j] - vt[:steps, j] @ ut[:steps]
-            uu, vv = float(u @ u), float(v @ v)
-            frob2 += 2.0 * float((ut[:steps] @ u) @ (vt[:steps] @ v)) + uu * vv
-            if steps == len(ut):
-                grow = min(steps, last - steps)
-                ut = np.concatenate((ut, np.empty((grow, m))))
-                vt = np.concatenate((vt, np.empty((grow, n))))
-            ut[steps], vt[steps] = u, v
-            steps += 1
-            i = int(np.argmax(np.where(free, np.abs(u), -1.0)))
-            if steps >= target and uu * vv <= ACA_STOP**2 * frob2:
-                break
-        qu, ru = np.linalg.qr(ut[:steps].T)
-        qv, rv = np.linalg.qr(vt[:steps].T)
-        w, s, zt = np.linalg.svd(ru @ rv.T)
-        r = int(np.count_nonzero(s > SINGULAR_CUTOFF * s[0]))
-        u = qu @ (w[:, :r] * s[:r])
-        v = qv @ zt[:r].T
-        diff = u @ v.T
-        diff -= c
-        err = max(float(diff.max()), -float(diff.min()))
-        if err <= bound:
-            return u, v, err, steps
-        if steps == last or not free.any():
-            return np.eye(m), c.T, 0.0, steps
-        target = min(2 * steps, last)
-
-
 def _pieces(a, b, y0):
     """Cut points of [a, b] toward y0 > b: each piece is as long as its
     distance to y0, so the lengths double away from the gap."""
@@ -389,67 +328,97 @@ def _lagrange(t, nodes):
     return basis
 
 
+def _chebyshev_pieces(t, t0, t1, tol):
+    """The pieces of the hull of the grid t cut toward t0 > t[-1]
+    (``_pieces``), as (a, b, nodes, bound): t[a:b] are the grid points in the
+    piece, and nodes are the Chebyshev points of the degree n that
+    ``_degree`` gives at tol for every point of [t0, t1], with its bound, or
+    t[a:b] itself with bound 0 if that is no more than n + 1 points.  A grid
+    of one point is one piece of its own.
+    """
+    if t.size == 1:
+        return [(0, 1, t, 0.0)]
+    cuts = _pieces(t[0], t[-1], t0)
+    ends = np.searchsorted(t, cuts, side="right")
+    ends[0] = 0
+    degrees = _degree(cuts[:-1], cuts[1:], t0, t1, tol)
+    pieces = []
+    for lo, hi, a, b, n, bound in zip(cuts, cuts[1:], ends, ends[1:], *degrees):
+        if b - a <= n + 1:
+            pieces.append((a, b, t[a:b], 0.0))
+            continue
+        nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n + 1) / n)
+        nodes[[0, -1]] = lo, hi
+        pieces.append((a, b, nodes, bound))
+    return pieces
+
+
 def _cross_factors(x, y):
     """Factors U, V of the cross block C between the grid x and the
     disjoint grid y to its right (entries ``_log_kernel(y - x)``), and a
     bound on every entry of U V' - C within the budget
     LOW_RANK_TOL * max(1, max|C|).
 
-    Only N << M rows of C are factored.  The hull of x is cut toward y
-    (``_pieces``); each piece gets the Chebyshev points of the degree
-    ``_degree`` gives at INTERPOLATION_SHARE of the budget, or keeps its own
-    grid points if it has no more, which makes its rows exact.  ``_aca``
-    factors the N x M block of the node rows to NODE_BLOCK_SHARE of the
-    budget over Lambda, the largest Lebesgue constant of the pieces measured
-    on the grid, and U is the Lagrange interpolant (``_lagrange``) of the
-    node factor, built piece by piece.  The bound is the sum of four terms,
-    each the largest over the pieces, with u the unit round-off:
+    The kernel is analytic in both variables, so both hulls are cut toward
+    the gap (``_chebyshev_pieces`` at INTERPOLATION_SHARE of the budget, y's
+    mirrored by t -> -t): N points of x and N' of y.  The left singular
+    vectors W of the N x N' core of kernel entries at node pairs, those above
+    SINGULAR_CUTOFF times the largest singular value, stand for the column
+    space of the N x M node block C_N of the x points against the grid y:
+    the node factor is W and V = C_N' W, so W V' = W W' C_N and y needs no
+    basis.  W V' is checked against C_N entry by entry to NODE_BLOCK_SHARE
+    of the budget over Lambda, the largest Lebesgue constant of the x pieces
+    measured on the grid; a block that fails is kept as C_N itself (W = I,
+    exact).  U is the Lagrange interpolant (``_lagrange``) of W, built piece
+    by piece.  The bound is the sum of four terms, each the largest over the
+    pieces, with u the unit round-off:
 
     - interpolation: (1 + Lambda) / 2 times the bound of ``_degree``
       (Lebesgue's inequality against the Chebyshev truncation, whose bound is
       half of it, so it holds for the rounded nodes);
-    - node block: Lambda times its certified entry error;
+    - node block: Lambda times the checked entry error of W V';
     - basis round-off: ((2n + 3) + (2n + 5) Lambda) u max(1, max|C|): the
       2n + 1 roundings of ell(t) scale a whole row, so they cost once, not
       Lambda times; the 2n + 3 of each weight and quotient, and 2u in each
       kernel entry, cost Lambda times;
     - product round-off: (n + 1) u max (|L| |A|) |V|' for U = L A, with L
-      the piece's basis and A its rows of the node factor.
+      the piece's basis and A its rows of W.
 
-    Returns U, V, the four terms and the ACA steps; raises AngelescoError if
-    their sum exceeds the budget.
+    Returns U, V, the four terms and the core's shape (N, N'); raises
+    AngelescoError if the terms sum above the budget.
     """
     # y - x is monotone in each node, so the extremes of |C| sit at corner
     # pairs.
     scale = max(1.0, float(np.abs(_log_kernel(y[[0, -1]] - x[[0, -1], None])).max()))
     budget, unit = LOW_RANK_TOL * scale, 0.5 * np.finfo(float).eps
-    if x.size == 1:  # a point has no pieces: its one row is the node block
-        u, v, err, steps = _aca(x, y, NODE_BLOCK_SHARE * budget)
-        return u, v, (0.0, err, 0.0, 0.0), steps
-    cuts = _pieces(x[0], x[-1], y[0])
-    ends = np.searchsorted(x, cuts, side="right")
-    ends[0] = 0
-    degrees = _degree(cuts[:-1], cuts[1:], y[0], y[-1], INTERPOLATION_SHARE * budget)
+    tol = INTERPOLATION_SHARE * budget
+    ynodes = -np.concatenate([p[2] for p in _chebyshev_pieces(-y[::-1], -x[-1], -x[0], tol)])
     pieces, interp, basis, lam = [], 0.0, 0.0, 1.0
-    for lo, hi, a, b, n, bound in zip(cuts, cuts[1:], ends, ends[1:], *degrees):
-        if b - a <= n + 1:
-            pieces.append((a, b, x[a:b], None))
+    for a, b, piece, bound in _chebyshev_pieces(x, y[0], y[-1], tol):
+        if bound == 0.0:  # the piece's own grid points: exact rows
+            pieces.append((a, b, piece, None))
             continue
-        nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n + 1) / n)
-        nodes[[0, -1]] = lo, hi
-        lag = _lagrange(x[a:b], nodes)
+        lag = _lagrange(x[a:b], piece)
         lam_p = float(np.abs(lag).sum(axis=1).max())
-        pieces.append((a, b, nodes, lag))
+        pieces.append((a, b, piece, lag))
         interp = max(interp, 0.5 * (1.0 + lam_p) * bound)
-        basis = max(basis, (2 * n + 3) + (2 * n + 5) * lam_p)
+        basis = max(basis, (2 * piece.size + 1) + (2 * piece.size + 3) * lam_p)
         lam = max(lam, lam_p)
     nodes = np.concatenate([piece[2] for piece in pieces])
-    un, v, err, steps = _aca(nodes, y, NODE_BLOCK_SHARE * budget / lam)
+    c = _log_kernel(y - nodes[:, None])
+    w, s, _ = np.linalg.svd(_log_kernel(ynodes - nodes[:, None]), full_matrices=False)
+    w = w[:, : np.count_nonzero(s > SINGULAR_CUTOFF * s[0])]
+    v = (w.T @ c).T
+    diff = w @ v.T
+    diff -= c
+    err = max(float(diff.max()), -float(diff.min()))
+    if err > NODE_BLOCK_SHARE * budget / lam:
+        w, v, err = np.eye(nodes.size), c.T, 0.0
     vmax = np.abs(v).max(axis=0)
     u = np.empty((x.size, v.shape[1]))
     product, k = 0.0, 0
     for a, b, piece, lag in pieces:
-        rows, k = un[k : k + piece.size], k + piece.size
+        rows, k = w[k : k + piece.size], k + piece.size
         if lag is None:
             u[a:b] = rows
             continue
@@ -461,7 +430,7 @@ def _cross_factors(x, y):
         raise AngelescoError(
             f"cross block not certified: bound {sum(terms):.3e} above {budget:.3e}"
         )
-    return u, v, terms, steps
+    return u, v, terms, (nodes.size, ynodes.size)
 
 
 class KernelOperator:
@@ -471,19 +440,22 @@ class KernelOperator:
     Entries come from ``_log_kernel``.  Self block i is the symmetric
     Toeplitz matrix with first column the entries at distances 0, h_i,
     2 h_i, ...; it is applied through the FFT of its 2M circulant embedding.
-    Cross block i<j, between two disjoint intervals, is analytic and kept as
-    low-rank factors U V': its N x M rows at Chebyshev points of interval i
-    are formed once and factored by adaptive cross approximation, checked
-    entry by entry (a node block ACA cannot certify is kept as itself), and
-    U is the Lagrange interpolant of the node factor (``_cross_factors``).
+    Cross block i<j, between two disjoint intervals, is analytic in both
+    variables and kept as low-rank factors U V': the SVD of its N x N' core
+    at Chebyshev points of both intervals gives the node factor W, its N x M
+    rows at the points of interval i are formed once and checked against
+    their projection W W' entry by entry (a node block that fails is kept as
+    itself), and U is the Lagrange interpolant of W (``_cross_factors``).
     No M x M array is formed and no M x M entry is computed.
 
     ``apply(w)`` gives the partial potentials at all nodes,
     u_i = T_i w_i + (1/2) sum_{j != i} C_ij w_j, for weights stacked by
     interval; ``energy_terms(w)`` gives w_i' T_i w_i and w_i' C_ij w_j.
-    ``certificates`` maps (i, j) to (rank, bound, ACA steps), the bound being
-    the four-term bound on every entry of U V' - C_ij, and ``columns[i]`` is
-    the first column of self block i.
+    ``certificates`` maps (i, j) to (rank, bound, N, N'), the bound being the
+    four-term bound on every entry of U V' - C_ij and N x N' the core's
+    shape: rank < N says the core compressed the block, rank == N that it
+    is kept at the size of its node block; ``columns[i]`` is the first
+    column of self block i.
     """
 
     def __init__(self, system, cells):
@@ -504,11 +476,11 @@ class KernelOperator:
         self.certificates = {}
         for i in range(self.p):
             for j in range(i + 1, self.p):
-                u, v, terms, steps = _cross_factors(uniform[i].nodes, uniform[j].nodes)
+                u, v, terms, core = _cross_factors(uniform[i].nodes, uniform[j].nodes)
                 u.setflags(write=False)
                 v.setflags(write=False)
                 self._factors[i, j] = (u, v)
-                self.certificates[i, j] = (u.shape[1], sum(terms), steps)
+                self.certificates[i, j] = (u.shape[1], sum(terms), *core)
 
     def _toeplitz(self, wb):
         m = self.cells

@@ -65,8 +65,9 @@ GAP_SYSTEMS = [
 ]
 
 # Kernels of perfbench eqm_sweep (seeds 25, 41 and 31) with a cross block
-# whose ACA factor fails its check after every node row: the block is kept
-# as the node block itself.  The masses are arbitrary; the kernel ignores them.
+# that adaptive cross approximation could not factor within its check after
+# every node row, so it was kept as the node block; the core's factor of
+# every block passes.  The masses are arbitrary; the kernel ignores them.
 EXACT_BLOCK_SYSTEMS = [
     (IntervalSystem(((-0.404648, 0.935929), (0.96137, 2.763458)), (0.5, 0.5)), 1600),
     (IntervalSystem(((-1.169631, -0.059535), (0.191153, 1.96488), (3.122894, 4.604347)),
@@ -75,13 +76,15 @@ EXACT_BLOCK_SYSTEMS = [
                     (0.3, 0.3, 0.4)), 800),
 ]
 
-DENSE_ERROR_CASES = [
-    pytest.param(system, cells, id=f"system{k}-{cells}")
-    for k, system in enumerate(GAP_SYSTEMS) for cells in (1, 2, 3, 64, 400, 1600)
-] + [
+EXACT_BLOCK_CASES = [
     pytest.param(system, cells, id=f"exact_block{k}-{cells}")
     for k, (system, cells) in enumerate(EXACT_BLOCK_SYSTEMS)
 ]
+
+DENSE_ERROR_CASES = [
+    pytest.param(system, cells, id=f"system{k}-{cells}")
+    for k, system in enumerate(GAP_SYSTEMS) for cells in (1, 2, 3, 64, 400, 1600)
+] + EXACT_BLOCK_CASES
 
 
 class TestKernel:
@@ -122,20 +125,22 @@ class TestKernelOperator:
             dense = dense_apply(system, cells, w)
             assert np.abs(kernel.apply(w) - dense).max() <= 1e-13 * np.abs(dense).max()
         assert len(kernel.certificates) == system.p * (system.p - 1) // 2
-        for rank, _, steps in kernel.certificates.values():
-            assert steps >= rank
+        for rank, _, n, _ in kernel.certificates.values():
+            assert rank <= n
 
     @pytest.mark.parametrize("cells", [64, 400])
     @pytest.mark.parametrize("system", OPERATOR_SYSTEMS[1:])
     def test_rank_matches_dense_svd(self, system, cells):
-        # The node rows keep the numerical rank of the whole block.
+        # The core keeps the numerical rank of the whole block, or one more
+        # at a near-tie with the cut-off: on system3-64, block (0, 1), the
+        # dense sigma_17 / sigma_1 is 8.8e-16 and the core's 1.0e-15.
         grids = VectorMeasure.uniform(system, cells)
         for i in range(system.p):
             for j in range(i + 1, system.p):
                 s = np.linalg.svd(kernel_matrix(grids[i], grids[j]), compute_uv=False)
-                u, v, terms, steps = _cross_factors(grids[i].nodes, grids[j].nodes)
-                assert u.shape[1] == np.count_nonzero(s > SINGULAR_CUTOFF * s[0])
-                assert steps >= u.shape[1]
+                u = _cross_factors(grids[i].nodes, grids[j].nodes)[0]
+                k = np.count_nonzero(s > SINGULAR_CUTOFF * s[0])
+                assert k <= u.shape[1] <= k + 1
 
     @pytest.mark.parametrize("system, cells", DENSE_ERROR_CASES)
     def test_bound_covers_the_dense_error(self, system, cells):
@@ -143,10 +148,7 @@ class TestKernelOperator:
         for i in range(system.p):
             for j in range(i + 1, system.p):
                 c = kernel_matrix(grids[i], grids[j])
-                u, v, terms, steps = _cross_factors(grids[i].nodes, grids[j].nodes)
-                # ACA takes a step per rank; the exact node block (no
-                # node-block error) has rank N and may take fewer.
-                assert terms[1] == 0.0 or steps >= u.shape[1]
+                u, v, terms, _ = _cross_factors(grids[i].nodes, grids[j].nodes)
                 exact = np.abs(u @ v.T - c).max()
                 assert exact <= sum(terms) <= LOW_RANK_TOL * max(1.0, np.abs(c).max())
 
@@ -173,37 +175,27 @@ class TestKernelOperator:
             p = (c @ f) / c.sum(axis=1)
             assert np.abs(p + np.log(y - t)).max() <= bound
 
-    def test_early_stop_steps_on_until_certified(self, monkeypatch):
+    def test_a_block_that_fails_its_check_is_the_node_block(self, monkeypatch):
+        monkeypatch.setattr(energy, "NODE_BLOCK_SHARE", 0.0)
         grids = VectorMeasure.uniform(OPERATOR_SYSTEMS[2], 400)
-        x, y = grids[0].nodes, grids[1].nodes
-        budget = LOW_RANK_TOL * max(1.0, np.abs(kernel_matrix(grids[0], grids[1])).max())
-        calls, plain_aca = [], energy._aca
+        c = kernel_matrix(grids[0], grids[1])
+        u, v, terms, (n, _) = _cross_factors(grids[0].nodes, grids[1].nodes)
+        assert u.shape[1] == n < grids[0].cells and terms[1] == 0.0
+        assert np.abs(u @ v.T - c).max() <= sum(terms)
 
-        def recorded_aca(nodes, y, bound):
-            calls.append((nodes, bound, plain_aca(nodes, y, bound)))
-            return calls[-1][2]
+    @pytest.mark.parametrize("system, cells", EXACT_BLOCK_CASES)
+    def test_the_core_factors_every_census_block(self, system, cells):
+        for rank, _, n, _ in system_kernel(system, cells).certificates.values():
+            assert rank < n
 
-        monkeypatch.setattr(energy, "ACA_STOP", 1e-3)
-        monkeypatch.setattr(energy, "_aca", recorded_aca)
-        u, v, terms, steps = _cross_factors(x, y)
-        ((nodes, bound, (un, _, error, _)),) = calls
-        # Under no bound the first check passes, so this is the factor the
-        # loose stop left: it fails the real bound.
-        first, _, first_error, first_steps = plain_aca(nodes, y, np.inf)
-        assert first_error > bound
-        assert steps > first_steps and un.shape[1] > first.shape[1]
-        assert 0.0 < error <= bound < budget  # certified ACA, not the node block
-        assert un.shape[1] < nodes.size and sum(terms) <= budget
-        monkeypatch.undo()
-        assert u.shape[1] == _cross_factors(x, y)[0].shape[1]
-
-    def test_a_block_aca_cannot_certify_is_the_node_block(self):
-        grids = VectorMeasure.uniform(OPERATOR_SYSTEMS[1], 400)
-        x, y = grids[0].nodes[::25], grids[1].nodes
-        u, v, err, steps = energy._aca(x, y, 0.0)
-        c = energy._log_kernel(y - x[:, None])
-        assert err == 0.0 and u.shape == (x.size, x.size)
-        assert np.array_equal(u @ v.T, c)
+    @pytest.mark.parametrize("system", GAP_SYSTEMS)
+    def test_the_mirrored_block_has_the_transposed_core(self, system):
+        grids = VectorMeasure.uniform(system, 400)
+        for i in range(system.p):
+            for j in range(i + 1, system.p):
+                x, y = grids[i].nodes, grids[j].nodes
+                n, n_y = _cross_factors(x, y)[3]
+                assert _cross_factors(-y[::-1], -x[::-1])[3] == (n_y, n)
 
     def test_every_kernel_takes_its_entries_from_one_rule(self, monkeypatch):
         # Shift every entry by 0.25: the structured operator, the dense
