@@ -7,30 +7,22 @@ on a three-interval layout with gaps 0.01, at M = 400, 800, 1600, 3200 cells
 per interval:
 
 - ``assembly_s``: ``energy.system_kernel`` on an empty cache, with
-  ``cross_s`` (``energy._cross_factors``), and within it ``aca_s`` (the
-  adaptive cross approximation of the node block with its recompression and
-  entrywise check, ``energy._aca``; null on a tree without it, which factors
-  a Chebyshev core instead), summed over the cross blocks and also given per
-  block;
+  ``cross_s`` (``energy._cross_factors``) summed over the cross blocks and
+  also given per block;
 - ``apply_s``: one kernel apply (partial potentials at all pM nodes), the
   median of 21 after a warm-up;
 - ``solve_s``: ``solve_equilibrium`` on an empty cache, assembly included,
   with its iteration count, energy, kernel applies (``KernelOperator.apply``
-  counted), ``trials_per_iteration`` = (applies - 1) / iterations (the
-  line-search trials per iteration of a tree that solves by projected
-  gradient), and, on a tree with the active-set solver, its outer
-  ``rounds`` and its ``pcg_steps`` (``equilibrium._pcg`` counted; null on
-  a tree without it);
-- ``certificates``: per low-rank cross block, its rank, the ``bound`` its
-  certificate reports, ACA ``steps`` (null on a tree without ACA),
-  ``node_rows`` (the N rows of the node block: the rows ACA factored, or
-  the core's rows, read from a certificate (rank, bound, N, N')) and
-  ``core_columns`` (the core's N' columns; null on a tree with ACA), the
-  bound's four ``terms``, the ``budget`` LOW_RANK_TOL * max(1, max|C|), the
-  ``realized`` largest entry error of U V' against the whole block (computed
-  after assembly on all M rows, 64 at a time, with entries -log(y - x) taken
-  here, not from the program), and ``bound_of_budget`` and
-  ``realized_of_budget``.
+  counted), its outer active-set ``rounds`` and its ``pcg_steps``
+  (``equilibrium._pcg`` counted);
+- ``certificates``: per low-rank cross block, read from its certificate
+  (rank, bound, N, N'): its rank, the ``bound``, ``node_rows`` (the core's
+  N rows, the rows of the node block) and ``core_columns`` (the core's N'
+  columns), the bound's four ``terms``, the ``budget`` LOW_RANK_TOL *
+  max(1, max|C|), the ``realized`` largest entry error of U V' against the
+  whole block (computed after assembly on all M rows, 64 at a time, with
+  entries -log(y - x) taken here, not from the program), and
+  ``bound_of_budget`` and ``realized_of_budget``.
 
 ``perfbench_blocks`` assembles, with the same records, the kernel of every
 system with two or more intervals that seeds 1-5 of perfbench's
@@ -42,9 +34,10 @@ ratios; ``worst_block`` is the largest ratio over every block of a tree.
 
 ``census_kernels`` assembles, each on an empty cache, the 18 kernels of
 perfbench ``eqm_sweep`` seeds 1-130 on which a cross block once raised
-because ACA used every node row and its check still failed.  Per kernel it
-records ``assembles`` (true, or the error text), and per cross block the
-``ranks``, ``node_rows`` (rank < N: the block is compressed),
+because the adaptive cross approximation that factored node blocks before
+the Chebyshev core used every node row and its check still failed.  Per
+kernel it records ``assembles`` (true, or the error text), and per cross
+block the ``ranks``, ``node_rows`` (rank < N: the block is compressed),
 ``bound_of_budget`` and ``realized_of_budget`` (null where it does not
 assemble); ``census_assembled`` counts the kernels that assemble, per tree.
 
@@ -170,7 +163,7 @@ def measure(src):
         return plain_apply(self, w)
 
     pcg_steps = [0]
-    plain_pcg = getattr(equilibrium, "_pcg", None)
+    plain_pcg = equilibrium._pcg
 
     def counted_pcg(*args):
         out = plain_pcg(*args)
@@ -182,8 +175,7 @@ def measure(src):
         system_kernel.cache_clear()
         applies[0] = pcg_steps[0] = 0
         energy.KernelOperator.apply = counted_apply
-        if plain_pcg:
-            equilibrium._pcg = counted_pcg
+        equilibrium._pcg = counted_pcg
         t0 = time.perf_counter()
         try:
             sol, capped = solve_equilibrium(system, cells=cells, **kwargs), False
@@ -192,21 +184,15 @@ def measure(src):
         finally:
             seconds = time.perf_counter() - t0
             energy.KernelOperator.apply = plain_apply
-            if plain_pcg:
-                equilibrium._pcg = plain_pcg
+            equilibrium._pcg = plain_pcg
         system_kernel.cache_clear()
-        n = applies[0]
         return {
             "solve_s": seconds, "iterations": sol.iterations, "capped": capped,
             "kkt_residual": sol.kkt_residual, "energy": sol.energy.total,
-            "applies": n,
-            "trials_per_iteration": (n - 1) / sol.iterations if n and sol.iterations else None,
-            "rounds": getattr(sol, "rounds", None),
-            "pcg_steps": pcg_steps[0] if plain_pcg else None,
+            "applies": applies[0], "rounds": sol.rounds, "pcg_steps": pcg_steps[0],
         }
 
     factors = energy._cross_factors
-    node_aca = getattr(energy, "_aca", None)  # None on a tree that factors a core
 
     def dense_error(x, y, u, v):
         """max |U V' - C| over the cross block C = -log(y - x), 64 rows at a time."""
@@ -218,42 +204,25 @@ def measure(src):
 
     def assemble(system, m):
         """system_kernel on an empty cache, with one record per cross block:
-        its times, node rows N, bound, the bound's four terms and, computed
-        after assembly, the realized dense error and the budget."""
+        its time, the bound's four terms and, computed after assembly, the
+        realized dense error and the budget."""
         system_kernel.cache_clear()
         blocks = []
-        clock = {"aca": 0.0, "n": None}
-
-        def timed_aca(x, *args):
-            t0 = time.perf_counter()
-            try:
-                return node_aca(x, *args)
-            finally:
-                clock["aca"] += time.perf_counter() - t0
-                clock["n"] = x.size
 
         def timed_factors(x, y):
-            clock["aca"] = 0.0
             t0 = time.perf_counter()
             out = factors(x, y)
-            blocks.append({
-                "cross_s": time.perf_counter() - t0,
-                "aca_s": clock["aca"] if node_aca else None,
-                "node_rows": clock["n"], "grids": (x, y), "terms": list(out[2]),
-            })
+            blocks.append({"cross_s": time.perf_counter() - t0, "grids": (x, y),
+                           "terms": list(out[2])})
             return out
 
         energy._cross_factors = timed_factors
-        if node_aca:
-            energy._aca = timed_aca
         try:
             t0 = time.perf_counter()
             kernel = system_kernel(system, m)
             seconds = time.perf_counter() - t0
         finally:
             energy._cross_factors = factors
-            if node_aca:
-                energy._aca = node_aca
         for block, (u, v) in zip(blocks, kernel._factors.values()):
             x, y = block.pop("grids")
             corners = energy._log_kernel(y[[0, -1]] - x[[0, -1], None])
@@ -262,14 +231,11 @@ def measure(src):
         return kernel, seconds, blocks
 
     def certificate(cert, block):
-        """One block's record from its certificate: (rank, bound, ACA steps)
-        on a tree with ACA, (rank, bound, N, N') on one without."""
-        rank, bound, *rest = cert
-        if not node_aca:
-            block["node_rows"] = rest[0]
+        """One block's record from its certificate (rank, bound, N, N')."""
+        rank, bound, node_rows, core_columns = cert
         return {
-            "rank": rank, "bound": bound, "steps": rest[0] if node_aca else None,
-            "core_columns": None if node_aca else rest[1],
+            "rank": rank, "bound": bound, "node_rows": node_rows,
+            "core_columns": core_columns,
             "terms": dict(zip(TERMS, block.pop("terms"))), **block,
             "bound_of_budget": bound / block["budget"],
             "realized_of_budget": block["realized"] / block["budget"],
@@ -296,7 +262,6 @@ def measure(src):
             out["%s_M%d" % (name, m)] = {
                 "assembly_s": assembly,
                 "cross_s": sum(b["cross_s"] for b in blocks),
-                "aca_s": sum(b["aca_s"] for b in blocks) if node_aca else None,
                 "apply_s": statistics.median(ticks),
                 **solve(system, m), "certificates": certificates,
             }
@@ -397,7 +362,7 @@ if __name__ == "__main__":
     _driver.main(
         measure,
         "equilibrium kernel assembly, one apply, solve time, iterations, applies, "
-        "trials per iteration, active-set rounds and PCG steps; partial-support "
+        "active-set rounds and PCG steps; partial-support "
         "and tight-tolerance solves; cross-block certificates; "
         "three grid-400 solves quiet and beside a busy process; bound and "
         "realized error of every cross block, here, in perfbench kernels and "

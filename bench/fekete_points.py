@@ -17,8 +17,8 @@ One measurement records
 
 Every ``fekete_points`` row also records ``evaluations``, the calls of the
 ascent's exact weight (counted at ``_Ascent.value``, so both trees count
-alike), and ``newton_steps`` from the result (null where a tree does not
-report it).  Both are deterministic, so the driver's repeat check pins them.
+alike), and ``newton_steps`` from the result.  Both are deterministic, so
+the driver's repeat check pins them.
 
 The driver and the report layout are described in ``_driver.py``.
 """
@@ -54,7 +54,7 @@ def measure(src):
         res = fekete_points(system, MultiIndex(counts), field, n_starts=n_starts, seed=seed)
         out[key] = {"s": time.perf_counter() - t0, "log_weight": res.log_boltzmann,
                     "certified": res.coordinatewise_optimal, "evaluations": calls[0],
-                    "newton_steps": getattr(res, "newton_steps", None)}
+                    "newton_steps": res.newton_steps}
 
     two = IntervalSystem(((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5))
     fekete_points(two, MultiIndex((2, 2)), n_starts=1, seed=0)  # first-call costs

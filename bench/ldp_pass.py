@@ -8,16 +8,15 @@ One measurement records
   (the largest |lhs - rhs| of ``field_shift_identity``) over 100 uniformly
   random configurations, seed 1, under quadratic(scale 0.25), on p = 1, 2, 3
   intervals, the index cycling over steps 1-4 of the default proportional
-  sequence (p, 2p, 3p, 4p points).  A tree with ``ldp.field_shift_worst``
-  runs it; an older tree runs the loop of ``random_configuration`` and
-  ``field_shift_identity`` it replaces.  The median time of 21 calls after
-  one, and ``worst`` as a hex string;
+  sequence (p, 2p, 3p, 4p points), by ``ldp.field_shift_worst``.  The median
+  time of 21 calls after one, and ``worst`` as a hex string;
 - ``cmd_ldp``: the wall time of ``angelesco ldp`` on configs/two_interval.json
   (the median of five calls after one, in-process) and the md5 of each
   output file;
 - ``write_csv``: ``core.write_csv`` on 3,200 rows shaped like ``eqm.csv``
-  (an int and three floats), the median of 11 calls after one, and the md5
-  of the file.
+  (an int column and three float columns), the median of 11 calls after one,
+  and the md5 of the file.  A tree whose ``write_csv`` still takes ``rows``
+  gets the same values as row tuples.
 
 The check fails unless both trees give the same ``worst`` bits and the same
 file digests.  The driver and the report layout are described in
@@ -25,6 +24,7 @@ file digests.  The driver and the report layout are described in
 """
 
 import hashlib
+import inspect
 import io
 import os
 import statistics
@@ -72,15 +72,7 @@ def measure(src):
         field = ExternalField.quadratic(p, scale=0.25)
 
         def check():
-            rng = np.random.default_rng(1)
-            if hasattr(ldp, "field_shift_worst"):
-                return ldp.field_shift_worst(system, indices, field, 100, rng)
-            worst = 0.0
-            for j in range(100):
-                X = ldp.random_configuration(system, indices[j % len(indices)], rng)
-                lhs, rhs = ldp.field_shift_identity(X, field)
-                worst = max(worst, abs(lhs - rhs))
-            return worst
+            return ldp.field_shift_worst(system, indices, field, 100, np.random.default_rng(1))
 
         out["shift_p%d" % p] = {"s": median_time(check, 21), "worst": check().hex()}
 
@@ -92,11 +84,12 @@ def measure(src):
                                           for name in sorted(os.listdir(tmp))}}
 
         rng = np.random.default_rng(0)
-        x, w, rho = (rng.random(3200).tolist() for _ in range(3))
-        rows = [(k // 1600, a, b, c) for k, (a, b, c) in enumerate(zip(x, w, rho))]
+        columns = (np.arange(3200) // 1600, *rng.random((3, 3200)))
+        if "rows" in inspect.signature(write_csv).parameters:
+            columns = list(zip(*(c.tolist() for c in columns)))
         path = os.path.join(tmp, "eqm.csv")
         header = ("interval_index", "node", "weight", "density")
-        s = median_time(lambda: write_csv(path, header, rows), 11)
+        s = median_time(lambda: write_csv(path, header, columns), 11)
         out["write_csv"] = {"s": s, "md5": digest(path)}
     return out
 

@@ -334,34 +334,45 @@ def config_digest(cfg):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def write_manifest(out_dir, command, cfg, seed, files):
+def write_manifest(out_dir, command, cfg, names):
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "package_version": __version__,
-        "seed": seed,
+        "seed": cfg["seed"],
         "config_sha256": config_digest(cfg),
         "config": cfg,
-        "outputs": sorted(Path(f).name for f in files),
+        "outputs": sorted(names),
     }
     return _write_json(Path(out_dir) / ("%s.manifest.json" % command), manifest)
 
 
 # ---------------------------------------------------------------- commands
 
+# Each command returns its files by name, in the order ``run`` writes and
+# prints them: a CSV as (header, columns), a report as its JSON payload.
 
-def cmd_eqm(spec, sec, seed, cells, out_dir):
+
+def _positions(counts, copies=1):
+    """The block and index columns of ``copies`` stacked configurations whose
+    blocks hold ``counts`` points."""
+    block = np.repeat(np.arange(len(counts)), counts)
+    index = np.concatenate([np.arange(n) for n in counts])
+    return np.tile(block, copies), np.tile(index, copies)
+
+
+def cmd_eqm(spec, sec, seed, cells):
     sol = solve_equilibrium(spec.system, field=spec.field, cells=cells, **sec)
-    csv_path = _write_csv(
-        Path(out_dir) / "eqm.csv",
-        ("interval_index", "node", "weight", "density"),
-        ((i, x, w, rho) for i, g in enumerate(sol.measure)
-         for x, w, rho in zip(g.nodes.tolist(), g.weights.tolist(),
-                              g.density().tolist())),
-    )
-    report = _write_json(
-        Path(out_dir) / "eqm.report.json",
-        {
+    sizes = [g.nodes.size for g in sol.measure]
+    return {
+        "eqm.csv": (
+            ("interval_index", "node", "weight", "density"),
+            (np.repeat(np.arange(len(sizes)), sizes),
+             np.concatenate([g.nodes for g in sol.measure]),
+             np.concatenate([g.weights for g in sol.measure]),
+             np.concatenate([g.density() for g in sol.measure])),
+        ),
+        "eqm.report.json": {
             "energy": sol.energy.total,
             "self_terms": list(sol.energy.self_terms),
             "cross_terms": sol.energy.cross_terms,
@@ -372,32 +383,26 @@ def cmd_eqm(spec, sec, seed, cells, out_dir):
             "applies": sol.applies,
             "rounds": sol.rounds,
         },
-    )
-    return [csv_path, report]
+    }
 
 
-def cmd_fekete(spec, sec, seed, cells, out_dir):
+def cmd_fekete(spec, sec, seed, cells):
     rows, results = fekete_asymptotics(
         spec.system, spec.seq, field=spec.field, cells=cells, seed=seed, **sec
     )
-    trend_path = _write_csv(
-        Path(out_dir) / "fekete.csv",
-        ("d", "total", "log_weight", "normalized", "distance"),
-        [
-            (r.d, r.total, res.log_boltzmann, r.normalized, r.distance_to_equilibrium)
-            for r, res in zip(rows, results)
-        ],
-    )
     best = results[-1]
-    config_path = _write_csv(
-        Path(out_dir) / "fekete_config.csv",
-        ("block", "index", "coordinate"),
-        ((i, k, x) for i, b in enumerate(best.configuration.blocks)
-         for k, x in enumerate(b.tolist())),
-    )
-    report = _write_json(
-        Path(out_dir) / "fekete.report.json",
-        {
+    return {
+        "fekete.csv": (
+            ("d", "total", "log_weight", "normalized", "distance"),
+            ([r.d for r in rows], [r.total for r in rows],
+             [res.log_boltzmann for res in results], [r.normalized for r in rows],
+             [r.distance_to_equilibrium for r in rows]),
+        ),
+        "fekete_config.csv": (
+            ("block", "index", "coordinate"),
+            (*_positions(best.configuration.index.counts), best.configuration.flatten()),
+        ),
+        "fekete.report.json": {
             "d_max": sec["d_max"],
             "log_weight": best.log_boltzmann,
             "normalized": best.normalized,
@@ -406,126 +411,109 @@ def cmd_fekete(spec, sec, seed, cells, out_dir):
             "evaluations": best.evaluations,
             "newton_steps": best.newton_steps,
         },
-    )
-    return [trend_path, config_path, report]
+    }
 
 
-def cmd_sample(spec, sec, seed, cells, out_dir):
+def cmd_sample(spec, sec, seed, cells):
     batch = gibbs_sample(spec, seed=seed, **sec)
-    csv_path = _write_csv(
-        Path(out_dir) / "sample.csv",
-        ("sample_id", "block", "index", "value"),
-        ((s, i, k, x) for s, X in enumerate(batch.configurations)
-         for i, b in enumerate(X.blocks) for k, x in enumerate(b.tolist())),
-    )
-    report = _write_json(
-        Path(out_dir) / "sample.report.json",
-        {
+    samples, counts = len(batch.configurations), batch.index.counts
+    return {
+        "sample.csv": (
+            ("sample_id", "block", "index", "value"),
+            (np.repeat(np.arange(samples), sum(counts)), *_positions(counts, samples),
+             np.ravel([X.flatten() for X in batch.configurations])),
+        ),
+        "sample.report.json": {
             "d": batch.d,
-            "index": list(batch.index.counts),
-            "n_samples": len(batch.configurations),
+            "index": list(counts),
+            "n_samples": samples,
             "burn_in": batch.burn_in,
             "thin": batch.thin,
         },
-    )
-    return [csv_path, report]
+    }
 
 
-def cmd_mop(spec, sec, seed, cells, out_dir):
+def cmd_mop(spec, sec, seed, cells):
     d = sec["d"]
     poly = solve_mop(spec, spec.index(d))
     rows = _identity_rows(spec, d, poly, sec["z_points"], mode=sec["mode"], seed=seed)
-    csv_path = _write_csv(
-        Path(out_dir) / "mop.csv",
-        ("z", "polynomial", "expectation", "stderr"),
-        rows,
-    )
-    report = _write_json(
-        Path(out_dir) / "mop.report.json",
-        {
+    return {
+        # Every entry is a float; the reshape keeps four columns of no rows.
+        "mop.csv": (
+            ("z", "polynomial", "expectation", "stderr"), np.reshape(rows, (-1, 4)).T
+        ),
+        "mop.report.json": {
             "d": d,
             "index": list(spec.index(d).counts),
             "degree": poly.degree,
             "coefficients": list(poly.coefficients),
         },
-    )
-    return [csv_path, report]
+    }
 
 
-def cmd_zconst(spec, sec, seed, cells, out_dir):
+def cmd_zconst(spec, sec, seed, cells):
     d_list, epsilon = sec["d_list"], sec["epsilon"]
-    rows = []
-    for d in d_list:
-        m = spec.index(d)
-        log_z = _log_partition(spec, d)
+    indices = [spec.index(d) for d in d_list]
+    log_z, lower, upper = [], [], []
+    for d, m in zip(d_list, indices):
+        log_z.append(_log_partition(spec, d))
         fek = fekete_points(
             spec.system, m, field=spec.field, n_starts=sec["n_starts"], seed=seed
         )
         lo, up = partition_function_bounds(spec, d, fek, epsilon=epsilon)
-        rows.append((d, m.total, log_z, _log_sector_factor(m), lo, up))
-    csv_path = _write_csv(
-        Path(out_dir) / "zconst.csv",
-        ("d", "total", "log_z", "log_sector_factor", "lower", "upper"),
-        rows,
-    )
-    report = _write_json(
-        Path(out_dir) / "zconst.report.json",
-        {"epsilon": epsilon, "d_list": d_list},
-    )
-    return [csv_path, report]
+        lower.append(lo)
+        upper.append(up)
+    return {
+        "zconst.csv": (
+            ("d", "total", "log_z", "log_sector_factor", "lower", "upper"),
+            (d_list, [m.total for m in indices], log_z,
+             [_log_sector_factor(m) for m in indices], lower, upper),
+        ),
+        "zconst.report.json": {"epsilon": epsilon, "d_list": d_list},
+    }
 
 
-def cmd_ldp(spec, sec, seed, cells, out_dir):
+def cmd_ldp(spec, sec, seed, cells):
     system, field, n_configs = spec.system, spec.field, sec["n_configs"]
     eq = solve_equilibrium(system, field=field, cells=cells)
     rate = rate_function(eq.measure, field=field, equilibrium=eq)
     probe = quantile_energy_probe(eq.measure, sec["n_list"], field=field)
-    rows = [("probe", n, v) for n, v in probe]
     shift_field = (ExternalField.quadratic(system.p, scale=0.25) if field.is_zero
                    else field)
     indices = [spec.index(d) for d in range(1, min(4, spec.seq.length or 4) + 1)]
     worst = field_shift_worst(
         system, indices, shift_field, n_configs, np.random.default_rng(seed)
     )
-    rows.append(("field_shift_worst", n_configs, worst))
-    rows.append(("rate_equilibrium", 0, rate.rate))
-    csv_path = _write_csv(
-        Path(out_dir) / "ldp.csv", ("kind", "n", "value"), rows
-    )
-    report = _write_json(
-        Path(out_dir) / "ldp.report.json",
-        {
+    return {
+        "ldp.csv": (
+            ("kind", "n", "value"),
+            (["probe"] * len(probe) + ["field_shift_worst", "rate_equilibrium"],
+             [n for n, _ in probe] + [n_configs, 0],
+             [v for _, v in probe] + [worst, rate.rate]),
+        ),
+        "ldp.report.json": {
             "rate_equilibrium": rate.rate,
             "equilibrium_energy": rate.equilibrium_energy,
             "field_shift_worst": worst,
         },
-    )
-    return [csv_path, report]
+    }
 
 
-def cmd_bm(spec, sec, seed, cells, out_dir):
-    rows = []
-    for i, tau in enumerate(spec.base):
-        for n in sec["degrees"]:
-            est = bm_constant(tau, n)
-            rows.append((i, n, est.beta, est.root))
-            if est.saturated:
-                print("bm: interval %d degree %d: beta %.6g is near the grid's cap; "
-                      "a finer grid is needed" % (i, n, est.beta), file=sys.stderr)
-    csv_path = _write_csv(
-        Path(out_dir) / "bm.csv",
-        ("interval_index", "degree", "beta", "root"),
-        rows,
-    )
-    return [csv_path]
-
-
-def cmd_verify(out_dir):
-    # Imported here, not at the top: without a bytecode cache, compiling
-    # acceptance.py adds about 10 ms to the start of every other command.
-    from .acceptance import run_all
-
-    return all(r.passed for r in run_all(report_path=Path(out_dir) / "report.json"))
+def cmd_bm(spec, sec, seed, cells):
+    degrees = sec["degrees"]
+    interval = np.repeat(np.arange(len(spec.base)), len(degrees))
+    estimates = [bm_constant(tau, n) for tau in spec.base for n in degrees]
+    for i, est in zip(interval.tolist(), estimates):
+        if est.saturated:
+            print("bm: interval %d degree %d: beta %.6g is near the grid's cap; "
+                  "a finer grid is needed" % (i, est.degree, est.beta), file=sys.stderr)
+    return {
+        "bm.csv": (
+            ("interval_index", "degree", "beta", "root"),
+            (interval, degrees * len(spec.base), [e.beta for e in estimates],
+             [e.root for e in estimates]),
+        ),
+    }
 
 
 _COMMANDS = {
@@ -538,25 +526,22 @@ _COMMANDS = {
     "bm": cmd_bm,
 }
 
-
-def _parser():
-    ap = argparse.ArgumentParser(
-        prog="angelesco",
-        description="Equilibrium measures, extremal configurations, and "
-        "sampling for systems of disjoint intervals.",
-    )
-    ap.add_argument("command", choices=sorted(_COMMANDS) + ["verify"])
-    ap.add_argument("--config", help="JSON experiment description")
-    ap.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    ap.add_argument("--grid", type=int, default=None, help="cells per interval")
-    return ap
+_PARSER = argparse.ArgumentParser(
+    prog="angelesco",
+    description="Equilibrium measures, extremal configurations, and "
+    "sampling for systems of disjoint intervals.",
+)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS) + ["verify"])
+_PARSER.add_argument("--config", help="JSON experiment description")
+_PARSER.add_argument("--seed", type=int, default=None, help="RNG seed override")
+_PARSER.add_argument("--out", default=".", help="output directory")
+_PARSER.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+_PARSER.add_argument("--grid", type=int, default=None, help="cells per interval")
 
 
 def run(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     out_dir = Path(args.out)
@@ -564,7 +549,12 @@ def run(argv=None):
 
     try:
         if args.command == "verify":
-            return 0 if cmd_verify(out_dir) else 3
+            # Imported here, not at the top: without a bytecode cache, compiling
+            # acceptance.py adds about 10 ms to the start of every other command.
+            from .acceptance import run_all
+
+            results = run_all(report_path=out_dir / "report.json")
+            return 0 if all(r.passed for r in results) else 3
         if not args.config:
             raise ConfigError("--config is required for %s" % args.command)
         cfg = load_config(args.config)
@@ -579,8 +569,10 @@ def run(argv=None):
         spec = build_spec(cfg, cfg["grid"])
         sec = _section(cfg, args.command)
         _within(spec, sec)
-        files = _COMMANDS[args.command](spec, sec, cfg["seed"], cfg["grid"], out_dir)
-        files.append(write_manifest(out_dir, args.command, cfg, cfg["seed"], files))
+        outputs = _COMMANDS[args.command](spec, sec, cfg["seed"], cfg["grid"])
+        files = [_write_csv(out_dir / name, *data) if name.endswith(".csv")
+                 else _write_json(out_dir / name, data) for name, data in outputs.items()]
+        files.append(write_manifest(out_dir, args.command, cfg, outputs))
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

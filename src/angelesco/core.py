@@ -10,7 +10,6 @@ writer of each output file kind.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -525,20 +524,25 @@ def weak_star_distance(mu, nu):
     return worst
 
 
-def write_csv(path, header, rows):
-    """Header line, then one line per row: floats as %.17g, all else str.
+def write_csv(path, header, columns):
+    """Header line, then one line per row of ``columns`` (arrays or
+    sequences of one length): a column whose first entry is a float as
+    %.17g, any other column as str.
 
-    Consecutive rows with one sequence of value types (``%.17g`` for float
-    and its subclasses, ``%s`` else) are formatted together, up to
-    ``CSV_ROWS`` at a time, by one ``%`` on their row format repeated.
+    Lines are formatted ``CSV_ROWS`` at a time, by one ``%`` on the row
+    format repeated.
     """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    fmt = ",".join("%.17g" if c and isinstance(c[0], float) else "%s" for c in cols)
+    width, step = len(cols), len(cols) * CSV_ROWS
+    values = [None] * (width * len(cols[0]))  # row-major
+    for j, c in enumerate(cols):
+        values[j::width] = c
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        runs = itertools.groupby(map(tuple, rows), key=lambda row: tuple(map(type, row)))
-        for types, run in runs:
-            fmt = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
-            while chunk := list(itertools.islice(run, CSV_ROWS)):
-                fh.write((fmt * len(chunk)) % tuple(itertools.chain.from_iterable(chunk)))
+        for a in range(0, len(values), step):
+            chunk = tuple(values[a : a + step])
+            fh.write((fmt + "\n") * (len(chunk) // width) % chunk)
     return str(path)
 
 

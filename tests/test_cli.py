@@ -382,6 +382,21 @@ def test_bm_names_saturated_rows_on_stderr(tmp_path, capsys):
     assert len(rows) == 1 + 4
 
 
+@pytest.mark.parametrize(
+    "command, section, header",
+    [("sample", {"n_samples": 0}, "sample_id,block,index,value"),
+     ("bm", {"degrees": []}, "interval_index,degree,beta,root"),
+     ("mop", {"z_points": []}, "z,polynomial,expectation,stderr"),
+     ("zconst", {"d_list": []}, "d,total,log_z,log_sector_factor,lower,upper")],
+    ids=["sample", "bm", "mop", "zconst"],
+)
+def test_a_csv_of_no_rows_is_its_header(tmp_path, command, section, header):
+    cfg = write_config(tmp_path, **{command: section})
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / ("%s.csv" % command)).read_text() == header + "\n"
+
+
 def test_power_base_off_positive_axis_exits_1(tmp_path, capsys):
     # power(k) is x**k, which is negative on [-2, -1] for odd k.
     cfg = write_config(
@@ -423,7 +438,7 @@ def test_unexpected_library_error_exits_2(tmp_path, monkeypatch, capsys, error):
     # ValueError, and so is any check inside the library.
     import angelesco.cli as cli
 
-    def broken(spec, sec, seed, cells, out_dir):
+    def broken(spec, sec, seed, cells):
         raise error("inside the library")
 
     monkeypatch.setitem(cli._COMMANDS, "eqm", broken)

@@ -14,7 +14,7 @@ from angelesco import (
     sort_into_blocks,
     weak_star_distance,
 )
-from angelesco.core import DEFAULT_CELLS, write_csv, write_json
+from angelesco.core import CSV_ROWS, DEFAULT_CELLS, write_csv, write_json
 from angelesco.errors import (
     AngelescoError,
     CoordinateOutsideSystem,
@@ -336,30 +336,38 @@ def test_error_hierarchy():
 def test_write_csv_text(tmp_path):
     path = write_csv(
         tmp_path / "t.csv",
-        ("a", "b"),
-        [(3, 0.1), (np.float64(0.1), -np.inf), (5e-324, "x")],
+        ("a", "b", "c", "d"),
+        ([3, -2**70, np.int64(5)], [0.1, -np.inf, 5e-324],
+         np.array([np.float64(0.1), np.nan, -0.0]), ["x", "y", "z"]),
     )
     assert path == str(tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_text() == (
-        "a,b\n3,0.10000000000000001\n0.10000000000000001,-inf\n"
-        "4.9406564584124654e-324,x\n"
+        "a,b,c,d\n3,0.10000000000000001,0.10000000000000001,x\n"
+        "-1180591620717411303424,-inf,nan,y\n5,4.9406564584124654e-324,-0,z\n"
     )
 
 
 def test_write_csv_matches_per_value_formatting(tmp_path):
+    # One type per column, over more rows than one % formats.
     rng = np.random.default_rng(3)
-    values = [7, -2**70, True, 0.1, -1e300, float("nan"), np.float64(1 / 3),
-              np.float64(-0.0), "abc", np.int64(5), np.float32(0.1)]
-    rows = [tuple(values[k] for k in rng.integers(len(values), size=4))
-            for _ in range(200)]
-    rows += [(1, 0.5, "x"), (np.float64(2.5), 3, 1e-320)]
-    write_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), rows)
+    pools = [
+        [0.1, -1e300, float("nan"), np.float64(1 / 3), np.float64(-0.0), 5e-324,
+         1e-320, -np.inf, 2.5],
+        [7, -2**70, 1, 3],
+        [np.int64(5), np.int64(-1)],
+        [True, False],
+        ["abc", "x"],
+        [np.float32(0.1), np.float32(0.5)],
+    ]
+    size = CSV_ROWS + 3
+    columns = [[pool[k] for k in rng.integers(len(pool), size=size)] for pool in pools]
+    columns += [rng.standard_normal(size), rng.integers(-9, 9, size=size)]
+    write_csv(tmp_path / "t.csv", tuple("abcdefgh"), columns)
     per_value = "".join(
-        ",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row)
-        + "\n"
-        for row in rows
+        ",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in zip(*columns)
     )
-    assert (tmp_path / "t.csv").read_text() == "a,b,c,d\n" + per_value
+    assert (tmp_path / "t.csv").read_text() == "a,b,c,d,e,f,g,h\n" + per_value
 
 
 def test_write_json_text(tmp_path):
