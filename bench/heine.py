@@ -22,8 +22,9 @@ One measurement records:
 The parent process computes, per case and z, each tree's relative error
 against P(z) (the discretization of the grid the check sums over, where it
 is not P's own, or the Gibbs sampling error) and the relative difference
-between the two trees' quadrature estimates.  The driver and the report
-layout are described in ``_driver.py``.
+between the two trees' quadrature estimates.  The check fails unless both
+trees give the same bits of P(z), of every estimate and of every stderr.
+The driver and the report layout are described in ``_driver.py``.
 """
 
 import json
@@ -147,6 +148,16 @@ def derive(runs):
     }
 
 
+def check(runs):
+    def bits(record):
+        return json.dumps([[c["polynomial"], c["estimate"], c.get("stderr")]
+                           for part in ("cases", "auto") for c in record[part].values()])
+
+    if bits(runs["before"][0]) != bits(runs["after"][0]):
+        return "the trees differ in a value of P, an estimate or a stderr"
+    return None
+
+
 if __name__ == "__main__":
     _driver.main(
         measure,
@@ -154,4 +165,5 @@ if __name__ == "__main__":
         "time and error against P per case, the before/after difference of the "
         "quadrature estimates, mop on configs/two_interval.json and at (3, 3), criterion_7",
         derive,
+        check,
     )

@@ -15,8 +15,7 @@ One measurement records
   output file;
 - ``write_csv``: ``core.write_csv`` on 3,200 rows shaped like ``eqm.csv``
   (an int column and three float columns), the median of 11 calls after one,
-  and the md5 of the file.  A tree whose ``write_csv`` still takes ``rows``
-  gets the same values as row tuples.
+  and the md5 of the file.
 
 The check fails unless both trees give the same ``worst`` bits and the same
 file digests.  The driver and the report layout are described in
@@ -24,7 +23,6 @@ file digests.  The driver and the report layout are described in
 """
 
 import hashlib
-import inspect
 import io
 import os
 import statistics
@@ -85,8 +83,6 @@ def measure(src):
 
         rng = np.random.default_rng(0)
         columns = (np.arange(3200) // 1600, *rng.random((3, 3200)))
-        if "rows" in inspect.signature(write_csv).parameters:
-            columns = list(zip(*(c.tolist() for c in columns)))
         path = os.path.join(tmp, "eqm.csv")
         header = ("interval_index", "node", "weight", "density")
         s = median_time(lambda: write_csv(path, header, columns), 11)

@@ -436,12 +436,9 @@ def cmd_sample(spec, sec, seed, cells):
 def cmd_mop(spec, sec, seed, cells):
     d = sec["d"]
     poly = solve_mop(spec, spec.index(d))
-    rows = _identity_rows(spec, d, poly, sec["z_points"], mode=sec["mode"], seed=seed)
+    cols = _identity_rows(spec, d, poly, sec["z_points"], mode=sec["mode"], seed=seed)
     return {
-        # Every entry is a float; the reshape keeps four columns of no rows.
-        "mop.csv": (
-            ("z", "polynomial", "expectation", "stderr"), np.reshape(rows, (-1, 4)).T
-        ),
+        "mop.csv": (("z", "polynomial", "expectation", "stderr"), cols),
         "mop.report.json": {
             "d": d,
             "index": list(spec.index(d).counts),
@@ -488,8 +485,7 @@ def cmd_ldp(spec, sec, seed, cells):
         "ldp.csv": (
             ("kind", "n", "value"),
             (["probe"] * len(probe) + ["field_shift_worst", "rate_equilibrium"],
-             [n for n, _ in probe] + [n_configs, 0],
-             [v for _, v in probe] + [worst, rate.rate]),
+             *zip(*probe, (n_configs, worst), (0, rate.rate))),
         ),
         "ldp.report.json": {
             "rate_equilibrium": rate.rate,

@@ -31,7 +31,7 @@ from .core import (
 from .energy import ExternalField, as_field
 from .equilibrium import solve_equilibrium
 from .errors import DegenerateConditional, DimensionTooLarge, IllConditionedSystem
-from .fekete import log_boltzmann
+from .fekete import _log_weight, log_boltzmann
 from .ldp import _orthonormal, growth_constant
 
 TENSOR_MAX_POINTS = 5
@@ -552,12 +552,11 @@ def johansson_probability(
             prob = 0.0
         else:
             cut = n * n * float(np.log(thr))
-            hits = sum(
-                1
-                for X in batch.configurations
-                if log_boltzmann(X, spec.field, m) <= cut
-            )
-            prob = hits / len(batch.configurations)
+            # log_boltzmann of each sample, all in one stacked pass
+            blocks = [np.stack(b) for b in zip(*(X.blocks for X in batch))]
+            interaction, fld = _log_weight(blocks, spec.field)
+            hits = np.broadcast_to(interaction - 2.0 * n * fld <= cut, len(batch))
+            prob = np.count_nonzero(hits) / len(batch)
         root = float("nan")
         premise = None
     return DeviationReport(

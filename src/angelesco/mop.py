@@ -17,7 +17,6 @@ beyond that, by default, over Gibbs samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -44,22 +43,16 @@ class MonicPolynomial:
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), full)
 
     def real_roots(self, system):
-        """Sign-change bisection on a 4,000-node scan per interval; diagnostics only."""
-        roots = []
-        for i in range(system.p):
-            xs = np.linspace(*system.intervals[i], 4000)
-            vals = self(xs)
-            sign = np.sign(vals)
-            for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-                lo, hi = xs[k], xs[k + 1]
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    if self(lo) * self(mid) <= 0:
-                        hi = mid
-                    else:
-                        lo = mid
-                roots.append(0.5 * (lo + hi))
-        return np.array(roots)
+        """Real zeros of P that lie in an interval (``system.locate``), in
+        increasing order: eigenvalues of P's companion matrix.
+
+        LAPACK gives a real eigenvalue of a real matrix an imaginary part of
+        exactly 0, so no tolerance decides which are real; a double zero that
+        round-off splits into a complex pair is not listed.  Diagnostics only.
+        """
+        zeros = np.polynomial.polynomial.polyroots(np.append(self.coefficients, 1.0))
+        return np.sort([x.real for x in zeros
+                        if x.imag == 0 and system.locate(x.real) >= 0])
 
 
 def moments(tau, k_max, center=0.0, scale=1.0):
@@ -111,36 +104,40 @@ def solve_mop(spec, index):
     return poly
 
 
-def _pairing_slogdet(system, axes, z=None):
-    """Sign, log |det| and condition number of the pairing matrix
+def _heine_ratios(system, grids, counts, zs):
+    """cond A, and det B(z) / det A for each z (None unless cond A * eps <
+    1e-6), for the pairing matrices
 
-        A[(j, k), l] = sum over axis j of R_k(t) L_l(t) w_j ff_j (z - t).
+        A[(j, k), l] = sum over (t, w) in grids[j] of R_k(t) L_l(t) w
 
-    Row k < n_j of block j is Legendre in interval j's own affine variable,
-    column l < n is Legendre in that of the whole system; without z the
-    factor (z - t) is left out.  By Andreief's identity det A is, up to a
-    constant of the two bases, the sum over the product of ``axes`` (laid out
-    as by _tensor_axes) of the joint density, times prod_k (z - x_k) with z.
-    Any row basis of degree < n_j per block changes det A by one block
-    triangular factor that cancels in det B(z) / det A; interval j's own
-    Legendre keeps A well conditioned where the system's would not.
+    and B(z), the same with w (z - t).  Row k < counts[j] of block j is
+    Legendre in interval j's own affine variable, column l < n in that of the
+    whole system.  By Andreief's identity det A is, up to a constant of the
+    two bases, the sum of the joint density over the product of counts[j]
+    copies of each grid j, and det B(z) that sum weighted by prod_k (z - x_k).
+    Any row basis of degree < n_j per block scales det A and det B(z) alike;
+    interval j's own Legendre keeps A well conditioned where the system's
+    would not.
     """
+    vander = np.polynomial.legendre.legvander
     (lo, _), (_, hi) = system.intervals[0], system.intervals[-1]
     center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    n = len(axes)
-    rows = []
-    for j, block in groupby(axes, key=lambda a: a[0]):
-        block = list(block)
-        _, t, w, ff = block[0]
-        n_j = len(block)
-        a, b = system.intervals[j]
-        own = np.polynomial.legendre.legvander((2.0 * t - a - b) / (b - a), n_j - 1)
-        hull = np.polynomial.legendre.legvander((t - center) / scale, n - 1)
-        wt = w * ff if z is None else w * ff * (z - t)
-        rows.append((own * wt[:, None]).T @ hull)
-    mat = np.vstack(rows)
-    sign, log_det = np.linalg.slogdet(mat)
-    return sign, log_det, float(np.linalg.cond(mat))
+    n = sum(counts)
+    bases = [(t, w, vander((2.0 * t - a - b) / (b - a), n_j - 1),
+              vander((t - center) / scale, n - 1))
+             for (a, b), (t, w), n_j in zip(system.intervals, grids, counts)]
+
+    def pairing(z=None):
+        return np.vstack([(own * (w if z is None else w * (z - t))[:, None]).T @ hull
+                          for t, w, own, hull in bases])
+
+    mat = pairing()
+    cond = float(np.linalg.cond(mat))
+    if not cond * np.finfo(float).eps < 1e-6:
+        return cond, None
+    sign, log_a = np.linalg.slogdet(mat)
+    return cond, [float(sign * sign_z * np.exp(log_b - log_a))
+                  for sign_z, log_b in (np.linalg.slogdet(pairing(z)) for z in zs)]
 
 
 def expectation_identity_check(
@@ -150,49 +147,39 @@ def expectation_identity_check(
 
     Returns rows (z, P(z), estimate, stderr).  In quadrature mode the mean
     is taken exactly over the refined grids that P is solved on, as
-    det B(z) / det A (``_pairing_slogdet``), and stderr is 0; it raises
+    det B(z) / det A (``_heine_ratios``), and stderr is 0; it raises
     IllConditionedSystem when cond(A) * eps reaches 1e-6.  In Monte Carlo
     mode ("mc") it is a mean over Gibbs samples.  "auto" takes the
     determinant while it is well conditioned and Gibbs samples otherwise;
     any other mode raises ValueError.  The identity concerns the unweighted
     ensemble, so any external field on the spec is ignored.
     """
-    return _identity_rows(
+    return list(zip(*_identity_rows(
         spec, d, solve_mop(spec, spec.index(d)), z_points, mode,
         samples, burn_in, thin, seed,
-    )
+    )))
 
 
 def _identity_rows(spec, d, poly, z_points, mode="auto", samples=400,
                    burn_in=50, thin=5, seed=0):
     """``expectation_identity_check`` for an already solved P (``solve_mop``
-    ignores the field, so P of the spec is P of the unweighted ensemble)."""
+    ignores the field, so P of the spec is P of the unweighted ensemble), as
+    its four columns."""
     if mode not in ("auto", "quadrature", "mc"):
         raise ValueError(f"mop mode must be auto, quadrature or mc, got {mode!r}")
-    zs = tuple(float(z) for z in z_points)
-    rows = []
+    zs = [float(z) for z in z_points]
+    p_z = poly(zs).tolist()
     if mode != "mc":
-        # _tensor_axes's layout on P's own grids; the field factor is 1.
-        axes = []
-        for i, n_i in enumerate(spec.index(d).counts):
-            t, h, w = spec.base[i].refined()
-            axes += [(i, t, w * h, 1.0)] * n_i
-        sign, log_a, cond = _pairing_slogdet(spec.system, axes)
-        if cond * np.finfo(float).eps < 1e-6:
-            for z in zs:
-                sign_z, log_b, _ = _pairing_slogdet(spec.system, axes, z)
-                ratio = sign * sign_z * np.exp(log_b - log_a)
-                rows.append((z, float(poly(z)), float(ratio), 0.0))
-            return rows
+        grids = [(t, w * h) for t, h, w in (tau.refined() for tau in spec.base)]
+        cond, ratios = _heine_ratios(spec.system, grids, spec.index(d).counts, zs)
+        if ratios is not None:
+            return zs, p_z, ratios, [0.0] * len(zs)
         if mode == "quadrature":
             raise IllConditionedSystem(
                 f"Heine pairing matrix: condition {cond:.3e}", condition=cond
             )
     batch = gibbs_sample(spec.unweighted(), d, samples, burn_in, thin, seed)
-    for z in zs:
-        vals = np.array(
-            [float(np.prod(z - X.flatten())) for X in batch]
-        )
-        stderr = float(vals.std(ddof=1) / np.sqrt(vals.size))
-        rows.append((z, float(poly(z)), float(vals.mean()), stderr))
-    return rows
+    stack = np.array([X.flatten() for X in batch])
+    vals = [np.prod(z - stack, axis=1) for z in zs]
+    return (zs, p_z, [float(v.mean()) for v in vals],
+            [float(v.std(ddof=1) / np.sqrt(v.size)) for v in vals])

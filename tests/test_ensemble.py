@@ -20,6 +20,7 @@ from angelesco import (
     fekete_points,
     gibbs_sample,
     johansson_probability,
+    log_boltzmann,
     log_density_unnormalized,
     moments,
     partition_function_bounds,
@@ -631,6 +632,28 @@ class TestDeviationProbability:
             growing_spec, 1, 0.1 * delta, mode="auto", equilibrium=two_equilibrium
         )
         assert auto_small.mode == "quadrature"
+
+    def test_sampling_counts_as_the_per_sample_loop(
+        self, two, growing_spec, two_equilibrium
+    ):
+        # Under a field the one stacked pass gives every sample the bits of
+        # its own log_boltzmann call, so the count is that loop's count.
+        field = ExternalField.quadratic(2, scale=0.25)
+        spec = EnsembleSpec(two, field, growing_spec.base, growing_spec.seq)
+        m = spec.index(4)
+        n = m.total
+        batch = gibbs_sample(spec, 4, 40, burn_in=20, thin=2, seed=5)
+        weights = [log_boltzmann(X, field, m) for X in batch]
+        delta = float(np.exp(-two_equilibrium.energy.total))
+        eta = delta - float(np.exp(np.median(weights) / (n * n)))
+        cut = n * n * float(np.log(delta - eta))
+        hits = sum(w <= cut for w in weights)
+        assert 0 < hits < len(batch)
+        rep = johansson_probability(
+            spec, 4, eta, mode="mc", samples=40, burn_in=20, thin=2, seed=5,
+            equilibrium=two_equilibrium,
+        )
+        assert rep.probability == hits / len(batch)
 
     @pytest.mark.parametrize("mode", ["quadratur", "MC", None])
     def test_unknown_mode_raises(self, growing_spec, two_equilibrium, mode):

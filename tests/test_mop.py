@@ -13,7 +13,7 @@ from angelesco import (
     solve_mop,
 )
 from angelesco.errors import IllConditionedSystem
-from angelesco.mop import _pairing_slogdet
+from angelesco.mop import _heine_ratios
 
 
 @pytest.fixture(scope="module")
@@ -239,11 +239,8 @@ class TestHeineDeterminant:
         for name, (intervals, counts, power, zs) in HEINE_CASES.items():
             spec = _heine_spec(intervals, counts, power)
             axes = _oracle_axes(spec)
-            sign, log_a, _ = _pairing_slogdet(spec.system, axes)
-            got = []
-            for z in zs:
-                sign_z, log_b, _ = _pairing_slogdet(spec.system, axes, z)
-                got.append(sign * sign_z * np.exp(log_b - log_a))
+            grids = {i: (t, w * ff) for i, t, w, ff in axes}  # one per interval
+            _, got = _heine_ratios(spec.system, list(grids.values()), counts, zs)
             exact = _tensor_heine(axes, zs)
             np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0, err_msg=name)
 
@@ -280,3 +277,19 @@ class TestMonicPolynomial:
         assert np.allclose(poly.real_roots(sym), [-0.5, 0.5], atol=1e-6)
         outside = MonicPolynomial(2, np.array([-4.0, 0.0])).real_roots(sym)
         assert outside.size == 0
+
+    def test_roots_closer_than_a_scan_step(self, sym):
+        # (x - 0.1)(x - 0.1001): no node of a 4,000-node scan lies between.
+        poly = MonicPolynomial(2, np.array([0.1 * 0.1001, -0.2001]))
+        np.testing.assert_allclose(
+            poly.real_roots(sym), [0.1, 0.1001], rtol=0, atol=1e-12
+        )
+
+    def test_root_on_a_scan_node(self, sym):
+        # P vanishes at a node of a uniform 4,000-node scan of [-1, 1], so
+        # no sign change brackets that zero.
+        node = np.linspace(-1.0, 1.0, 4000)[1234]
+        poly = MonicPolynomial(2, np.array([0.5 * node, -0.5 - node]))
+        np.testing.assert_allclose(
+            poly.real_roots(sym), [node, 0.5], rtol=0, atol=1e-12
+        )
