@@ -12,7 +12,7 @@ One measurement records:
   cells (no closed form);
 - ``mop``: ``solve_mop`` time and coefficients for n points on [-1, 1]
   (n = 2..64, 400 cells) and (k, k) points on [-2, -1] u [1, 2]
-  (n = 2..64, 100 cells);
+  (n = 2..64, 100 cells), for the pair also P(z) at z = 2.5, -1.6 and 1.5;
 - ``bm``: ``bm_constant`` time and beta for Lebesgue measure on [-1, 1],
   400 cells, degrees 4..64.
 
@@ -20,7 +20,8 @@ The errors are computed in the parent process, from each tree's first run,
 against references that do not depend on the tree: the Selberg closed form;
 the monic orthogonal polynomials of the refined grid measure (the three-term
 recurrence of the uniform measure on N midpoints for one interval; the
-monomial moment system in 200-digit decimals for two); and the Christoffel
+monomial moment system in 200-digit decimals for two, P(z) evaluated in
+those decimals); and the Christoffel
 sum of those polynomials.  The continuous Legendre polynomials are recorded
 too, to show the discretization error that the grid keeps.
 
@@ -40,6 +41,7 @@ MOP_ONE_N = (2, 4, 8, 12, 16, 18, 24, 32, 48, 64)
 MOP_PAIR_K = (1, 2, 4, 8, 16, 32)
 BM_DEGREES = (4, 8, 16, 24, 32, 48, 64)
 PAIR = ((-2.0, -1.0), (1.0, 2.0))
+MOP_Z = (2.5, -1.6, 1.5)
 
 
 def measure(src):
@@ -85,8 +87,9 @@ def measure(src):
         out["mop"]["one_n%d" % n] = r
     for k in MOP_PAIR_K:
         s = spec(PAIR, (k, k), 100)
-        r = timed(lambda: list(solve_mop(s, MultiIndex((k, k))).coefficients))
-        out["mop"]["pair_n%d" % (2 * k)] = r
+        r = timed(lambda: solve_mop(s, MultiIndex((k, k))))
+        out["mop"]["pair_n%d" % (2 * k)] = {"s": r["s"], "value": list(r["value"].coefficients),
+                                            "p_z": r["value"](MOP_Z).tolist()}
     system = IntervalSystem(((-1.0, 1.0),), (1.0,))
     tau = BaseMeasure.lebesgue(system, 0, 400)
     for degree in BM_DEGREES:
@@ -133,7 +136,8 @@ def grid_christoffel_sup(degree, nodes):
 
 def pair_grid_mop(k, cells, digits=200):
     """Monic MOP of the refined Lebesgue grid measure on PAIR, (k, k) points,
-    from the monomial moment system in ``digits``-digit decimals."""
+    from the monomial moment system in ``digits``-digit decimals: its lower
+    coefficients, and its values at MOP_Z evaluated in those decimals."""
     import numpy as np
 
     n = 2 * k
@@ -157,7 +161,14 @@ def pair_grid_mop(k, cells, digits=200):
                 if r != col:
                     f = rows[r][col] / rows[col][col]
                     rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-        return [float(rows[r][n] / rows[r][r]) for r in range(n)]
+        coef = [rows[r][n] / rows[r][r] for r in range(n)] + [decimal.Decimal(1)]
+        p_z = []
+        for z in MOP_Z:
+            value = decimal.Decimal(0)
+            for c in reversed(coef):
+                value = value * decimal.Decimal(z) + c
+            p_z.append(float(value))
+        return [float(c) for c in coef[:-1]], p_z
 
 
 def errors(run, pair_mops):
@@ -176,13 +187,16 @@ def errors(run, pair_mops):
         if key.startswith("one"):
             grid, cont = one_grid[n][:-1], one_cont[n][:-1]
         else:
-            grid, cont = np.asarray(pair_mops[n // 2]), None
+            grid, cont = np.asarray(pair_mops[n // 2][0]), None
         scale = np.abs(grid).max()
         out["mop"][key] = {
             "grid_rel": float(np.abs(got - grid).max() / scale),
             "continuous_rel": None if cont is None
             else float(np.abs(got - cont).max() / np.abs(cont).max()),
         }
+        if "p_z" in r:
+            out["mop"][key]["p_z_rel"] = [abs(x - y) / abs(y) for x, y
+                                          in zip(r["p_z"], pair_mops[n // 2][1])]
     for key, r in run["bm"].items():
         degree = int(key[len("degree"):])
         out["bm"][key] = r["value"] / grid_christoffel_sup(degree, 3200) - 1.0

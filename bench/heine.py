@@ -10,9 +10,10 @@ One measurement records:
   x^3 on [0, 1]; (3, 1) on [-1, 0] u [0.05, 1].  Four z points each, one of
   them inside the first interval.  The time, P(z) and the estimate;
 - ``auto``: ``expectation_identity_check(..., mode="auto")`` at its default
-  Gibbs settings for (3, 3), (4, 4), (8, 8) and (6, 10) on [-2, -1] u [1, 2],
-  at z = -3, 0, 0.5 and 2.5 (outside the intervals, where P's monomial sum
-  keeps its digits).  The time, P(z), the estimate and its stderr;
+  Gibbs settings for (3, 3), (4, 4), (8, 8), (6, 10) and (20, 20) on
+  [-2, -1] u [1, 2], at z = -3, -1.6, 0, 0.5 and 2.5.  The first four take
+  the determinant; at (20, 20) cond A is 1.29e10, so the mean is over Gibbs
+  samples with a nonzero stderr.  The time, P(z), the estimate and its stderr;
 - ``mop``: the wall time of ``angelesco mop`` on configs/two_interval.json,
   cold (a fresh interpreter, imports included) and warm (a second call
   in-process), and warm at (3, 3) (the median of five calls after one);
@@ -24,7 +25,9 @@ against P(z) (the discretization of the grid the check sums over, where it
 is not P's own, or the Gibbs sampling error) and the relative difference
 between the two trees' quadrature estimates.  The check fails unless both
 trees give the same bits of P(z), of every estimate and of every stderr.
-The driver and the report layout are described in ``_driver.py``.
+The driver and the report layout are described in ``_driver.py``.  A
+measurement takes about 4.5 s on 2 cores, 4 s of it the (20, 20) Gibbs
+samples, so two repeats of both trees take about 17 s.
 """
 
 import json
@@ -50,8 +53,8 @@ CASES = {
     "(3,1) gap 0.05": (((-1.0, 0.0), (0.05, 1.0)), (3, 1), None, (-1.5, -0.7, 0.025, 100.0)),
     "(4,) power(3)": (UNIT, (4,), 3, (-0.5, 0.3, 2.5, 100.0)),
 }
-AUTO_CASES = ((3, 3), (4, 4), (8, 8), (6, 10))
-AUTO_Z = (-3.0, 0.0, 0.5, 2.5)
+AUTO_CASES = ((3, 3), (4, 4), (8, 8), (6, 10), (20, 20))
+AUTO_Z = (-3.0, -1.6, 0.0, 0.5, 2.5)
 
 
 def measure(src):
@@ -161,7 +164,7 @@ def check(runs):
 if __name__ == "__main__":
     _driver.main(
         measure,
-        "Heine's identity check: quadrature mode (n <= 4) and auto mode (n = 6..16) "
+        "Heine's identity check: quadrature mode (n <= 4) and auto mode (n = 6..40) "
         "time and error against P per case, the before/after difference of the "
         "quadrature estimates, mop on configs/two_interval.json and at (3, 3), criterion_7",
         derive,

@@ -429,7 +429,7 @@ def _projection_matrix(spec, index, n_field=0):
 
     w_j is the base measure times exp(-2 n_field Q_j - shift_j), shift_j the
     exponent's maximum; p_0..p_n are orthonormal for sum_j w_j, q^(j) for
-    w_j.  Returns M, p's coefficients in s = (x - center)/scale, the log
+    w_j.  Returns M, p's recurrence in s = (x - center)/scale, the log
     determinant of the monomial moment matrix [sum t^(k + l) w_j e^shift_j],
     center and scale.  det M is positive for positive weights.
     """
@@ -443,7 +443,7 @@ def _projection_matrix(spec, index, n_field=0):
         grids.append((t[w > 0], w[w > 0]))
         log_det += n_j * float(expo.max())
     t_all, w_all = (np.concatenate(z) for z in zip(*grids))
-    vals, log_lead, coef = _orthonormal(t_all, w_all, index.total, center, scale)
+    vals, log_lead, recurrence = _orthonormal(t_all, w_all, index.total, center, scale)
     rows, start = [], 0
     for (t, w), n_j in zip(grids, index.counts):
         q, q_lead, _ = _orthonormal(t, w, n_j - 1, center, scale)
@@ -460,7 +460,7 @@ def _projection_matrix(spec, index, n_field=0):
             condition=cond,
         )
     log_det += log_det_m - float(log_lead[:-1].sum())
-    return mat, coef, log_det, center, scale
+    return mat, recurrence, log_det, center, scale
 
 
 def _log_partition(spec, d):

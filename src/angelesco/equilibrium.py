@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import DEFAULT_CELLS, GridMeasure, VectorMeasure
 from .energy import (
+    EnergyReport,
     _standard_cells,
     as_field,
     partial_potentials,

@@ -132,26 +132,28 @@ def _orthonormal(t, w, degree, center, scale):
     Discretized Stieltjes in s = (x - center)/scale: s p_{k-1} minus its
     projections on p_0..p_{k-1}, taken twice, then normalized.  Returns the
     p_k at every node (zero weights included), their log leading coefficients
-    in x and their coefficients in s.  A vanishing norm (too few support
-    nodes) raises IllConditionedGram.
+    in x and their recurrence s p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1}
+    as (a, b): a_k = sum w s p_k^2, b_k = sum w s p_k p_{k-1}, b_0 = 0.  A
+    vanishing norm (too few support nodes) raises IllConditionedGram.
     """
     s = (t - center) / scale
     vals = np.empty((degree + 1, s.size))
-    coef = np.zeros((degree + 1, degree + 1))
     log_norm = np.empty(degree + 1)
-    v, c = np.ones_like(s), np.eye(1, degree + 1)[0]
+    v = np.ones_like(s)
     for k in range(degree + 1):
         size = np.sqrt(w @ (v * v))
         for _ in range(2):
-            proj = vals[:k] @ (w * v)
-            v, c = v - proj @ vals[:k], c - proj @ coef[:k]
+            v = v - (vals[:k] @ (w * v)) @ vals[:k]
         norm = np.sqrt(w @ (v * v))
         if not norm > 1e-12 * size:
             raise IllConditionedGram(f"no norm left at degree {k}", degree=k)
-        vals[k], coef[k], log_norm[k] = v / norm, c / norm, np.log(norm)
-        v, c = s * vals[k], np.roll(coef[k], 1)
+        vals[k], log_norm[k] = v / norm, np.log(norm)
+        v = s * vals[k]
     log_lead = -np.cumsum(log_norm) - np.arange(degree + 1) * np.log(scale)
-    return vals, log_lead, coef
+    wsp = vals * (w * s)
+    a = np.einsum("kt,kt->k", wsp, vals)
+    b = np.append(0.0, np.einsum("kt,kt->k", wsp[1:], vals[:-1]))
+    return vals, log_lead, (a, b)
 
 
 def _kernel_profile(tau, degree, field=None, weight_scale=0):

@@ -5,8 +5,8 @@ and every k < n_j,
 
     int P(x) x^k w_j(x) dx = 0
 
-is expanded in orthonormal polynomials of the union of the refined base
-measures and tested against each interval's own; no moment matrix is formed.
+is kept in orthonormal polynomials of the union of the refined base measures
+and tested against each interval's own; no moment matrix is formed.
 Heine's identity: the mean of prod_k (z - x_k) over the unweighted ensemble
 equals P(z).  Its check takes the mean exactly over the refined grids P is
 solved on, as a ratio of two Andreief determinants in Legendre bases (not the
@@ -26,7 +26,11 @@ from .errors import IllConditionedSystem
 
 @dataclass(frozen=True, eq=False)
 class MonicPolynomial:
-    """x^degree + sum_k coefficients[k] x^k."""
+    """x^degree + sum_k coefficients[k] x^k, held as coordinates c_0..c_n in
+    a basis of s = (x - center)/scale: p_0 = 1, s p_k = g[k] p_{k+1} + a[k] p_k
+    + b[k] p_{k-1}, evaluated by Clenshaw's sum.  Built from coefficients, the
+    basis is the monomials (a = b = 0, g = 1): the sum is Horner's rule and the
+    comrade matrix the companion matrix."""
 
     degree: int
     coefficients: np.ndarray
@@ -37,22 +41,36 @@ class MonicPolynomial:
         object.__setattr__(self, "coefficients", c)
         if c.size != self.degree:
             raise ValueError("need exactly `degree` lower coefficients")
+        zero = np.zeros(self.degree)
+        object.__setattr__(self, "_basis", (0.0, 1.0, zero, zero, zero + 1, np.append(c, 1)))
 
     def __call__(self, x):
-        full = np.concatenate((self.coefficients, [1.0]))
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), full)
+        center, scale, a, b, g, c = self._basis
+        s = (np.asarray(x, dtype=float) - center) / scale
+        y, y1, beta = c[-1] + s * 0, s * 0, 0.0
+        for k in range(self.degree - 1, -1, -1):
+            y, y1, beta = c[k] + (s - a[k]) / g[k] * y + beta * y1, y, -b[k] / g[k]
+        return y
 
     def real_roots(self, system):
         """Real zeros of P that lie in an interval (``system.locate``), in
-        increasing order: eigenvalues of P's companion matrix.
+        increasing order: eigenvalues of P's comrade matrix.
 
         LAPACK gives a real eigenvalue of a real matrix an imaginary part of
         exactly 0, so no tolerance decides which are real; a double zero that
         round-off splits into a complex pair is not listed.  Diagnostics only.
         """
-        zeros = np.polynomial.polynomial.polyroots(np.append(self.coefficients, 1.0))
-        return np.sort([x.real for x in zeros
+        return np.sort([x.real for x in _comrade_zeros(*self._basis)
                         if x.imag == 0 and system.locate(x.real) >= 0])
+
+
+def _comrade_zeros(center, scale, a, b, g, c):
+    """The n zeros of sum_k c_k p_k in x: eigenvalues of the comrade matrix
+    (Barnett, Linear Algebra Appl. 12, 1975), the basis's tridiagonal
+    recurrence with P's coordinates folded into its last row."""
+    mat = np.diag(a) + np.diag(b[1:], -1) + np.diag(g[:-1], 1)
+    mat[-1:] -= g[-1:, None] * c[:-1] / c[-1]
+    return center + scale * np.linalg.eigvals(mat)
 
 
 def moments(tau, k_max, center=0.0, scale=1.0):
@@ -70,37 +88,23 @@ def moments(tau, k_max, center=0.0, scale=1.0):
 def solve_mop(spec, index):
     """Solve the type II orthogonality system for the monic polynomial.
 
-    P = sum_l c_l p_l with c_n = 1 / lead(p_n) and M[:, :n] c = -c_n M[:, n]
-    (``_projection_matrix``).  Raises IllConditionedSystem, carrying cond M,
-    when a residual exceeds 1e-8 relative to the largest moment magnitude.
+    P is kept in the orthonormal basis of the union of the refined base
+    measures (``_projection_matrix``) as c, c_n = 1 and M[:, :n] c = -M[:, n],
+    scaled to be monic; IllConditionedSystem, carrying cond M, when |M c|
+    exceeds 1e-8 (M's entries are at most 1).  ``coefficients`` are np.poly of
+    the n zeros and lose digits as n grows; P(x) and its zeros do not use them.
     """
     n = index.total
-    mat, p_coef, _, center, scale = _projection_matrix(spec, index)
-    c_n = 1.0 / p_coef[n, n]
-    c = np.linalg.solve(mat[:, :n], -c_n * mat[:, n])
-    b = np.concatenate((c, [c_n])) @ p_coef
-
-    # Map t^n + sum b_l t^l back through t = (x - center)/scale, monic in x.
-    tpoly = np.polynomial.Polynomial(np.concatenate((b[:n], [1.0])))
-    xpoly = tpoly(np.polynomial.Polynomial([-center / scale, 1.0 / scale]))
-    coef = xpoly.coef * scale ** n
-    coef = coef / coef[-1]
-    poly = MonicPolynomial(n, coef[:-1])
-
-    worst = 0.0
-    scale_ref = 1.0
-    for j, n_j in enumerate(index.counts):
-        t, h, w = spec.base[j].refined()
-        pv = poly(t)
-        scale_ref = max(scale_ref, float(np.max(np.abs(moments(spec.base[j], 2 * n)))))
-        for k in range(n_j):
-            res = abs(float(np.sum(pv * t ** k * w) * h))
-            worst = max(worst, res)
-    if worst > 1e-8 * scale_ref:
-        raise IllConditionedSystem(
-            f"orthogonality residual {worst:.3e} too large",
-            condition=float(np.linalg.cond(mat[:, :n])),
-        )
+    mat, (a, b), _, center, scale = _projection_matrix(spec, index)
+    c = np.append(np.linalg.solve(mat[:, :n], -mat[:, n]), 1.0)
+    worst = float(np.max(np.abs(mat @ c)))
+    if not worst <= 1e-8:
+        raise IllConditionedSystem(f"orthogonality residual {worst:.3e} too large",
+                                   condition=float(np.linalg.cond(mat[:, :n])))
+    # p_n has x^n coefficient 1 / prod(scale g): these coordinates are monic.
+    basis = (center, scale, a[:n], b[:n], b[1:], c * np.prod(scale * b[1:]))
+    poly = MonicPolynomial(n, np.poly(_comrade_zeros(*basis))[:0:-1])
+    object.__setattr__(poly, "_basis", basis)
     return poly
 
 

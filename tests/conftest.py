@@ -58,13 +58,14 @@ def two_equilibrium(two):
 def moment_system():
     """The monomial moment system of an ensemble in high-precision decimals.
 
-    ``solve(spec, counts, n_field)`` returns (log det A, c) for A c = b with
-    A[(j, k), l] = sum_t t^(k + l) w_j(t), b[(j, k)] = -sum_t t^(k + n) w_j(t),
-    w_j = tau_j exp(-2 n_field Q_j) on the refined grids: the system that
-    double precision cannot solve beyond a few points.
+    ``solve(spec, counts, n_field, digits, zs)`` returns (log det A, c, P(zs))
+    for A c = b with A[(j, k), l] = sum_t t^(k + l) w_j(t), b[(j, k)] =
+    -sum_t t^(k + n) w_j(t), w_j = tau_j exp(-2 n_field Q_j) on the refined
+    grids: the system that double precision cannot solve beyond a few points.
+    P(z) = z^n + sum_k c_k z^k is evaluated in decimals, from c unrounded.
     """
 
-    def solve(spec, counts, n_field=0, digits=200):
+    def solve(spec, counts, n_field=0, digits=200, zs=()):
         n = sum(counts)
         with decimal.localcontext() as ctx:
             ctx.prec = digits
@@ -91,7 +92,13 @@ def moment_system():
                         f = rows[r][col] / rows[col][col]
                         rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
             assert det > 0
-            coef = [float(rows[r][n] / rows[r][r]) for r in range(n)]
-            return float(det.ln()), np.array(coef)
+            coef = [rows[r][n] / rows[r][r] for r in range(n)] + [decimal.Decimal(1)]
+            p_z = []
+            for z in zs:
+                value = decimal.Decimal(0)
+                for c in reversed(coef):
+                    value = value * decimal.Decimal(float(z)) + c
+                p_z.append(float(value))
+            return float(det.ln()), np.array([float(c) for c in coef[:-1]]), p_z
 
     return solve

@@ -1,3 +1,7 @@
+import dataclasses
+import importlib
+import typing
+
 import numpy as np
 import pytest
 
@@ -375,3 +379,16 @@ def test_write_json_text(tmp_path):
     assert (tmp_path / "t.json").read_text() == (
         '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
     )
+
+
+@pytest.mark.parametrize("module", ["acceptance", "core", "energy", "ensemble",
+                                    "equilibrium", "fekete", "ldp", "mop"])
+def test_public_dataclass_annotations_resolve(module):
+    # Every annotation names something the defining module imports.
+    mod = importlib.import_module("angelesco." + module)
+    classes = [obj for name, obj in vars(mod).items()
+               if not name.startswith("_") and isinstance(obj, type)
+               and dataclasses.is_dataclass(obj) and obj.__module__ == mod.__name__]
+    assert classes
+    for cls in classes:
+        assert typing.get_type_hints(cls).keys() == {f.name for f in dataclasses.fields(cls)}

@@ -43,6 +43,19 @@ def pair_spec(two):
     return EnsembleSpec(two, None, base, seq)
 
 
+# P(z) on [-2, -1] u [1, 2] with 50-cell Lebesgue base measures, spec as in
+# TestSolve, from the monomial moment system in decimals (tests/conftest.py):
+# moment_system(spec, counts, digits=500, zs=P_REF_Z)[2].  300 and 600
+# digits give the same doubles; the (80, 80) solve takes about 25 s.
+P_REF_Z = (0.0, 2.5, -3.0, -1.6, 1.5)
+P_REF = {
+    (40, 40): (39659783585747.9, 3.4516935670471737e22, 2.8646657533412194e32,
+               5.045306277425103e-06, -1.1280694485552274e-05),
+    (80, 80): (1.490451107264972e27, 1.2766286839773678e45, 8.488864764427411e64,
+               -2.019374366910904e-10, 5.887294727901041e-11),
+}
+
+
 class TestMoments:
     def test_reference_weights(self, unit, sym):
         m = moments(BaseMeasure.lebesgue(unit, 0), 8)
@@ -125,7 +138,7 @@ class TestSolve:
         base = tuple(BaseMeasure.lebesgue(two, i, cells=50) for i in range(2))
         seq = MultiIndexSequence.explicit([counts], slack=10.0)
         spec = EnsembleSpec(two, None, base, seq)
-        _, exact = moment_system(spec, counts)
+        _, exact, _ = moment_system(spec, counts)
         poly = solve_mop(spec, MultiIndex(counts))
         np.testing.assert_allclose(
             poly.coefficients, exact, rtol=0, atol=1e-9 * np.abs(exact).max()
@@ -134,6 +147,23 @@ class TestSolve:
     def test_residual_check_passes_at_32_32(self, pair_spec):
         poly = solve_mop(pair_spec, MultiIndex((32, 32)))
         assert poly.degree == 64 and np.all(np.isfinite(poly.coefficients))
+
+    @pytest.mark.parametrize("counts", sorted(P_REF))
+    def test_values_match_the_decimal_moment_solve(self, two, counts):
+        base = tuple(BaseMeasure.lebesgue(two, i, cells=50) for i in range(2))
+        seq = MultiIndexSequence.explicit([counts], slack=10.0)
+        poly = solve_mop(EnsembleSpec(two, None, base, seq), MultiIndex(counts))
+        np.testing.assert_allclose(poly(P_REF_Z), P_REF[counts], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("k", [20, 40, 80])
+    def test_real_roots_finds_every_zero(self, two, k):
+        base = tuple(BaseMeasure.lebesgue(two, i, cells=400) for i in range(2))
+        seq = MultiIndexSequence.explicit([(k, k)], slack=10.0)
+        poly = solve_mop(EnsembleSpec(two, None, base, seq), MultiIndex((k, k)))
+        roots = poly.real_roots(two)
+        # An Angelesco MOP has n_j simple zeros inside interval j.
+        assert roots.size == 2 * k and np.sum(roots < 0.0) == k
+        assert np.all(np.diff(roots) > 0.0)
 
 
 class TestExpectationIdentity:
@@ -255,7 +285,7 @@ class TestHeineDeterminant:
         [case + (1e-12,) for case in HEINE_CASES.values()]
         + [
             (PAIR, (3, 3), None, (-3.0, -1.6, 0.0, 1.3, 2.5), 1e-12),
-            # Inside the intervals P's monomial sum loses digits from here on.
+            # The determinant ratio keeps fewer digits from here on.
             (PAIR, (8, 8), None, (-3.0, -0.5, 0.0, 0.5, 2.5), 1e-10),
             (PAIR, (6, 10), None, (-3.0, -0.5, 0.0, 0.5, 2.5), 1e-10),
         ],
@@ -271,6 +301,17 @@ class TestHeineDeterminant:
 
 
 class TestMonicPolynomial:
+    def test_coefficients_evaluate_as_horner(self):
+        # Built from coefficients, P's basis is the monomials, where
+        # Clenshaw's sum is Horner's rule: the same bits as polyval.
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            n = int(rng.integers(1, 13))
+            coef = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, size=n)
+            x = rng.uniform(-3.0, 3.0, size=8)
+            want = np.polynomial.polynomial.polyval(x, np.append(coef, 1.0))
+            assert MonicPolynomial(n, coef)(x).tobytes() == want.tobytes()
+
     def test_evaluation_and_roots(self, sym):
         poly = MonicPolynomial(2, np.array([-0.25, 0.0]))
         assert np.allclose(poly(np.array([0.0, 1.0])), [-0.25, 0.75])
