@@ -69,9 +69,14 @@ def interpolant(xs, ys):
 
 
 def _quadratic(center, scale):
-    """x -> scale * (x - center)^2."""
+    """x -> scale * (x - center)^2, marked ``convex`` when scale >= 0."""
     c, s = float(center), float(scale)
-    return lambda x: s * (np.asarray(x, dtype=float) - c) ** 2
+
+    def f(x):
+        return s * (np.asarray(x, dtype=float) - c) ** 2
+
+    f.convex = s >= 0
+    return f
 
 
 class ExternalField:

@@ -21,17 +21,21 @@ largest move of a projected gradient step, so it vanishes at a maximum.  The
 Armijo backtracking on the exact weight starts at t = 1, or at ``CAP`` times
 the first t at which two neighbours of a block meet on the clipped step
 (crossing, or clipped onto one end) if that is earlier, so no trial collides.
-For a non-convex field that finds only a local maximum, so a scan of every
-point's slice over a grid of its interval and a sampled field's kinks
-follows; a point that can gain more than ``tol`` jumps to the best node and
-Newton runs again.
-``coordinatewise_optimal`` says that the last scan found no such move.
+The fields known to be convex are the zero field and ``quadratic`` with scale
+>= 0, which ``energy`` marks ``convex``.  Under them an ascent that stops on
+Newton's own test (no point can gain more than ``tol`` by its Newton or
+end move) is at the maximum, so no further start runs.  Otherwise, and
+whenever Newton stalls first, a scan of every point's slice over a grid of
+its interval and a sampled field's kinks follows; a point that can gain more
+than ``tol`` jumps to the best node and Newton runs again.
+``coordinatewise_optimal`` says that Newton's test passed under a concave
+weight, or that the last scan found no such move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,7 +56,7 @@ class FeketeResult:
     configuration: Configuration
     log_boltzmann: float
     normalized: float  # log_boltzmann / n^2
-    starts_used: int
+    starts_used: int  # starts run, at most n_starts
     coordinatewise_optimal: bool
     evaluations: int  # exact weight evaluations, summed over starts
     newton_steps: int  # Newton systems solved, summed over starts
@@ -118,6 +122,12 @@ def _log_sum(d):
     return np.log(np.abs(d, out=d), out=d).sum(axis=-1)
 
 
+def _concave(field):
+    """Whether every component is zero or marked ``convex``, which makes the
+    weight concave on the ordered sector."""
+    return all(f is None or getattr(f, "convex", False) for f in field._funcs)
+
+
 class _Ascent:
     """The weight as a function of the flat vector of all coordinates.
 
@@ -139,12 +149,17 @@ class _Ascent:
         np.fill_diagonal(self.c, 0.0)
         self.lo, self.hi = np.array([system.intervals[i] for i in block]).T
         self.band = EPSILON * (self.hi - self.lo)
-        knots = [getattr(f, "knots", np.empty(0)) for f in field._funcs]
-        self.grids = [
-            np.union1d(np.linspace(a, b, SCAN_NODES), k[(k >= a) & (k <= b)])
-            for (a, b), k in zip(system.intervals, knots)
-        ]
+        self.concave = _concave(field)
         self.evaluations = self.newton_steps = 0  # summed over starts
+
+    @cached_property
+    def grids(self):
+        """The scan's nodes per interval: a uniform grid and the field's kinks."""
+        knots = [getattr(f, "knots", np.empty(0)) for f in self.field._funcs]
+        return [
+            np.union1d(np.linspace(a, b, SCAN_NODES), k[(k >= a) & (k <= b)])
+            for (a, b), k in zip(self.system.intervals, knots)
+        ]
 
     def value(self, x):
         self.evaluations += 1
@@ -174,7 +189,8 @@ class _Ascent:
 
     def newton(self, x, tol):
         """Projected Newton ascent from x, sorted within blocks; returns the
-        final point, which stops short of every meeting and so stays sorted."""
+        final point, which stops short of every meeting and so stays sorted,
+        and whether the ascent stopped on its test, every gain <= tol."""
         value = self.value(x)
         lo, hi, first, last = self.lo, self.hi, self.first, self.last
         for _ in range(MAX_NEWTON):
@@ -197,7 +213,7 @@ class _Ascent:
             to_end = np.concatenate((lo[low], hi[high])) - x[held]
             gains[held] = g[held] * to_end
             if np.max(gains) <= tol:
-                break
+                return x, True
             self.newton_steps += 1
             # The shift only settles the common translation of all points,
             # along which a zero field leaves the weight flat.
@@ -217,7 +233,7 @@ class _Ascent:
             x, value, gained = y, trial, trial - value
             if gained <= tol:
                 break
-        return x
+        return x, False
 
     def first_meeting(self, x, step):
         """First t at which two neighbours of a block meet on clip(x + t step).
@@ -266,7 +282,9 @@ class _Ascent:
         for _ in range(MAX_ROUNDS):
             for s in self.blocks:
                 x[s].sort()
-            x = self.newton(x, tol)
+            x, certified = self.newton(x, tol)
+            if certified and self.concave:
+                break
             gains, targets = self.scan(x)
             k = int(np.argmax(gains))
             certified = bool(gains[k] <= tol)
@@ -278,20 +296,22 @@ class _Ascent:
 
 
 def fekete_points(system, index, field=None, n_starts=4, tol=1e-10, seed=0):
-    """Best of ``n_starts`` projected Newton ascents for the maximizer.
+    """Best of at most ``n_starts`` projected Newton ascents for the maximizer.
 
     Each start draws its initial configuration from an independently seeded
-    stream.
+    stream.  Under a concave weight the first certified start is the
+    maximum, and the starts after it are not run.
     """
     ascent = _Ascent(system, as_field(field, system.p), index)
-    starts = np.random.SeedSequence(seed).spawn(n_starts)
+    results = []
+    for s in np.random.SeedSequence(seed).spawn(n_starts):
+        results.append(ascent.run(np.random.default_rng(s), tol))
+        if ascent.concave and results[-1][2]:
+            break
     # max keeps the first start among equal weights
-    X, value, certified = max(
-        (ascent.run(np.random.default_rng(s), tol) for s in starts),
-        key=lambda r: r[1],
-    )
+    X, value, certified = max(results, key=lambda r: r[1])
     return FeketeResult(
-        X, value, value / index.total**2, n_starts, certified,
+        X, value, value / index.total**2, len(results), certified,
         ascent.evaluations, ascent.newton_steps,
     )
 

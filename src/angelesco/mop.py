@@ -73,6 +73,19 @@ def _comrade_zeros(center, scale, a, b, g, c):
     return center + scale * np.linalg.eigvals(mat)
 
 
+def _monomial_coefficients(center, scale, a, b, g, c):
+    """Coefficients in x, lowest degree first, of sum_k c_k p_k: Clenshaw's
+    sum run on coefficient vectors, with s - a_k = (x - center - scale a_k) /
+    scale applied in x at each step (x y is y shifted up one degree)."""
+    y, y1, beta = np.zeros(c.size), np.zeros(c.size), 0.0
+    y[0] = c[-1]
+    for k in range(c.size - 2, -1, -1):
+        z = (np.roll(y, 1) - (center + scale * a[k]) * y) / (scale * g[k]) + beta * y1
+        z[0] += c[k]
+        y, y1, beta = z, y, -b[k] / g[k]
+    return y
+
+
 def moments(tau, k_max, center=0.0, scale=1.0):
     """Moments int ((x - center)/scale)^k w(x) dx, k = 0..k_max, refined grid."""
     t, h, w = tau.refined()
@@ -91,8 +104,9 @@ def solve_mop(spec, index):
     P is kept in the orthonormal basis of the union of the refined base
     measures (``_projection_matrix``) as c, c_n = 1 and M[:, :n] c = -M[:, n],
     scaled to be monic; IllConditionedSystem, carrying cond M, when |M c|
-    exceeds 1e-8 (M's entries are at most 1).  ``coefficients`` are np.poly of
-    the n zeros and lose digits as n grows; P(x) and its zeros do not use them.
+    exceeds 1e-8 (M's entries are at most 1).  ``coefficients`` come from the
+    same recurrence (``_monomial_coefficients``); P(x) and its zeros do not
+    use them.
     """
     n = index.total
     mat, (a, b), _, center, scale = _projection_matrix(spec, index)
@@ -103,7 +117,7 @@ def solve_mop(spec, index):
                                    condition=float(np.linalg.cond(mat[:, :n])))
     # p_n has x^n coefficient 1 / prod(scale g): these coordinates are monic.
     basis = (center, scale, a[:n], b[:n], b[1:], c * np.prod(scale * b[1:]))
-    poly = MonicPolynomial(n, np.poly(_comrade_zeros(*basis))[:0:-1])
+    poly = MonicPolynomial(n, _monomial_coefficients(*basis)[:n])
     object.__setattr__(poly, "_basis", basis)
     return poly
 
@@ -155,8 +169,9 @@ def expectation_identity_check(
     IllConditionedSystem when cond(A) * eps reaches 1e-6.  In Monte Carlo
     mode ("mc") it is a mean over Gibbs samples.  "auto" takes the
     determinant while it is well conditioned and Gibbs samples otherwise;
-    any other mode raises ValueError.  The identity concerns the unweighted
-    ensemble, so any external field on the spec is ignored.
+    any other mode, or sampling with fewer than 2 samples, raises
+    ValueError.  The identity concerns the unweighted ensemble, so any
+    external field on the spec is ignored.
     """
     return list(zip(*_identity_rows(
         spec, d, solve_mop(spec, spec.index(d)), z_points, mode,
@@ -182,6 +197,8 @@ def _identity_rows(spec, d, poly, z_points, mode="auto", samples=400,
             raise IllConditionedSystem(
                 f"Heine pairing matrix: condition {cond:.3e}", condition=cond
             )
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
     batch = gibbs_sample(spec.unweighted(), d, samples, burn_in, thin, seed)
     stack = np.array([X.flatten() for X in batch])
     vals = [np.prod(z - stack, axis=1) for z in zs]

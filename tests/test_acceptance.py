@@ -45,8 +45,13 @@ def test_kernel_criteria_report_their_margins(verification, name):
     assert ratios and max(ratios) <= 1.0
 
 
+def test_criterion_5_reports_its_margin(verification):
+    results, _, _ = verification
+    assert 0.0 <= results["criterion_5"].metrics["probability_of_bound"] <= 1.0
+
+
 # The criteria outside the kernel: each value checked against a numeric
-# upper limit, and that limit.
+# upper limit, and that limit; then the values held to a lower limit.
 LIMITS = {
     "criterion_3": {"gap_80": 0.02},
     "criterion_4": {"z_error_pair": 1e-4, "z_error_single": 1e-4},
@@ -54,6 +59,7 @@ LIMITS = {
     "criterion_7": {"coeff_err": 1e-8, "identity_err": 1e-6},
     "criterion_9": {"root_16": 1.25},
 }
+LOWER_LIMITS = {"criterion_9": {"defective_root": 1.5}}
 
 
 @pytest.mark.parametrize("name", LIMITS)
@@ -61,8 +67,10 @@ def test_numeric_limits_report_their_margins(verification, name):
     results, _, report = verification
     metrics = json.loads(report.read_text())[name]["metrics"]
     ratios = {k: v for k, v in metrics.items() if k.endswith("_of_limit")}
-    limits = LIMITS[name].items()
-    assert ratios == {k + "_of_limit": metrics[k] / limit for k, limit in limits}
+    expected = {k + "_of_limit": metrics[k] / limit for k, limit in LIMITS[name].items()}
+    expected.update((k + "_of_limit", limit / metrics[k])
+                    for k, limit in LOWER_LIMITS.get(name, {}).items())
+    assert ratios == expected
     if results[name].passed:
         assert max(ratios.values()) <= 1.0
 

@@ -166,6 +166,33 @@ def test_nonconvex_field_reaches_coordinate_ascent_value(two, counts, reference)
     assert res.log_boltzmann >= reference - 1e-3 * abs(reference)
 
 
+def _unmarked(field):
+    """The same components as plain callables, not known to be convex."""
+    return ExternalField(tuple((lambda x, i=i: field(i, x)) for i in range(field.p)))
+
+
+@pytest.mark.parametrize("system, counts", [("sym", (12,)), ("two", (6, 6))])
+@pytest.mark.parametrize("scale", [None, 0.7])
+def test_convex_field_stops_at_the_first_certified_start(request, system, counts, scale):
+    system = request.getfixturevalue(system)
+    field = (ExternalField.zero(system.p) if scale is None
+             else ExternalField.quadratic(system.p, center=0.2, scale=scale))
+    res = fekete_points(system, MultiIndex(counts), field, n_starts=4, seed=0)
+    assert res.starts_used == 1 and res.coordinatewise_optimal
+    full = fekete_points(system, MultiIndex(counts), _unmarked(field), n_starts=4, seed=0)
+    assert full.starts_used == 4
+    assert res.log_boltzmann == pytest.approx(full.log_boltzmann, abs=1e-9)
+    np.testing.assert_allclose(
+        res.configuration.flatten(), full.configuration.flatten(), rtol=0, atol=1e-5
+    )
+
+
+@pytest.mark.parametrize("field", [ExternalField.quadratic(2, scale=-0.25), BUMPS])
+def test_field_not_known_convex_runs_every_start(two, field):
+    res = fekete_points(two, MultiIndex((3, 3)), field, n_starts=4, seed=0)
+    assert res.starts_used == 4
+
+
 def test_scan_reaches_a_kink_of_a_sampled_field(two):
     # The Newton stencil smooths the kink at x = 1.3, where one point of the
     # (3, 3) maximizer sits: it stopped at 1.3000029 with the weight

@@ -131,6 +131,15 @@ class TestSolve:
             full, grid, rtol=0, atol=1e-12 * np.abs(grid).max()
         )
 
+    def test_degree_64_coefficients_keep_their_digits(self, sym_spec):
+        # np.poly of the 64 comrade eigenvalues was 2.5e-9 off here.
+        p64 = solve_mop(sym_spec, MultiIndex((64,)))
+        full = np.concatenate((p64.coefficients, [1.0]))
+        grid = self._monic_legendre(64, nodes=8 * sym_spec.base[0].cells)[64]
+        np.testing.assert_allclose(
+            full, grid, rtol=0, atol=1e-12 * np.abs(grid).max()
+        )
+
 
     @pytest.mark.parametrize("counts", [(3, 5), (8, 8), (16, 16), (14, 18)])
     def test_matches_high_precision_moment_solve(self, two, moment_system, counts):
@@ -181,6 +190,11 @@ class TestExpectationIdentity:
         z, p_z, estimate, stderr = rows[0]
         assert stderr > 0.0
         assert abs(estimate - p_z) < 3.0 * stderr
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_sampling_needs_two_samples(self, unit_spec, samples):
+        with pytest.raises(ValueError, match="samples"):
+            expectation_identity_check(unit_spec, 2, (2.0,), mode="mc", samples=samples)
 
     def test_auto_mode_switches_with_size(self, unit_spec):
         # The determinant serves any size while A is well conditioned; at
