@@ -5,12 +5,11 @@ equilibrium measures, extremal-configuration asymptotics, exact small-n
 normalizing constants, the deviation-probability bound, sampler convergence,
 the moment-system polynomial, rate/probe identities, boundedness-constant
 trends, and the algebraic property suite.  ``run_all`` prints one PASS/FAIL
-line per check and writes a JSON report.  Every criterion also reports each
-value it checks against a numeric limit as a ratio that is at most 1 while
-the check holds (``<metric>_of_limit``, criterion_5's largest
-``probability_of_bound`` and criterion_9's limit over its
-``defective_root``), so a drift shows as a lost margin before it flips a
-verdict.
+line per check and writes a JSON report.  Each numeric limit is stated once,
+in its criterion's decorator, which judges the value against it, reports it
+as a ratio that is at most 1 while the limit holds (``<metric>_of_limit``)
+and ends the details with it, so a drift shows as a lost margin before it
+flips a verdict.  criterion_5 reports its largest ``probability_of_bound``.
 """
 
 import functools
@@ -58,9 +57,18 @@ class CriterionResult:
     seconds: float = 0.0
 
 
-def _criterion(budget):
+def _criterion(budget, upper=None, lower=None):
     """A check that returns (passed, details, metrics) becomes a criterion of
-    its own name, timed, that fails when it takes ``budget`` seconds or more."""
+    its own name, timed, that fails when it takes ``budget`` seconds or more.
+
+    ``upper`` and ``lower`` map metrics to their numeric limits.  The
+    criterion also fails unless each holds (metric <= limit, or >= for a
+    lower limit), reports ``<metric>_of_limit`` (metric / limit, or limit /
+    metric) and ends its details with every limit; ``passed`` carries the
+    check's other conditions.
+    """
+    limits = [(k, "<=", v) for k, v in (upper or {}).items()]
+    limits += [(k, ">=", v) for k, v in (lower or {}).items()]
 
     def wrap(check):
         @functools.wraps(check)
@@ -68,11 +76,18 @@ def _criterion(budget):
             start = time.perf_counter()
             passed, details, metrics = check()
             seconds = time.perf_counter() - start
+            metrics = {k: float(v) for k, v in metrics.items()}
+            for k, op, limit in limits:
+                value = metrics[k]
+                passed = passed and (value <= limit if op == "<=" else value >= limit)
+                metrics[k + "_of_limit"] = value / limit if op == "<=" else limit / value
+            if limits:
+                details += "; limits " + ", ".join("%s %s %g" % lim for lim in limits)
             return CriterionResult(
                 name=check.__name__,
                 passed=bool(passed and seconds < budget),
                 details=details,
-                metrics={k: float(v) for k, v in metrics.items()},
+                metrics=metrics,
                 seconds=seconds,
             )
 
@@ -104,7 +119,7 @@ def _arcsine_measure(cells=400):
     return system, VectorMeasure((comp,))
 
 
-@_criterion(60.0)
+@_criterion(60.0, upper={"l1_distance": 0.02})
 def criterion_1():
     """Quadratic field on one interval reproduces the semicircle density."""
     system = IntervalSystem(((-2.0, 2.0),), (1.0,))
@@ -114,65 +129,49 @@ def criterion_1():
     x = g.nodes
     ref = np.sqrt(np.maximum(2.0 - x * x, 0.0)) / np.pi
     l1 = float(np.sum(np.abs(g.density() - ref)) * g.cell_width)
-    ok = l1 <= 0.02
-    return (
-        ok,
-        "L1 distance to semicircle %.3g (limit 0.02)" % l1,
-        dict(l1_distance=l1, l1_distance_of_limit=l1 / 0.02),
-    )
+    return True, "L1 distance to semicircle %.3g" % l1, dict(l1_distance=l1)
 
 
-@_criterion(60.0)
+@_criterion(60.0, upper={"energy_gap": 2e-3, "cdf_gap": 0.01})
 def criterion_2():
     """Unweighted single-interval equilibrium is the arcsine law, E = log 2."""
     system, arc = _arcsine_measure(cells=800)
     sol = solve_equilibrium(system, cells=800, tol=1e-4)
     e_gap = abs(sol.energy.total - float(np.log(2.0)))
     cdf_gap = weak_star_distance(sol.measure, arc)
-    ok = e_gap <= 2e-3 and cdf_gap <= 0.01
     return (
-        ok,
-        "energy gap %.3g (limit 2e-3), sup-CDF gap %.3g (limit 0.01)"
-        % (e_gap, cdf_gap),
-        dict(energy_gap=e_gap, cdf_gap=cdf_gap, energy_gap_of_limit=e_gap / 2e-3,
-             cdf_gap_of_limit=cdf_gap / 0.01),
+        True,
+        "energy gap %.3g, sup-CDF gap %.3g" % (e_gap, cdf_gap),
+        dict(energy_gap=e_gap, cdf_gap=cdf_gap),
     )
 
 
-@_criterion(300.0)
+@_criterion(300.0, upper={"gap_80": 0.02})
 def criterion_3():
     """Normalized extremal log weight vs minus the equilibrium energy.
 
-    The stated tolerance (0.02 at n=80) is not attainable for the true
-    maximizers: the missing-diagonal deficit decays like log(n)/n and still
-    exceeds 0.07 at n=80.  The check is run exactly as stated and reports
-    honestly; the monotone-approach half passes, the 0.02 half fails.
+    The stated limit on gap_80 is not attainable for the true maximizers:
+    the missing-diagonal deficit decays like log(n)/n and still exceeds 0.07
+    at n=80.  The check is run exactly as stated and reports honestly; the
+    monotone-approach half passes, the gap_80 half fails.
     """
     system = _two_interval()
     eq = solve_equilibrium(system, cells=400, tol=1e-4)
     target = -eq.energy.total
     seq = MultiIndexSequence.proportional(system.r)
     gaps = []
-    norms = {}
-    for d, n in ((10, 20), (20, 40), (40, 80)):
-        res = fekete_points(
-            system, seq(d), n_starts=2, tol=1e-10, seed=0
-        )
-        norms[n] = res.normalized
+    for d in (10, 20, 40):
+        res = fekete_points(system, seq(d), n_starts=2, tol=1e-10, seed=0)
         gaps.append(abs(res.normalized - target))
     monotone = gaps[0] > gaps[1] > gaps[2]
-    close = gaps[2] <= 0.02
-    ok = monotone and close
     return (
-        ok,
-        "gaps to -E at n=20/40/80: %.4f/%.4f/%.4f; monotone=%s, "
-        "final<=0.02=%s" % (gaps[0], gaps[1], gaps[2], monotone, close),
-        dict(gap_20=gaps[0], gap_40=gaps[1], gap_80=gaps[2], target=target,
-             gap_80_of_limit=gaps[2] / 0.02),
+        monotone,
+        "gaps to -E at n=20/40/80: %.4f/%.4f/%.4f; monotone=%s" % (*gaps, monotone),
+        dict(gap_20=gaps[0], gap_40=gaps[1], gap_80=gaps[2], target=target),
     )
 
 
-@_criterion(30.0)
+@_criterion(30.0, upper={"z_error_pair": 1e-4, "z_error_single": 1e-4})
 def criterion_4():
     """Exact small-n normalizing constants and the extremal sandwich."""
     spec2 = _two_interval_spec()
@@ -191,13 +190,10 @@ def criterion_4():
     lo1, up1 = partition_function_bounds(spec1, 2, fek1)
 
     sandwich = (lo2 <= log_z2 <= up2) and (lo1 <= log_z1 <= up1)
-    ok = err2 <= 1e-4 and err1 <= 1e-4 and sandwich
     return (
-        ok,
-        "Z errors %.2g and %.2g (limit 1e-4); sandwich holds: %s"
-        % (err2, err1, sandwich),
-        dict(z_error_pair=err2, z_error_single=err1,
-             z_error_pair_of_limit=err2 / 1e-4, z_error_single_of_limit=err1 / 1e-4),
+        sandwich,
+        "Z errors %.2g and %.2g; sandwich holds: %s" % (err2, err1, sandwich),
+        dict(z_error_pair=err2, z_error_single=err1),
     )
 
 
@@ -228,7 +224,7 @@ def criterion_5():
     )
 
 
-@_criterion(600.0)
+@_criterion(600.0, upper={"mean_64": 0.06, "mean_weighted_64": 0.06})
 def criterion_6():
     """Sampled counting measures drift toward the equilibrium measure."""
     spec = _two_interval_spec()
@@ -238,7 +234,6 @@ def criterion_6():
     )
     means = [r.mean_distance for r in rows]
     decreasing = means[0] > means[1] > means[2]
-    small = means[2] <= 0.06
 
     system_w = IntervalSystem(((-2.0, 2.0),), (1.0,))
     fld = ExternalField.quadratic(1, scale=0.5)
@@ -252,20 +247,16 @@ def criterion_6():
     row_w = convergence_experiment(
         spec_w, [64], samples_per_d=30, seed=0, equilibrium=eq_w
     )[0]
-    small_w = row_w.mean_distance <= 0.06
-    ok = decreasing and small and small_w
     return (
-        ok,
+        decreasing,
         "means at n=16/32/64: %.4f/%.4f/%.4f (decreasing=%s); "
-        "weighted variant at n=64: %.4f (limit 0.06)"
-        % (means[0], means[1], means[2], decreasing, row_w.mean_distance),
+        "weighted variant at n=64: %.4f" % (*means, decreasing, row_w.mean_distance),
         dict(mean_16=means[0], mean_32=means[1], mean_64=means[2],
-             mean_weighted_64=row_w.mean_distance, mean_64_of_limit=means[2] / 0.06,
-             mean_weighted_64_of_limit=row_w.mean_distance / 0.06),
+             mean_weighted_64=row_w.mean_distance),
     )
 
 
-@_criterion(30.0)
+@_criterion(30.0, upper={"coeff_err": 1e-8, "identity_err": 1e-6})
 def criterion_7():
     """Moment-system polynomial for the symmetric pair and its expectation."""
     spec = _two_interval_spec()
@@ -275,17 +266,15 @@ def criterion_7():
     )
     rows = expectation_identity_check(spec, 1, (0.0, 0.5, 100.0))
     id_err = max(abs(pz - est) for _, pz, est, _ in rows)
-    ok = coeff_err <= 1e-8 and id_err <= 1e-6
     return (
-        ok,
-        "coefficient error %.3g (limit 1e-8); identity error %.3g "
-        "(limit 1e-6)" % (coeff_err, id_err),
-        dict(coeff_err=coeff_err, identity_err=id_err,
-             coeff_err_of_limit=coeff_err / 1e-8, identity_err_of_limit=id_err / 1e-6),
+        True,
+        "coefficient error %.3g; identity error %.3g" % (coeff_err, id_err),
+        dict(coeff_err=coeff_err, identity_err=id_err),
     )
 
 
-@_criterion(300.0)
+@_criterion(300.0, upper={"rate": 1e-3, "probe_gap_arcsine": 0.05,
+                          "probe_gap_uniform": 0.05, "shift_worst": 1e-10})
 def criterion_8():
     """Rate at the minimizer, quantile probes, and the field-shift identity."""
     system = _two_interval()
@@ -306,47 +295,33 @@ def criterion_8():
     worst = field_shift_worst(
         system, [MultiIndex((3, 2))], fld, 100, np.random.default_rng(11)
     )
-    ok = (
-        rate <= 1e-3
-        and gap_arc <= 0.05
-        and gap_uni <= 0.05
-        and worst <= 1e-10
-    )
     return (
-        ok,
-        "rate %.2g (limit 1e-3); probe gaps %.4f / %.4f (limit 0.05); "
-        "shift identity worst %.2g (limit 1e-10)"
+        True,
+        "rate %.2g; probe gaps %.4f / %.4f; shift identity worst %.2g"
         % (rate, gap_arc, gap_uni, worst),
         dict(rate=rate, probe_gap_arcsine=gap_arc, probe_gap_uniform=gap_uni,
-             shift_worst=worst, rate_of_limit=rate / 1e-3,
-             probe_gap_arcsine_of_limit=gap_arc / 0.05,
-             probe_gap_uniform_of_limit=gap_uni / 0.05,
-             shift_worst_of_limit=worst / 1e-10),
+             shift_worst=worst),
     )
 
 
-@_criterion(30.0)
+@_criterion(30.0, upper={"root_16": 1.25}, lower={"defective_root": 1.5})
 def criterion_9():
     """Christoffel-based growth roots: trend and the defective counterexample."""
     system = IntervalSystem(((-1.0, 1.0),), (1.0,))
     tau = BaseMeasure.lebesgue(system, 0)
     roots = [bm_constant(tau, n).root for n in (4, 8, 16)]
     decreasing = roots[0] > roots[1] > roots[2]
-    small = roots[2] <= 1.25
 
     defective = BaseMeasure.from_callable(
         system, 0, lambda x: np.where(np.asarray(x) <= 0.0, 1.0, 0.0)
     )
     bad_root = bm_constant(defective, 16).root
-    ok = decreasing and small and bad_root >= 1.5
     return (
-        ok,
-        "roots %.4f/%.4f/%.4f (decreasing=%s, final<=1.25=%s); "
-        "defective root %.3f (limit >=1.5)"
-        % (roots[0], roots[1], roots[2], decreasing, small, bad_root),
+        decreasing,
+        "roots %.4f/%.4f/%.4f (decreasing=%s); defective root %.3f"
+        % (*roots, decreasing, bad_root),
         dict(root_4=roots[0], root_8=roots[1], root_16=roots[2],
-             defective_root=bad_root, root_16_of_limit=roots[2] / 1.25,
-             defective_root_of_limit=1.5 / bad_root),
+             defective_root=bad_root),
     )
 
 
@@ -364,7 +339,7 @@ def _random_vector_measure(system, rng, cells):
     return VectorMeasure(tuple(comps))
 
 
-@_criterion(300.0)
+@_criterion(300.0, upper={"identity_rel_err": 1e-8, "start_gap": 1e-3})
 def criterion_10():
     """Property suite: difference identity, positivity, independence, seeds."""
     system = _two_interval()
@@ -391,14 +366,11 @@ def criterion_10():
         rhs = cross + quad
         rel = abs(lhs - rhs) / max(1.0, abs(lhs))
         worst_rel = max(worst_rel, rel)
-    identity_ok = worst_rel <= 1e-8
-    positive_ok = min_quad >= 0.0
 
     sol1 = solve_equilibrium(system, cells=400, tol=1e-4)
     start = _random_vector_measure(system, rng, 400)
     sol2 = solve_equilibrium(system, cells=400, tol=1e-4, initial=start)
     start_gap = weak_star_distance(sol1.measure, sol2.measure)
-    start_ok = start_gap <= 10.0 * 1e-4
 
     spec = _two_interval_spec()
     b1 = gibbs_sample(spec, 8, 5, seed=123)
@@ -410,20 +382,11 @@ def criterion_10():
         )
         for x, y in zip(b1.configurations, b2.configurations)
     )
-    ok = (
-        identity_ok
-        and positive_ok
-        and start_ok
-        and seeds_ok
-    )
     return (
-        ok,
-        "identity rel err %.2g (limit 1e-8); min quadratic term %.2g; "
-        "start gap %.2g (limit 1e-3); seeds byte-equal: %s"
-        % (worst_rel, min_quad, start_gap, seeds_ok),
-        dict(identity_rel_err=worst_rel, min_quadratic=min_quad, start_gap=start_gap,
-             identity_rel_err_of_limit=worst_rel / 1e-8,
-             start_gap_of_limit=start_gap / 1e-3),
+        min_quad >= 0.0 and seeds_ok,
+        "identity rel err %.2g; min quadratic term %.2g; start gap %.2g; "
+        "seeds byte-equal: %s" % (worst_rel, min_quad, start_gap, seeds_ok),
+        dict(identity_rel_err=worst_rel, min_quadratic=min_quad, start_gap=start_gap),
     )
 
 

@@ -287,37 +287,13 @@ class MultiIndex:
         return sum(self.counts)
 
 
-def _pairwise_sum(xs):
-    """Sum of a list of floats in the order of NumPy's float64 ``sum``, so
-    bit for bit the same: one after another below 8 terms, 8 interleaved
-    partial sums up to 128, halves beyond (pairwise summation)."""
-    n = len(xs)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
-    if n < 8:
-        total = 0.0
-        for x in xs:
-            total += x
-        return total
-    r = xs[:8]
-    whole = n - n % 8
-    for i in range(8, whole, 8):
-        for j in range(8):
-            r[j] += xs[i + j]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in xs[whole:]:
-        total += x
-    return total
-
-
 def apportion(total, shares):
     """Largest-remainder split of ``total`` points by ``shares``, each >= 1."""
     shares = [float(s) for s in shares]
     p = len(shares)
     if total < p:
         raise ValueError(f"cannot place {total} points on {p} intervals")
-    whole = _pairwise_sum(shares)
+    whole = float(np.add.reduce(np.array(shares)))  # NumPy's pairwise order
     if not 0.0 < whole < math.inf:
         raise ValueError(f"shares {shares} do not have a positive finite sum")
     quota = [s / whole * total for s in shares]

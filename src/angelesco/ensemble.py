@@ -431,7 +431,7 @@ def _projection_matrix(spec, index, n_field=0):
     exponent's maximum; p_0..p_n are orthonormal for sum_j w_j, q^(j) for
     w_j.  Returns M, p's recurrence in s = (x - center)/scale, the log
     determinant of the monomial moment matrix [sum t^(k + l) w_j e^shift_j],
-    center and scale.  det M is positive for positive weights.
+    center, scale and cond M[:, :n].  det M is positive for positive weights.
     """
     (lo, _), (_, hi) = spec.system.intervals[0], spec.system.intervals[-1]
     center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -460,7 +460,7 @@ def _projection_matrix(spec, index, n_field=0):
             condition=cond,
         )
     log_det += log_det_m - float(log_lead[:-1].sum())
-    return mat, recurrence, log_det, center, scale
+    return mat, recurrence, log_det, center, scale, cond
 
 
 def _log_partition(spec, d):
@@ -470,7 +470,7 @@ def _log_partition(spec, d):
     identity Z = prod(n_j!) det[sum over interval j of t^(k + l) w_j].
     """
     m = spec.index(d)
-    _, _, log_det, _, _ = _projection_matrix(spec, m, m.total)
+    log_det = _projection_matrix(spec, m, m.total)[2]
     return _log_sector_factor(m) + log_det
 
 

@@ -302,6 +302,8 @@ def fekete_points(system, index, field=None, n_starts=4, tol=1e-10, seed=0):
     stream.  Under a concave weight the first certified start is the
     maximum, and the starts after it are not run.
     """
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     ascent = _Ascent(system, as_field(field, system.p), index)
     results = []
     for s in np.random.SeedSequence(seed).spawn(n_starts):

@@ -23,6 +23,10 @@ import numpy as np
 from .ensemble import _projection_matrix, gibbs_sample
 from .errors import IllConditionedSystem
 
+# cond * eps of a pairing matrix at which its solve or determinant ratio is
+# refused: P's error grows with cond(M[:, :n]) although its residual does not.
+MAX_COND_EPS = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class MonicPolynomial:
@@ -103,18 +107,20 @@ def solve_mop(spec, index):
 
     P is kept in the orthonormal basis of the union of the refined base
     measures (``_projection_matrix``) as c, c_n = 1 and M[:, :n] c = -M[:, n],
-    scaled to be monic; IllConditionedSystem, carrying cond M, when |M c|
-    exceeds 1e-8 (M's entries are at most 1).  ``coefficients`` come from the
-    same recurrence (``_monomial_coefficients``); P(x) and its zeros do not
-    use them.
+    scaled to be monic; IllConditionedSystem, carrying cond M[:, :n], when
+    cond * eps reaches MAX_COND_EPS or |M c| exceeds 1e-8 (M's entries are at
+    most 1).  ``coefficients`` come from the same recurrence
+    (``_monomial_coefficients``); P(x) and its zeros do not use them.
     """
     n = index.total
-    mat, (a, b), _, center, scale = _projection_matrix(spec, index)
+    mat, (a, b), _, center, scale, cond = _projection_matrix(spec, index)
+    if not cond * np.finfo(float).eps < MAX_COND_EPS:
+        raise IllConditionedSystem(f"pairing matrix: condition {cond:.3e}", condition=cond)
     c = np.append(np.linalg.solve(mat[:, :n], -mat[:, n]), 1.0)
     worst = float(np.max(np.abs(mat @ c)))
     if not worst <= 1e-8:
         raise IllConditionedSystem(f"orthogonality residual {worst:.3e} too large",
-                                   condition=float(np.linalg.cond(mat[:, :n])))
+                                   condition=cond)
     # p_n has x^n coefficient 1 / prod(scale g): these coordinates are monic.
     basis = (center, scale, a[:n], b[:n], b[1:], c * np.prod(scale * b[1:]))
     poly = MonicPolynomial(n, _monomial_coefficients(*basis)[:n])
@@ -124,7 +130,7 @@ def solve_mop(spec, index):
 
 def _heine_ratios(system, grids, counts, zs):
     """cond A, and det B(z) / det A for each z (None unless cond A * eps <
-    1e-6), for the pairing matrices
+    MAX_COND_EPS), for the pairing matrices
 
         A[(j, k), l] = sum over (t, w) in grids[j] of R_k(t) L_l(t) w
 
@@ -151,7 +157,7 @@ def _heine_ratios(system, grids, counts, zs):
 
     mat = pairing()
     cond = float(np.linalg.cond(mat))
-    if not cond * np.finfo(float).eps < 1e-6:
+    if not cond * np.finfo(float).eps < MAX_COND_EPS:
         return cond, None
     sign, log_a = np.linalg.slogdet(mat)
     return cond, [float(sign * sign_z * np.exp(log_b - log_a))
@@ -166,8 +172,8 @@ def expectation_identity_check(
     Returns rows (z, P(z), estimate, stderr).  In quadrature mode the mean
     is taken exactly over the refined grids that P is solved on, as
     det B(z) / det A (``_heine_ratios``), and stderr is 0; it raises
-    IllConditionedSystem when cond(A) * eps reaches 1e-6.  In Monte Carlo
-    mode ("mc") it is a mean over Gibbs samples.  "auto" takes the
+    IllConditionedSystem when cond(A) * eps reaches MAX_COND_EPS.  In Monte
+    Carlo mode ("mc") it is a mean over Gibbs samples.  "auto" takes the
     determinant while it is well conditioned and Gibbs samples otherwise;
     any other mode, or sampling with fewer than 2 samples, raises
     ValueError.  The identity concerns the unweighted ensemble, so any

@@ -38,26 +38,24 @@ def test_criterion_passes(verification, name):
     assert results[name].passed, results[name].details
 
 
-@pytest.mark.parametrize("name", ["criterion_%d" % i for i in (1, 2, 8, 10)])
-def test_kernel_criteria_report_their_margins(verification, name):
-    results, _, _ = verification
-    ratios = [v for k, v in results[name].metrics.items() if k.endswith("_of_limit")]
-    assert ratios and max(ratios) <= 1.0
-
-
 def test_criterion_5_reports_its_margin(verification):
     results, _, _ = verification
     assert 0.0 <= results["criterion_5"].metrics["probability_of_bound"] <= 1.0
 
 
-# The criteria outside the kernel: each value checked against a numeric
-# upper limit, and that limit; then the values held to a lower limit.
+# Each value checked against a numeric upper limit, and that limit; then the
+# values held to a lower limit.  criterion_5's bound ratio has no limit key.
 LIMITS = {
+    "criterion_1": {"l1_distance": 0.02},
+    "criterion_2": {"energy_gap": 2e-3, "cdf_gap": 0.01},
     "criterion_3": {"gap_80": 0.02},
     "criterion_4": {"z_error_pair": 1e-4, "z_error_single": 1e-4},
     "criterion_6": {"mean_64": 0.06, "mean_weighted_64": 0.06},
     "criterion_7": {"coeff_err": 1e-8, "identity_err": 1e-6},
+    "criterion_8": {"rate": 1e-3, "probe_gap_arcsine": 0.05, "probe_gap_uniform": 0.05,
+                    "shift_worst": 1e-10},
     "criterion_9": {"root_16": 1.25},
+    "criterion_10": {"identity_rel_err": 1e-8, "start_gap": 1e-3},
 }
 LOWER_LIMITS = {"criterion_9": {"defective_root": 1.5}}
 
@@ -73,6 +71,15 @@ def test_numeric_limits_report_their_margins(verification, name):
     assert ratios == expected
     if results[name].passed:
         assert max(ratios.values()) <= 1.0
+
+
+@pytest.mark.parametrize("name", LIMITS)
+def test_details_end_with_the_limits(verification, name):
+    results, _, _ = verification
+    named = ["%s <= %g" % kv for kv in LIMITS[name].items()]
+    named += ["%s >= %g" % kv for kv in LOWER_LIMITS.get(name, {}).items()]
+    limits = results[name].details.rsplit("; limits ", 1)[1]
+    assert sorted(limits.split(", ")) == sorted(named)
 
 
 @pytest.mark.xfail(

@@ -193,6 +193,11 @@ def test_field_not_known_convex_runs_every_start(two, field):
     assert res.starts_used == 4
 
 
+def test_no_start_is_refused(two):
+    with pytest.raises(ValueError, match="n_starts"):
+        fekete_points(two, MultiIndex((3, 3)), n_starts=0)
+
+
 def test_scan_reaches_a_kink_of_a_sampled_field(two):
     # The Newton stencil smooths the kink at x = 1.3, where one point of the
     # (3, 3) maximizer sits: it stopped at 1.3000029 with the weight

@@ -153,6 +153,26 @@ class TestSolve:
             poly.coefficients, exact, rtol=0, atol=1e-9 * np.abs(exact).max()
         )
 
+    @pytest.mark.parametrize("counts", [(15, 25), (14, 26)])
+    def test_refuses_a_pairing_too_ill_conditioned_for_p(self, two, counts):
+        # Both solve to a small residual, yet P is off by 4.5e-5 and 2.7e-3.
+        base = tuple(BaseMeasure.lebesgue(two, i, cells=50) for i in range(2))
+        seq = MultiIndexSequence.explicit([counts], slack=10.0)
+        with pytest.raises(IllConditionedSystem) as err:
+            solve_mop(EnsembleSpec(two, None, base, seq), MultiIndex(counts))
+        assert err.value.condition * np.finfo(float).eps >= 1e-6
+
+    def test_unbalanced_index_inside_the_guard_matches_the_decimal_solve(
+        self, two, moment_system
+    ):
+        counts, zs = (16, 24), (1.5, 2.5, -3.0)
+        base = tuple(BaseMeasure.lebesgue(two, i, cells=50) for i in range(2))
+        spec = EnsembleSpec(two, None, base, MultiIndexSequence.explicit([counts], slack=10.0))
+        _, _, exact = moment_system(spec, counts, digits=300, zs=zs)
+        np.testing.assert_allclose(
+            solve_mop(spec, MultiIndex(counts))(zs), exact, rtol=1e-5, atol=0
+        )
+
     def test_residual_check_passes_at_32_32(self, pair_spec):
         poly = solve_mop(pair_spec, MultiIndex((32, 32)))
         assert poly.degree == 64 and np.all(np.isfinite(poly.coefficients))
