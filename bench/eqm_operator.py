@@ -55,6 +55,12 @@ on [-2, -1] u [1, 2] and on [-1, -0.01] u [0.01, 3] with masses (0.3, 0.7)
 (``tol<tol>_<layout>`` rows, with the same fields).  A solve that hits the
 cap is kept with ``capped`` true, its best residual and its cost.
 
+``repeat_two_M400`` makes two identical solves on [-2, -1] u [1, 2] at
+M = 400 from an empty cache and records the kernel applies of the first
+(``first_applies``) and the wall time and applies of the second
+(``repeat_s``, ``repeat_applies``): a repeat that is solved again makes as
+many applies as the first, one that returns the stored solution none.
+
 It also times three grid-400 solves on three two-interval systems, first on
 a quiet machine (after a one-second pause) and then beside one busy process
 (a pure-Python loop) that competes for the cores: wall time ``s`` and
@@ -192,6 +198,23 @@ def measure(src):
             "applies": applies[0], "rounds": sol.rounds, "pcg_steps": pcg_steps[0],
         }
 
+    def repeat(system, cells):
+        """Two identical solves from an empty cache: the first's applies, and
+        the second's wall time and applies."""
+        system_kernel.cache_clear()
+        energy.KernelOperator.apply = counted_apply
+        try:
+            applies[0] = 0
+            solve_equilibrium(system, cells=cells)
+            first, applies[0] = applies[0], 0
+            t0 = time.perf_counter()
+            solve_equilibrium(system, cells=cells)
+            seconds = time.perf_counter() - t0
+        finally:
+            energy.KernelOperator.apply = plain_apply
+        system_kernel.cache_clear()
+        return {"first_applies": first, "repeat_s": seconds, "repeat_applies": applies[0]}
+
     factors = energy._cross_factors
 
     def dense_error(x, y, u, v):
@@ -276,6 +299,8 @@ def measure(src):
                 IntervalSystem(intervals, masses), TIGHT_CELLS,
                 tol=tol, max_iter=TIGHT_MAX_ITER,
             )
+
+    out["repeat_two_M400"] = repeat(IntervalSystem(*LAYOUTS["two"]), 400)
 
     kernels, blocks = set(), []
     for workload in PERFBENCH_WORKLOADS:
@@ -363,7 +388,7 @@ if __name__ == "__main__":
         measure,
         "equilibrium kernel assembly, one apply, solve time, iterations, applies, "
         "active-set rounds and PCG steps; partial-support "
-        "and tight-tolerance solves; cross-block certificates; "
+        "and tight-tolerance solves; a repeated solve; cross-block certificates; "
         "three grid-400 solves quiet and beside a busy process; bound and "
         "realized error of every cross block, here, in perfbench kernels and "
         "in the 18 census kernels",

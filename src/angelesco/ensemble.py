@@ -424,6 +424,12 @@ def partition_function_quadrature(spec, d):
     return float(np.log(z_full))
 
 
+# cond * eps of a pairing matrix at which its solve, log determinant or
+# determinant ratio is refused: their error grows with cond although the
+# solve's residual does not.
+MAX_COND_EPS = 1e-6
+
+
 def _projection_matrix(spec, index, n_field=0):
     """M[(j, k), l] = sum over interval j of q_k^(j) p_l w_j, refined grids.
 
@@ -431,7 +437,9 @@ def _projection_matrix(spec, index, n_field=0):
     exponent's maximum; p_0..p_n are orthonormal for sum_j w_j, q^(j) for
     w_j.  Returns M, p's recurrence in s = (x - center)/scale, the log
     determinant of the monomial moment matrix [sum t^(k + l) w_j e^shift_j],
-    center, scale and cond M[:, :n].  det M is positive for positive weights.
+    center, scale and cond M[:, :n].  det M is positive for positive weights;
+    IllConditionedSystem, carrying cond M[:, :n], when its sign is not 1 or
+    cond * eps reaches MAX_COND_EPS.
     """
     (lo, _), (_, hi) = spec.system.intervals[0], spec.system.intervals[-1]
     center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -454,7 +462,7 @@ def _projection_matrix(spec, index, n_field=0):
     sign, log_det_m = np.linalg.slogdet(mat[:, :-1])
     cond = float(np.linalg.cond(mat[:, :-1]))
     # Unbalanced indices can make M singular to working precision.
-    if sign != 1.0 or not cond * np.finfo(float).eps < 1.0:
+    if sign != 1.0 or not cond * np.finfo(float).eps < MAX_COND_EPS:
         raise IllConditionedSystem(
             f"pairing matrix: determinant sign {sign:g}, condition {cond:.3e}",
             condition=cond,

@@ -20,12 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import _projection_matrix, gibbs_sample
+from .ensemble import MAX_COND_EPS, _projection_matrix, gibbs_sample
 from .errors import IllConditionedSystem
-
-# cond * eps of a pairing matrix at which its solve or determinant ratio is
-# refused: P's error grows with cond(M[:, :n]) although its residual does not.
-MAX_COND_EPS = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,14 +104,13 @@ def solve_mop(spec, index):
     P is kept in the orthonormal basis of the union of the refined base
     measures (``_projection_matrix``) as c, c_n = 1 and M[:, :n] c = -M[:, n],
     scaled to be monic; IllConditionedSystem, carrying cond M[:, :n], when
-    cond * eps reaches MAX_COND_EPS or |M c| exceeds 1e-8 (M's entries are at
-    most 1).  ``coefficients`` come from the same recurrence
-    (``_monomial_coefficients``); P(x) and its zeros do not use them.
+    ``_projection_matrix`` refuses M (cond * eps at MAX_COND_EPS) or |M c|
+    exceeds 1e-8 (M's entries are at most 1).  ``coefficients`` come from
+    the same recurrence (``_monomial_coefficients``); P(x) and its zeros do
+    not use them.
     """
     n = index.total
     mat, (a, b), _, center, scale, cond = _projection_matrix(spec, index)
-    if not cond * np.finfo(float).eps < MAX_COND_EPS:
-        raise IllConditionedSystem(f"pairing matrix: condition {cond:.3e}", condition=cond)
     c = np.append(np.linalg.solve(mat[:, :n], -mat[:, n]), 1.0)
     worst = float(np.max(np.abs(mat @ c)))
     if not worst <= 1e-8:

@@ -518,6 +518,17 @@ class TestPartitionFunction:
         with pytest.raises(IllConditionedSystem):
             solve_mop(spec, MultiIndex((4, 36)))
 
+    def test_pairing_too_ill_conditioned_for_log_z_raises(self, two):
+        # cond * eps is 8.7e-4 at 14 + 26 points, where log det is 2.4e-6
+        # off a 300-digit solve although M is far from singular.
+        base = tuple(BaseMeasure.lebesgue(two, i, cells=50) for i in range(2))
+        spec = EnsembleSpec(
+            two, None, base, MultiIndexSequence.explicit([(14, 26)], slack=10.0)
+        )
+        with pytest.raises(IllConditionedSystem) as exc:
+            ensemble._log_partition(spec, 1)
+        assert 1e-6 <= exc.value.condition * np.finfo(float).eps < 1.0
+
     def test_determinant_survives_a_huge_field_constant(self, two):
         # Q + c scales Z by exp(-2 n^2 c); unshifted, every weight underflows.
         counts, c = (10, 10), 400.0

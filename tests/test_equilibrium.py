@@ -9,7 +9,7 @@ from angelesco import (
     weak_star_distance,
 )
 from angelesco import equilibrium
-from angelesco.energy import as_field, kernel_matrix, system_kernel
+from angelesco.energy import KernelOperator, as_field, kernel_matrix, system_kernel
 from angelesco.equilibrium import (
     SUPPORT_THRESHOLD,
     _project_rows,
@@ -345,8 +345,10 @@ def test_applies_flat_in_cells(cells):
 )
 def test_round_cap_raises(name, max_rounds, monkeypatch):
     # The pushing case converges in its first round, so only a cap of 0
-    # stops it.
+    # stops it.  MAX_ROUNDS is not part of a stored solution's key, so the
+    # cache starts empty: an earlier test may have solved this problem.
     system, field = _partial_case(name)
+    system_kernel.cache_clear()
     monkeypatch.setattr(equilibrium, "MAX_ROUNDS", max_rounds)
     with pytest.raises(MaxIterationsExceeded) as exc:
         solve_equilibrium(system, field, cells=400, tol=1e-8)
@@ -416,3 +418,95 @@ def test_initial_seeds_the_first_support():
     assert again.rounds <= 1
     assert again.applies < sol.applies
     assert np.abs(_weights(again) - _weights(sol)).max() <= 1e-7
+
+
+def _counted_applies(monkeypatch):
+    """A one-element list that counts every ``KernelOperator.apply`` from here on."""
+    calls = [0]
+    apply = KernelOperator.apply
+
+    def counted(self, w):
+        calls[0] += 1
+        return apply(self, w)
+
+    monkeypatch.setattr(KernelOperator, "apply", counted)
+    return calls
+
+
+STORED_SYSTEM = IntervalSystem(((-2.0, -1.0), (1.0, 2.0)), (0.5, 0.5))
+STORED_FIELD = ExternalField.quadratic(2, scale=0.3)
+STORED = {"field": STORED_FIELD, "cells": 100, "tol": 1e-6, "max_iter": 20000}
+
+
+def _bumped_at_one_node(field, i, node):
+    """``field`` with component i raised by 1e-3 at ``node`` alone."""
+    funcs = [lambda x, k=k: field(k, x) for k in range(field.p)]
+    funcs[i] = lambda x: field(i, x) + 1e-3 * (np.asarray(x) == node)
+    return ExternalField(tuple(funcs))
+
+
+def test_a_repeated_problem_returns_the_stored_solution(monkeypatch):
+    system_kernel.cache_clear()
+    calls = _counted_applies(monkeypatch)
+    sol = solve_equilibrium(STORED_SYSTEM, **STORED)
+    assert calls[0] == sol.applies > 0
+    # An equal field as another object still names the same problem.
+    equal_field = ExternalField.quadratic(2, scale=0.3)
+    again = solve_equilibrium(STORED_SYSTEM, **{**STORED, "field": equal_field})
+    assert again is sol
+    assert calls[0] == sol.applies
+    assert not any(g.weights.flags.writeable or g.nodes.flags.writeable for g in sol.measure)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"field": _bumped_at_one_node(STORED_FIELD, 1, STORED_SYSTEM.grid_nodes(1, 100)[37])},
+        {"tol": 1e-7},
+        {"max_iter": 19999},
+        {"cells": 101},
+        {"system": IntervalSystem(STORED_SYSTEM.intervals, (0.4, 0.6))},
+    ],
+    ids=["field_at_one_node", "tol", "max_iter", "cells", "masses"],
+)
+def test_a_changed_problem_solves_afresh(change, monkeypatch):
+    system_kernel.cache_clear()
+    sol = solve_equilibrium(STORED_SYSTEM, **STORED)
+    calls = _counted_applies(monkeypatch)
+    problem = {"system": STORED_SYSTEM, **STORED, **change}
+    other = solve_equilibrium(**problem)
+    assert other is not sol
+    assert calls[0] == other.applies > 0
+
+
+def test_a_call_with_initial_always_solves_and_is_not_kept(monkeypatch):
+    system_kernel.cache_clear()
+    sol = solve_equilibrium(STORED_SYSTEM, **STORED)
+    calls = _counted_applies(monkeypatch)
+    started = solve_equilibrium(STORED_SYSTEM, **STORED, initial=sol.measure)
+    assert started is not sol
+    assert calls[0] == started.applies > 0
+    assert solve_equilibrium(STORED_SYSTEM, **STORED) is sol
+
+
+def test_an_emptied_kernel_cache_solves_again(monkeypatch):
+    system_kernel.cache_clear()
+    sol = solve_equilibrium(STORED_SYSTEM, **STORED)
+    system_kernel.cache_clear()
+    calls = _counted_applies(monkeypatch)
+    again = solve_equilibrium(STORED_SYSTEM, **STORED)
+    assert again is not sol
+    assert calls[0] == again.applies == sol.applies
+    # A cold solve of the same problem gives the same bits.
+    assert again.energy == sol.energy
+    assert all(np.array_equal(a.weights, b.weights) for a, b in zip(again.measure, sol.measure))
+
+
+def test_a_capped_solve_raises_again_on_the_repeat(monkeypatch):
+    system_kernel.cache_clear()
+    calls = _counted_applies(monkeypatch)
+    for _ in range(2):
+        calls[0] = 0
+        with pytest.raises(MaxIterationsExceeded) as exc:
+            solve_equilibrium(STORED_SYSTEM, **{**STORED, "max_iter": 3, "tol": 1e-14})
+        assert calls[0] == exc.value.solution.applies > 0
